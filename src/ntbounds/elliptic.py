@@ -164,20 +164,47 @@ def scalar_mul(E: EllipticCurveQ, m: int, P: ECPoint) -> ECPoint:
     return result
 
 
+def _nagell_lutz_excludes(E: EllipticCurveQ, P: ECPoint) -> bool:
+    """True when the Nagell-Lutz theorem proves the affine point P non-torsion.
+
+    With u = den(a) den(b), (X, Y) = (u^2 x, u^3 y) lies on the integral model
+    Y^2 = X^3 + A X + B, A = u^4 a, B = u^6 b, isomorphic to E over Q.  A torsion
+    point there has integer X and Y, and Y = 0 or Y^2 | 4A^3 + 27B^2.
+    """
+    u = E.a.denominator * E.b.denominator
+    u2 = u * u
+    # x and y are in lowest terms, so u^2 x is an integer iff den(x) | u^2.
+    if u2 % P.x.denominator or u2 * u % P.y.denominator:
+        return True
+    Y = P.y.numerator * (u2 * u // P.y.denominator)
+    if Y == 0:
+        return False
+    A = E.a.numerator * (u2 * u2 // E.a.denominator)
+    B = E.b.numerator * (u2 * u2 * u2 // E.b.denominator)
+    return (4 * A ** 3 + 27 * B ** 2) % (Y * Y) != 0
+
+
 def torsion_order(E: EllipticCurveQ, P: ECPoint) -> Optional[int]:
     """Order of P if torsion, None otherwise.
 
-    A rational torsion point has order in MAZUR_ORDERS, so testing m*P = O over
-    that set is a total decision procedure.  Ascending order means the first
-    hit is the exact order (every proper divisor was tested earlier).
+    Every multiple of a torsion point is torsion, so the Nagell-Lutz test
+    (:func:`_nagell_lutz_excludes`) is applied to P before any group-law work
+    and then to each multiple m*P: a point whose scaled coordinates are not
+    integers, or whose Y^2 does not divide 4A^3 + 27B^2 on the integral model,
+    has infinite order.  Points that keep passing have small integer
+    coordinates on that model, so the exact loop over m stays cheap.  A
+    rational torsion point has order in MAZUR_ORDERS (at most 12), so walking
+    m*P for m = 1..12 is a total decision procedure, and the first m with
+    m*P = O is the exact order.
     """
     E.require(P)
-    acc = INFINITY
-    for m in range(1, 13):
+    acc, m = P, 1
+    while not acc.is_infinity:
+        if m == 12 or _nagell_lutz_excludes(E, acc):
+            return None
         acc = add(E, acc, P)
-        if acc.is_infinity and m in MAZUR_ORDERS:
-            return m
-    return None
+        m += 1
+    return m if m in MAZUR_ORDERS else None
 
 
 # ---------------------------------------------------------------------------

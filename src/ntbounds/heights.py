@@ -294,22 +294,25 @@ def canonical_height_enclosure(E: EllipticCurveQ, P: ECPoint, tol,
             if cap > 1:
                 modulus = cap ** (n + 2)
                 alpha, beta = A0 % modulus, B0 % modulus
+            # The coefficients depend only on the working precision.
+            f_iv = [iv_from_int(c) for c in fc]
+            g_iv = [iv_from_int(c) for c in gc]
             ok = True
             for m in range(n):
                 z2, z3, z4 = z * z, None, None
                 z3 = z2 * z
                 z4 = z3 * z
                 w2 = w * w
-                fz = (iv_from_int(fc[0]) * z4 + iv_from_int(fc[2]) * z2 * w2
-                      + iv_from_int(fc[3]) * z * w2 * w + iv_from_int(fc[4]) * w2 * w2)
+                fz = (f_iv[0] * z4 + f_iv[2] * z2 * w2
+                      + f_iv[3] * z * w2 * w + f_iv[4] * w2 * w2)
                 if fc[1]:
-                    fz = fz + iv_from_int(fc[1]) * z3 * w
-                gz = (iv_from_int(gc[1]) * z3 * w + iv_from_int(gc[3]) * z * w2 * w
-                      + iv_from_int(gc[4]) * w2 * w2)
+                    fz = fz + f_iv[1] * z3 * w
+                gz = (g_iv[1] * z3 * w + g_iv[3] * z * w2 * w
+                      + g_iv[4] * w2 * w2)
                 if gc[0]:
-                    gz = gz + iv_from_int(gc[0]) * z4
+                    gz = gz + g_iv[0] * z4
                 if gc[2]:
-                    gz = gz + iv_from_int(gc[2]) * z2 * w2
+                    gz = gz + g_iv[2] * z2 * w2
                 big = iv_max(abs(fz), abs(gz))
                 lo_big, _ = iv_endpoints(big)
                 if lo_big <= 0:

@@ -76,6 +76,41 @@ def _as_fraction(x) -> Fraction:
     return Fraction(str(x)) if isinstance(x, float) else Fraction(x)
 
 
+def _free_range_bound(gamma: GammaSpec, B: Fraction, tol: Fraction,
+                      precision: int) -> int:
+    """a_max = ceil(sqrt((B + tol)/h-hat(g))) from the certified lower end of
+    the generator's height enclosure."""
+    if B < 0:
+        raise DomainError("height bound must be >= 0")
+    if tol <= 0:
+        raise DomainError("tolerance must be positive")
+    g_lo, _ = canonical_height_enclosure(gamma.curve, gamma.generator, tol, precision)
+    if g_lo <= tol:
+        raise DomainError(
+            "generator's canonical height does not exceed the tolerance; "
+            "the GammaSpec looks inconsistent (torsion-like generator)")
+    return _ceil_sqrt_fraction((B + tol) / g_lo)
+
+
+def _walk_rank1(gamma: GammaSpec, B: Fraction, tol: Fraction, lo: int, hi: int,
+                precision: int) -> Iterator[tuple[ECPoint, Fraction]]:
+    """The points a*g + T with lo <= a <= hi of estimated height at most
+    B + tol.  a*g is stepped by one addition of g per a, not recomputed."""
+    if lo > hi:
+        return
+    E, g = gamma.curve, gamma.generator
+    base = scalar_mul(E, lo, g)
+    for a in range(lo, hi + 1):
+        if a > lo:
+            base = add(E, base, g)
+        for T in gamma.torsion_points:
+            P = add(E, base, T)
+            p_lo, p_hi = canonical_height_enclosure(E, P, tol, precision)
+            estimate = (p_lo + p_hi) / 2
+            if estimate <= B + tol:
+                yield P, estimate
+
+
 def enumerate_rank1(gamma: GammaSpec, height_bound, tol,
                     a_range: Optional[tuple[int, int]] = None,
                     precision: int = 256) -> Iterator[tuple[ECPoint, Fraction]]:
@@ -88,27 +123,9 @@ def enumerate_rank1(gamma: GammaSpec, height_bound, tol,
     """
     B = _as_fraction(height_bound)
     tol = _as_fraction(tol)
-    if B < 0:
-        raise DomainError("height bound must be >= 0")
-    if tol <= 0:
-        raise DomainError("tolerance must be positive")
-    E = gamma.curve
-    g_lo, g_hi = canonical_height_enclosure(E, gamma.generator, tol, precision)
-    if g_lo <= tol:
-        raise DomainError(
-            "generator's canonical height does not exceed the tolerance; "
-            "the GammaSpec looks inconsistent (torsion-like generator)")
-    a_max = _ceil_sqrt_fraction((B + tol) / g_lo)
+    a_max = _free_range_bound(gamma, B, tol, precision)
     lo, hi = (-a_max, a_max) if a_range is None else a_range
-    lo, hi = max(lo, -a_max), min(hi, a_max)
-    for a in range(lo, hi + 1):
-        base = scalar_mul(E, a, gamma.generator)
-        for T in gamma.torsion_points:
-            P = add(E, base, T)
-            p_lo, p_hi = canonical_height_enclosure(E, P, tol, precision)
-            estimate = (p_lo + p_hi) / 2
-            if estimate <= B + tol:
-                yield P, estimate
+    yield from _walk_rank1(gamma, B, tol, max(lo, -a_max), min(hi, a_max), precision)
 
 
 def family_membership(p1: ECPoint, p2: ECPoint, family: str, n: int) -> bool:
@@ -174,14 +191,11 @@ def search_rational_points(family: str, n: int, gamma: GammaSpec, height_bound,
     B = _as_fraction(height_bound)
     tol_f = _as_fraction(tol)
     t0 = time.perf_counter()
-    g_lo, _ = canonical_height_enclosure(gamma.curve, gamma.generator, tol_f, precision)
-    if g_lo <= tol_f:
-        raise DomainError("generator looks torsion; inconsistent GammaSpec")
-    a_max = _ceil_sqrt_fraction((B + tol_f) / g_lo)
+    a_max = _free_range_bound(gamma, B, tol_f, precision)
 
     points: list[tuple[ECPoint, Fraction]] = []
-    for rng in _shard_ranges(a_max, min(shards, 2 * a_max + 1)):
-        points.extend(enumerate_rank1(gamma, B, tol_f, a_range=rng, precision=precision))
+    for lo, hi in _shard_ranges(a_max, min(shards, 2 * a_max + 1)):
+        points.extend(_walk_rank1(gamma, B, tol_f, lo, hi, precision))
     points.sort(key=lambda pq: pq[0].key())
 
     found = []

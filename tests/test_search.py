@@ -3,12 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from ntbounds.elliptic import ECPoint, validate_curve
+from ntbounds.elliptic import ECPoint, add, scalar_mul, validate_curve
 from ntbounds.heights import canonical_height_enclosure
 from ntbounds.presets import ambient_gamma
 from ntbounds.rounding import DomainError
 from ntbounds.search import (
     GammaSpec,
+    _shard_ranges,
     enumerate_rank1,
     family_membership,
     search_rational_points,
@@ -144,3 +145,67 @@ def test_search_empty_at_bound_zero():
     assert rep.found == ()
     assert rep.candidate_points == 1  # just the identity
     assert rep.closure_candidates == ("O x O",)
+
+
+# -- incremental walk against a per-a scalar_mul reference -----------------
+
+
+def _a_max(gamma, B):
+    g_lo, _ = canonical_height_enclosure(gamma.curve, gamma.generator, TOL)
+    m = 0
+    while m * m * g_lo < B + TOL:
+        m += 1
+    return m
+
+
+def _per_a_reference(gamma, B, a_max):
+    """a -> the kept (point, estimate) pairs, a*g recomputed by scalar_mul
+    for every |a| <= a_max."""
+    E = gamma.curve
+    out = {}
+    for a in range(-a_max, a_max + 1):
+        base = scalar_mul(E, a, gamma.generator)
+        out[a] = []
+        for T in gamma.torsion_points:
+            P = add(E, base, T)
+            p_lo, p_hi = canonical_height_enclosure(E, P, TOL)
+            if (p_lo + p_hi) / 2 <= B + TOL:
+                out[a].append((P, (p_lo + p_hi) / 2))
+    return out
+
+
+def _two_torsion_gamma():
+    E = validate_curve(-2, 0)
+    return GammaSpec(E, ECPoint.affine(2, 2), torsion_points=(O, ECPoint.affine(0, 0)))
+
+
+@pytest.mark.parametrize("name,B", [("f1", 10), ("f2", 25), ("two_torsion", 10)])
+def test_incremental_walk_matches_per_a_reference(name, B):
+    gamma = _two_torsion_gamma() if name == "two_torsion" else ambient_gamma(name)
+    a_max = _a_max(gamma, B)
+    assert a_max >= 3
+    per_a = _per_a_reference(gamma, B, a_max)
+
+    def reference(lo, hi):
+        return [pe for a in range(lo, hi + 1) for pe in per_a[a]]
+
+    ranges = {
+        None: (-a_max, a_max),
+        (-3, -1): (-3, -1),             # negative lo and hi
+        (-2, 1): (-2, 1),               # crosses zero
+        (-2, -2): (-2, -2),             # single a
+        (0, 0): (0, 0),
+        (3, 3): (3, 3),
+        (-a_max - 5, a_max + 7): (-a_max, a_max),   # clipped on both sides
+        (1, a_max + 3): (1, a_max),                 # clipped above
+        (-a_max - 2, -a_max + 1): (-a_max, -a_max + 1),
+        (a_max + 1, a_max + 4): (a_max + 1, a_max),  # entirely outside: empty
+    }
+    for a_range, clipped in ranges.items():
+        got = list(enumerate_rank1(gamma, B, TOL, a_range=a_range))
+        assert got == reference(*clipped), a_range
+    for shards in range(1, 9):
+        walked = []
+        for rng in _shard_ranges(a_max, min(shards, 2 * a_max + 1)):
+            walked.extend(enumerate_rank1(gamma, B, TOL, a_range=rng))
+        assert walked == reference(-a_max, a_max), shards
