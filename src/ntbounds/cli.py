@@ -1,13 +1,14 @@
 """Command-line surface tying the modules together.
 
 Exit codes: 0 success; 2 unparseable input (files, expressions, flags);
-3 domain/precondition violation; 4 indeterminate comparison at the requested
-precision; 5 resource-guard refusal.
+3 domain/precondition violation; 4 indeterminate comparison or uncertified
+enclosure at the requested precision; 5 resource-guard refusal.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -43,6 +44,7 @@ from .rounding import (
     ConstExpr,
     Direction,
     DomainError,
+    IndeterminateError,
     LogRat,
     Prod,
     Rat,
@@ -64,10 +66,6 @@ EXIT_RESOURCE = 5
 
 
 class InputParseError(ValueError):
-    pass
-
-
-class IndeterminateError(RuntimeError):
     pass
 
 
@@ -364,9 +362,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing does not mutate it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if getattr(args, "precision", None) is None:
             args.precision = _default_precision()

@@ -26,6 +26,7 @@ from .rounding import (
     ConstExpr,
     Direction,
     DomainError,
+    IndeterminateError,
     LogRat,
     Prod,
     Rat,
@@ -341,8 +342,8 @@ def canonical_height_enclosure(E: EllipticCurveQ, P: ECPoint, tol,
                         hi = lo
                     return lo, hi
         work *= 2
-    raise DomainError("canonical height did not certify at the requested tolerance; "
-                      "raise precision")
+    raise IndeterminateError("canonical height did not certify at the requested "
+                             "tolerance; raise precision")
 
 
 def _eval_form_mod(coeffs: tuple[int, ...], a: int, b: int, modulus: int) -> int:

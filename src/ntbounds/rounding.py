@@ -13,6 +13,7 @@ from __future__ import annotations
 import enum
 import math
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
@@ -24,6 +25,7 @@ from mpmath import libmp
 __all__ = [
     "Direction",
     "Comparison",
+    "IndeterminateError",
     "BoundedReal",
     "ConstExpr",
     "Rat",
@@ -77,15 +79,25 @@ class DirectionError(ValueError):
     """Raised when an arithmetic combination of BoundedReals is not sound."""
 
 
+class IndeterminateError(RuntimeError):
+    """Raised when a certified decision or enclosure is out of reach at the
+    requested precision (raising the precision may settle it)."""
+
+
+def _require_finite(t) -> None:
+    """libmp keeps infinities and nan as a zero mantissa with a nonzero exponent."""
+    if not t[1] and t[2]:
+        raise DomainError("non-finite float endpoint")
+
+
 def _raw_to_fraction(t) -> Fraction:
     """Exact value of a libmp raw mpf tuple."""
+    _require_finite(t)
     sign, man, exp, _ = t
     if man == 0:
-        if exp == 0:
-            return Fraction(0)
-        raise DomainError("non-finite float endpoint")
-    r = Fraction(int(man)) * Fraction(2) ** exp
-    return -r if sign else r
+        return Fraction(0)
+    man = -int(man) if sign else int(man)
+    return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
 
 
 def mpf_to_fraction(x) -> Fraction:
@@ -162,13 +174,19 @@ class BoundedReal:
 
     @staticmethod
     def from_interval(interval, direction: Direction, precision: int) -> "BoundedReal":
-        lo, hi = iv_endpoints(interval)
+        """Round the raw endpoints directly: the same dyadic as rounding their
+        exact Fraction values, without building them."""
+        lo, hi = interval._mpi_
+        _require_finite(lo)
+        _require_finite(hi)
         if direction is Direction.UPPER:
-            v = _round_endpoint(hi, precision, libmp.round_ceiling)
+            raw, rounding = hi, libmp.round_ceiling
         elif direction is Direction.LOWER:
-            v = _round_endpoint(lo, precision, libmp.round_floor)
+            raw, rounding = lo, libmp.round_floor
         else:
-            v = _round_endpoint((lo + hi) / 2, precision, libmp.round_nearest)
+            # the exact midpoint: an unrounded sum, then a one-bit shift
+            raw, rounding = libmp.mpf_shift(libmp.mpf_add(lo, hi), -1), libmp.round_nearest
+        v = mp.make_mpf(libmp.mpf_pos(raw, precision, rounding))
         return BoundedReal(v, direction, precision)
 
     @staticmethod
@@ -445,7 +463,11 @@ def unit_ball_volume(r: int) -> ConstExpr:
     return Prod((Rat(Fraction(2 ** ((r + 1) // 2), dfact)), pi_pow((r - 1) // 2)))
 
 
-_ATOM_CACHE: dict = {}
+# Enclosures of atoms (pi powers, logs, Gamma values) by (atom, precision),
+# least recently used first.  Bounded, so that a long-running process that
+# keeps meeting fresh log arguments does not grow without limit.
+_ATOM_CACHE_SIZE = 4096
+_ATOM_CACHE: OrderedDict = OrderedDict()
 
 
 def _eval_iv(expr: ConstExpr, prec: int):
@@ -455,6 +477,7 @@ def _eval_iv(expr: ConstExpr, prec: int):
         key = (expr, prec)
         cached = _ATOM_CACHE.get(key)
         if cached is not None:
+            _ATOM_CACHE.move_to_end(key)
             return iv.mpf(cached)
     if isinstance(expr, Rat):
         return iv_from_fraction(expr.q)
@@ -490,6 +513,8 @@ def _eval_iv(expr: ConstExpr, prec: int):
     if key is not None:
         a, b = result._mpi_
         _ATOM_CACHE[key] = (mp.make_mpf(a), mp.make_mpf(b))
+        if len(_ATOM_CACHE) > _ATOM_CACHE_SIZE:
+            _ATOM_CACHE.popitem(last=False)
     return result
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from ntbounds.cli import (
     EXIT_DOMAIN,
+    EXIT_INDETERMINATE,
     EXIT_PARSE,
     EXIT_RESOURCE,
     main,
@@ -146,6 +147,31 @@ def test_exit_code_domain_error_singular_curve(tmp_path, capsys):
     assert code in (EXIT_PARSE, EXIT_DOMAIN)
     code = main(["exponents", "--theorem", "census-structure", "--N", "4", "--r", "2"])
     assert code == EXIT_DOMAIN
+
+
+def test_exit_code_indeterminate_canonical_height(capsys):
+    # 4 precision doublings from 128 bits reach 1024 bits, far short of 1e-400
+    code = main(["search", "--family", "f1", "--n", "1", "--curve", "f1",
+                 "--height-bound", "25", "--tol", "1e-400", "--precision", "64"])
+    assert code == EXIT_INDETERMINATE
+    assert "did not certify" in capsys.readouterr().err
+
+
+def test_indeterminate_error_shared_with_rounding():
+    from ntbounds.cli import IndeterminateError
+    from ntbounds import rounding
+    assert IndeterminateError is rounding.IndeterminateError
+    assert not issubclass(IndeterminateError, rounding.DomainError)
+
+
+def test_parser_is_reused_across_calls(tmp_path, capsys):
+    from ntbounds.cli import _parser
+    assert _parser() is _parser()
+    first = run_to_bytes(tmp_path, ["constants", "--cn", "3", "--hw", "0"], "a.json")
+    run_to_bytes(tmp_path, ["constants", "--d", "--hw", "1/3log2", "--digits", "12"],
+                 "b.json")
+    again = run_to_bytes(tmp_path, ["constants", "--cn", "3", "--hw", "0"], "c.json")
+    assert first == again
 
 
 def test_exit_code_resource_guard(capsys):

@@ -168,3 +168,58 @@ def test_eval_interval_endpoints_enclose():
 def test_minimum_precision_enforced():
     with pytest.raises(DomainError):
         eval_const(rat(1), NE, 32)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=1), st.integers(min_value=1, max_value=2 ** 300),
+       st.integers(min_value=-600, max_value=600))
+def test_raw_to_fraction_is_exact(sign, man, exp):
+    from ntbounds.rounding import _raw_to_fraction
+    want = Fraction(man) * Fraction(2) ** exp
+    assert _raw_to_fraction((sign, man, exp, man.bit_length())) == (-want if sign else want)
+
+
+def test_atom_cache_is_bounded_and_keeps_recent_atoms(monkeypatch):
+    from collections import OrderedDict
+
+    from ntbounds import rounding
+    monkeypatch.setattr(rounding, "_ATOM_CACHE_SIZE", 4)
+    monkeypatch.setattr(rounding, "_ATOM_CACHE", OrderedDict())
+    popular = eval_interval(log_rat(Fraction(3, 2)), 128)
+    fresh = []
+    for q in range(5, 15):
+        fresh.append(eval_interval(log_rat(q), 128))
+        assert (log_rat(Fraction(3, 2)), 128) in rounding._ATOM_CACHE  # used, so kept
+        assert eval_interval(log_rat(Fraction(3, 2)), 128) == popular
+        assert len(rounding._ATOM_CACHE) <= 4
+    assert (log_rat(5), 128) not in rounding._ATOM_CACHE
+    # an evicted atom evaluates to the same enclosure again
+    assert eval_interval(log_rat(5), 128) == fresh[0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=-2 ** 200, max_value=2 ** 200),
+       st.integers(min_value=-300, max_value=300),
+       st.integers(min_value=0, max_value=2 ** 200),
+       st.integers(min_value=-300, max_value=300),
+       st.sampled_from([53, 64, 128, 256]), st.sampled_from([U, L, NE]))
+def test_from_interval_matches_rounding_the_exact_endpoints(m1, e1, m2, e2, prec, direction):
+    # reference: round the endpoints' exact Fraction values, as a Fraction
+    from mpmath import iv, libmp, mp
+    a = Fraction(m1) * Fraction(2) ** e1
+    b = a + Fraction(m2) * Fraction(2) ** e2
+    raw = tuple(libmp.from_rational(q.numerator, q.denominator, 10 ** 4, libmp.round_floor)
+                for q in (a, b))  # exact: every endpoint drawn here fits in 10^4 bits
+    interval = iv.mpf((mp.make_mpf(raw[0]), mp.make_mpf(raw[1])))
+    assert interval._mpi_ == raw
+    rnd = {U: libmp.round_ceiling, L: libmp.round_floor, NE: libmp.round_nearest}[direction]
+    target = {U: b, L: a, NE: (a + b) / 2}[direction]
+    want = libmp.from_rational(target.numerator, target.denominator, prec, rnd)
+    assert BoundedReal.from_interval(interval, direction, prec).value._mpf_ == want
+
+
+def test_from_interval_rejects_infinite_endpoints():
+    from mpmath import iv
+    for direction in (U, L, NE):
+        with pytest.raises(DomainError):
+            BoundedReal.from_interval(iv.mpf(["-inf", 1]), direction, 64)

@@ -2,14 +2,16 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ntbounds.elliptic import ECPoint, add, scalar_mul, validate_curve
+import ntbounds.search as search_module
+from ntbounds.elliptic import ECPoint, add, negate, scalar_mul, validate_curve
 from ntbounds.heights import canonical_height_enclosure
 from ntbounds.presets import ambient_gamma
 from ntbounds.rounding import DomainError
 from ntbounds.search import (
     GammaSpec,
-    _shard_ranges,
     enumerate_rank1,
     family_membership,
     search_rational_points,
@@ -147,20 +149,20 @@ def test_search_empty_at_bound_zero():
     assert rep.closure_candidates == ("O x O",)
 
 
-# -- incremental walk against a per-a scalar_mul reference -----------------
+# -- the walk against a per-point reference --------------------------------
 
 
-def _a_max(gamma, B):
-    g_lo, _ = canonical_height_enclosure(gamma.curve, gamma.generator, TOL)
+def _a_max(gamma, B, tol=TOL, enclosure=canonical_height_enclosure):
+    g_lo, _ = enclosure(gamma.curve, gamma.generator, tol)
     m = 0
-    while m * m * g_lo < B + TOL:
+    while m * m * g_lo < B + tol:
         m += 1
     return m
 
 
-def _per_a_reference(gamma, B, a_max):
-    """a -> the kept (point, estimate) pairs, a*g recomputed by scalar_mul
-    for every |a| <= a_max."""
+def _per_a_reference(gamma, B, a_max, tol=TOL, enclosure=canonical_height_enclosure):
+    """a -> the kept (point, estimate) pairs: a*g recomputed by scalar_mul and
+    every a*g + T decided by its own certified canonical height."""
     E = gamma.curve
     out = {}
     for a in range(-a_max, a_max + 1):
@@ -168,8 +170,8 @@ def _per_a_reference(gamma, B, a_max):
         out[a] = []
         for T in gamma.torsion_points:
             P = add(E, base, T)
-            p_lo, p_hi = canonical_height_enclosure(E, P, TOL)
-            if (p_lo + p_hi) / 2 <= B + TOL:
+            p_lo, p_hi = enclosure(E, P, tol)
+            if (p_lo + p_hi) / 2 <= B + tol:
                 out[a].append((P, (p_lo + p_hi) / 2))
     return out
 
@@ -179,9 +181,20 @@ def _two_torsion_gamma():
     return GammaSpec(E, ECPoint.affine(2, 2), torsion_points=(O, ECPoint.affine(0, 0)))
 
 
+def _gamma(name):
+    return _two_torsion_gamma() if name == "two_torsion" else ambient_gamma(name)
+
+
+def _contiguous_splits(a_max, shards):
+    """[-a_max, a_max] cut into `shards` contiguous nonempty ranges."""
+    total = 2 * a_max + 1
+    cuts = [-a_max + (total * s) // shards for s in range(shards + 1)]
+    return [(lo, hi - 1) for lo, hi in zip(cuts, cuts[1:]) if hi > lo]
+
+
 @pytest.mark.parametrize("name,B", [("f1", 10), ("f2", 25), ("two_torsion", 10)])
 def test_incremental_walk_matches_per_a_reference(name, B):
-    gamma = _two_torsion_gamma() if name == "two_torsion" else ambient_gamma(name)
+    gamma = _gamma(name)
     a_max = _a_max(gamma, B)
     assert a_max >= 3
     per_a = _per_a_reference(gamma, B, a_max)
@@ -205,7 +218,140 @@ def test_incremental_walk_matches_per_a_reference(name, B):
         got = list(enumerate_rank1(gamma, B, TOL, a_range=a_range))
         assert got == reference(*clipped), a_range
     for shards in range(1, 9):
+        splits = _contiguous_splits(a_max, shards)
+        assert [a for lo, hi in splits for a in range(lo, hi + 1)] == \
+            list(range(-a_max, a_max + 1))
         walked = []
-        for rng in _shard_ranges(a_max, min(shards, 2 * a_max + 1)):
+        for rng in splits:
             walked.extend(enumerate_rank1(gamma, B, TOL, a_range=rng))
         assert walked == reference(-a_max, a_max), shards
+
+
+@pytest.mark.parametrize("name", ["f1", "f2", "two_torsion"])
+def test_kept_set_at_the_quadraticity_band_edges(name):
+    # B sits k*tol/2 from a^2 * mid(g), so the points with that a fall on
+    # either side of the keep/drop thresholds or inside the band between them
+    gamma = _gamma(name)
+    in_band = 0
+    for tol in (TOL, Fraction(1, 1000)):
+        g_lo, g_hi = canonical_height_enclosure(gamma.curve, gamma.generator, tol)
+        mid = (g_lo + g_hi) / 2
+        for a in (1, 2, 3):
+            for k in (-3, -1, 0, 1, 3):
+                B = a * a * mid + k * tol / 2
+                a_max = _a_max(gamma, B, tol)
+                per_a = _per_a_reference(gamma, B, a_max, tol)
+                want = [pe for b in range(-a_max, a_max + 1) for pe in per_a[b]]
+                assert list(enumerate_rank1(gamma, B, tol)) == want, (tol, a, k)
+                rep = search_rational_points("f1", 1, gamma, B, tol)
+                assert rep.candidate_points == len(want), (tol, a, k)
+                in_band += sum(1 for b in range(-a_max, a_max + 1)
+                               if b * b * g_hi > B + tol / 2
+                               and b * b * g_lo <= B + 3 * tol / 2)
+    assert in_band > 0  # the per-point fallback was exercised
+
+
+class _OneSidedEnclosure:
+    """A valid enclosure oracle pushed to one side: [hi - tol, hi] ("low") or
+    [lo, lo + tol] ("high") around the certified [lo, hi], one side for the
+    generator's x and another for every other point.  Each still contains
+    h-hat and is tol wide, the worst case the keep/drop thresholds allow."""
+
+    def __init__(self, generator, generator_side, point_side):
+        self.generator_x = generator.x
+        self.sides = (generator_side, point_side)
+        self.certified = {}
+
+    def __call__(self, E, P, tol, precision=256):
+        key = (P.x, tol, precision)
+        if key not in self.certified:
+            self.certified[key] = canonical_height_enclosure(E, P, tol, precision)
+        lo, hi = self.certified[key]
+        if hi == 0:
+            return lo, hi  # torsion: exactly zero
+        side = self.sides[0] if P.x == self.generator_x else self.sides[1]
+        return (hi - tol, hi) if side == "low" else (lo, lo + tol)
+
+
+@pytest.mark.parametrize("name", ["f1", "two_torsion"])
+def test_kept_set_with_one_sided_enclosures(name, monkeypatch):
+    gamma = _gamma(name)
+    tol = Fraction(1, 1000)
+    g_lo, g_hi = canonical_height_enclosure(gamma.curve, gamma.generator, tol)
+    for generator_side in ("low", "high"):
+        for point_side in ("low", "high"):
+            oracle = _OneSidedEnclosure(gamma.generator, generator_side, point_side)
+            monkeypatch.setattr(search_module, "canonical_height_enclosure", oracle)
+            for a in (1, 2):
+                for k in range(-8, 9):
+                    B = a * a * (g_lo + g_hi) / 2 + k * tol / 4
+                    a_max = _a_max(gamma, B, tol, oracle)
+                    per_a = _per_a_reference(gamma, B, a_max, tol, oracle)
+                    want = [pe for b in range(-a_max, a_max + 1) for pe in per_a[b]]
+                    got = list(enumerate_rank1(gamma, B, tol))
+                    assert got == want, (generator_side, point_side, a, k)
+
+
+def _pair_scan_reference(points, family, n):
+    """found and closure lists from an N^2 family_membership scan."""
+    found, closure = [], []
+    for p1, h1 in points:
+        for p2, h2 in points:
+            if p1.is_infinity or p2.is_infinity:
+                closure.append(f"{p1} x {p2}")
+            elif family_membership(p1, p2, family, n):
+                found.append((p1, p2, h1, h2))
+    return sorted(found, key=lambda f: (f[0].key(), f[1].key())), sorted(closure)
+
+
+@pytest.mark.parametrize("name,B", [("f1", 25), ("f2", 40), ("two_torsion", 12)])
+def test_pair_lookup_matches_quadratic_scan(name, B):
+    gamma = _gamma(name)
+    points = sorted(enumerate_rank1(gamma, B, TOL), key=lambda pe: pe[0].key())
+    hits = 0
+    for family in ("f1", "f2"):
+        for n in (1, 2, 3):
+            rep = search_rational_points(family, n, gamma, B, TOL)
+            found, closure = _pair_scan_reference(points, family, n)
+            assert [(f.p1, f.p2, f.height1, f.height2) for f in rep.found] == found
+            assert list(rep.closure_candidates) == closure
+            assert rep.pairs_scanned == len(points) ** 2
+            hits += len(found)
+    assert hits > 0
+
+
+def test_search_rejects_unknown_family_and_bad_n():
+    gamma = ambient_gamma("f1")
+    with pytest.raises(DomainError):
+        search_rational_points("f9", 1, gamma, 0, TOL)
+    with pytest.raises(DomainError):
+        search_rational_points("f1", 0, gamma, 0, TOL)
+
+
+@settings(max_examples=25, deadline=None)
+@given(name=st.sampled_from(["f1", "f2", "two_torsion"]),
+       a=st.integers(min_value=-6, max_value=6), t=st.integers(min_value=0, max_value=1))
+def test_canonical_height_is_symmetric_under_negation(name, a, t):
+    gamma = _gamma(name)
+    E = gamma.curve
+    T = gamma.torsion_points[t % len(gamma.torsion_points)]
+    P = add(E, scalar_mul(E, a, gamma.generator), T)
+    assert canonical_height_enclosure(E, P, TOL) == \
+        canonical_height_enclosure(E, negate(P), TOL)
+
+
+class _CountingEnclosure:
+    def __init__(self):
+        self.calls = 0
+
+    def __call__(self, *args, **kwargs):
+        self.calls += 1
+        return canonical_height_enclosure(*args, **kwargs)
+
+
+def test_f1_search_certifies_one_height(monkeypatch):
+    counter = _CountingEnclosure()
+    monkeypatch.setattr(search_module, "canonical_height_enclosure", counter)
+    rep = search_rational_points("f1", 1, ambient_gamma("f1"), 25, TOL)
+    assert len(rep.found) == 2
+    assert counter.calls == 1
