@@ -52,7 +52,6 @@ __all__ = [
     "ExponentReport",
     "exponents",
     "THEOREM_IDS",
-    "dobrowolski_lehmer_info",
     "CLOSED_FORM_COEFF",
 ]
 
@@ -632,14 +631,3 @@ def exponents(theorem: str, case: str = "", N: Optional[int] = None,
     params = {k: v for k, v in (("N", N), ("r", r), ("t", t), ("dim_v", dim_v))
               if v is not None}
     return ExponentReport(theorem, case, params, entries)
-
-
-def dobrowolski_lehmer_info() -> str:
-    """Static note: sharp height lower bounds are out of scope here."""
-    return (
-        "Lehmer/Dobrowolski-type lower bounds for heights of algebraic points "
-        "are intentionally not implemented: this toolkit evaluates the explicit "
-        "upper-bound side only, and the lower-bound machinery enters the proofs, "
-        "not the computable statements. Nothing numeric is available under this "
-        "name; see the exponent calculators for the quantities that are."
-    )

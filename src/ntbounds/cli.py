@@ -2,7 +2,8 @@
 
 Exit codes: 0 success; 2 unparseable input (files, expressions, flags);
 3 domain/precondition violation; 4 indeterminate comparison or uncertified
-enclosure at the requested precision; 5 resource-guard refusal.
+enclosure at the requested precision; 5 resource-guard refusal.  Any other
+exception is a program fault and propagates.
 """
 
 from __future__ import annotations
@@ -28,7 +29,12 @@ from .bounds import (
     family_invariants,
     THEOREM_IDS,
 )
-from .elliptic import curve_from_json, weierstrass_height_expr
+from .elliptic import (
+    PointNotOnCurveError,
+    SingularCurveError,
+    curve_from_json,
+    weierstrass_height_expr,
+)
 from .presets import PRESET_NAMES, preset_curve_json
 from .reporting import (
     SCHEMA_VERSION,
@@ -388,7 +394,7 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"ntbounds: domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except ValueError as exc:
+    except (SingularCurveError, PointNotOnCurveError) as exc:
         print(f"ntbounds: domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
 

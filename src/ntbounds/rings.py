@@ -3,13 +3,12 @@
 Elements are pairs (a, b) meaning a + b*i (Gaussian), a + b*omega (Eisenstein,
 omega a primitive cube root of unity), or plain a with b = 0 over Z.  All
 three are Euclidean for the norm, with rounded division giving a remainder of
-strictly smaller norm; that is what the Hermite and lattice reductions rely on.
+strictly smaller norm; that is what the Hermite normal form relies on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable
 
 from .rounding import DomainError
@@ -17,11 +16,6 @@ from .rounding import DomainError
 __all__ = ["EndRing", "Element", "RING_Z", "RING_GAUSS", "RING_EISENSTEIN", "ring_by_name"]
 
 Element = tuple[int, int]
-
-
-def _round_half_up(q: Fraction) -> int:
-    """Translation-invariant nearest-integer rounding (.5 rounds up)."""
-    return (2 * q.numerator + q.denominator) // (2 * q.denominator)
 
 
 @dataclass(frozen=True)
@@ -89,12 +83,16 @@ class EndRing:
     # -- Euclidean structure ---------------------------------------------------
 
     def divmod_rounded(self, x: Element, y: Element) -> tuple[Element, Element]:
-        """q, r with x = q*y + r and norm(r) < norm(y)."""
+        """q, r with x = q*y + r and norm(r) < norm(y).
+
+        q rounds each coordinate of x*conj(y)/norm(y) to the nearest integer,
+        .5 upward: floor((2p + n) / 2n) for p/n, which needs no reduced form.
+        """
         if self.is_zero(y):
             raise ZeroDivisionError("division by zero ring element")
         n = self.norm(y)
-        num = self.mul(x, self.conj(y))
-        q = (_round_half_up(Fraction(num[0], n)), _round_half_up(Fraction(num[1], n)))
+        re, im = self.mul(x, self.conj(y))
+        q = ((2 * re + n) // (2 * n), (2 * im + n) // (2 * n))
         r = self.sub(x, self.mul(q, y))
         return q, r
 
@@ -126,24 +124,31 @@ class EndRing:
         return best, best_u
 
     def canon_row(self, row: tuple[Element, ...]) -> tuple[Element, ...]:
-        """Lexicographically largest unit multiple of a whole row."""
-        if all(self.is_zero(e) for e in row):
-            return row
-        best = row
-        for u in self.units():
-            cand = tuple(self.mul(u, e) for e in row)
-            if cand > best:
-                best = cand
-        return best
+        """Lexicographically largest unit multiple of a whole row.
+
+        Units act freely on nonzero elements, so the first nonzero entry alone
+        decides the maximum: scale the row by that entry's canonical unit.
+        """
+        for e in row:
+            if not self.is_zero(e):
+                _, u = self.canon_assoc(e)
+                return row if u == self.one else tuple(self.mul(u, x) for x in row)
+        return row
 
     # -- inner products and display ------------------------------------------------
 
     def dot_conj(self, u: Iterable[Element], v: Iterable[Element]) -> Element:
         """sum u_k * conj(v_k); with u = v this is (norm, 0)."""
-        acc = self.zero
-        for a, b in zip(u, v):
-            acc = self.add(acc, self.mul(a, self.conj(b)))
-        return acc
+        # (a + b*i)(c - d*i) = (ac + bd) + (bc - ad)*i; conj(omega) = -1 - omega
+        # moves -ad into the real part; over Z, b = d = 0
+        ac_bd = bc = ad = 0
+        for (a, b), (c, d) in zip(u, v):
+            ac_bd += a * c + b * d
+            bc += b * c
+            ad += a * d
+        if self.kind == "zw":
+            return (ac_bd - ad, bc - ad)
+        return (ac_bd, bc - ad)
 
     def row_norm(self, row: Iterable[Element]) -> int:
         return sum(self.norm(e) for e in row)

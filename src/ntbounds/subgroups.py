@@ -1,20 +1,22 @@
-"""Algebraic subgroups of E^N as matrices over End(E): degrees via minors,
-Minkowski-style row reduction, Hermite normal forms, bounded-degree
-enumeration, and torsion counting.
+"""Algebraic subgroups of E^N as matrices over End(E): Gram-determinant
+degrees, Hermite normal forms, bounded-degree enumeration, and torsion
+counting.
 
-A codimension-r subgroup corresponds to a rank-r matrix in Mat_{r x N}(End(E));
-its degree is, up to dimension-only constants, the sum of the norms of the
-r x r minors (exactly the Gram determinant of the row module, by Cauchy-Binet).
+A codimension-r subgroup corresponds to a rank-r matrix M in
+Mat_{r x N}(End(E)); its degree is, up to dimension-only constants, the Gram
+determinant det(M conj(M)^T) of the row module, which by Cauchy-Binet is the
+sum of the norms of the r x r minors.  One routine computes it: a
+fraction-free elimination of the Gram matrix that walks the r-subsets of a
+list of rows depth first, so `degree_estimate` (one subset, the matrix's own
+rows) and `enumerate_matrices` (every subset of the candidate rows) share it.
 Identity of subgroups = equality of row modules, decided by the canonical
 Hermite normal form under left GL_r action; column permutations move to a
-different subgroup of E^N, so they are recorded for display, never applied.
+different subgroup of E^N, so they are never applied.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 
 from .rings import Element, EndRing
@@ -22,11 +24,9 @@ from .rounding import DomainError
 
 __all__ = [
     "SubgroupMatrix",
-    "ReducedRows",
     "ResourceGuardError",
     "degree_estimate",
     "hermite_normal_form",
-    "reduce_rows",
     "enumerate_matrices",
     "torsion_count",
     "CensusReport",
@@ -78,43 +78,69 @@ class SubgroupMatrix:
         return SubgroupMatrix(ring, tuple(conv))
 
 
-def _det(ring: EndRing, rows: list[tuple[Element, ...]], cols: tuple[int, ...]) -> Element:
-    """Determinant of the square submatrix on the given columns (Laplace)."""
-    k = len(cols)
-    if k == 1:
-        return rows[0][cols[0]]
-    if k == 2:
-        a, b = rows[0][cols[0]], rows[0][cols[1]]
-        c, d = rows[1][cols[0]], rows[1][cols[1]]
-        return ring.sub(ring.mul(a, d), ring.mul(b, c))
-    total = ring.zero
-    rest = rows[1:]
-    for idx, col in enumerate(cols):
-        entry = rows[0][col]
-        if ring.is_zero(entry):
-            continue
-        sub_cols = cols[:idx] + cols[idx + 1:]
-        minor = _det(ring, rest, sub_cols)
-        term = ring.mul(entry, minor)
-        total = ring.add(total, term) if idx % 2 == 0 else ring.sub(total, term)
-    return total
+def _full_rank_subsets(ring: EndRing, rows, r: int, dmax: int | None = None):
+    """Yield (degree, subset) for every r-subset of `rows`, in the order of
+    itertools.combinations, that has full rank and degree <= dmax (no bound
+    when dmax is None).
+
+    The degree of a subset is the Gram determinant det(M conj(M)^T) of its
+    rows.  The subsets are walked depth first, and each level appends one row
+    to a fraction-free (Bareiss) elimination of its prefix's Gram matrix, so
+    every extension of a prefix shares the prefix's work.  A Gram matrix is
+    Hermitian positive semidefinite: its leading principal minors D_k are
+    positive integers until a row depends on the rows before it, so no
+    pivoting is needed, and D_k <= 0 prunes the prefix with all of its
+    extensions.  The divisions by D_k are exact in Z, Z[i] and Z[omega].
+    """
+    mul, sub, conj, norm, dot_conj, exact_div = (
+        ring.mul, ring.sub, ring.conj, ring.norm, ring.dot_conj, ring.exact_div)
+    norms = [ring.row_norm(row) for row in rows]
+    last = len(rows) - r
+    chosen: list[tuple[Element, ...]] = []
+    # cols[j][t] (t < j) is entry (j, t) of the prefix Gram matrix after t
+    # Bareiss steps, and entry (t, j) is its conjugate; pivots[k] is D_k.
+    cols: list[list[Element]] = []
+    pivots = [1]
+
+    def extend(start: int):
+        depth = len(chosen)
+        for k in range(start, last + depth + 1):
+            row = rows[k]
+            a = [dot_conj(row, prev) for prev in chosen]
+            d = norms[k]  # the diagonal entry stays real: keep it an int
+            for t in range(depth):
+                c, p = a[t], pivots[t + 1]
+                for j in range(t + 1, depth):
+                    x = sub(mul((p, 0), a[j]), mul(c, conj(cols[j][t])))
+                    a[j] = exact_div(x, (pivots[t], 0)) if t else x
+                d = (p * d - norm(c)) // pivots[t]
+            if d <= 0:
+                continue
+            if depth + 1 < r:
+                chosen.append(row)
+                cols.append(a)
+                pivots.append(d)
+                yield from extend(k + 1)
+                chosen.pop()
+                cols.pop()
+                pivots.pop()
+            elif dmax is None or d <= dmax:
+                yield d, (*chosen, row)
+
+    return extend(0)
 
 
 def degree_estimate(M: SubgroupMatrix) -> int:
-    """Sum of norm(minor) over all r x r minors; rejects rank-deficient input.
+    """Degree of the row module: det(M conj(M)^T), its Gram determinant;
+    rejects rank-deficient input.
 
-    By Cauchy-Binet this is det(M conj(M)^T), the Gram determinant of the row
-    module, hence invariant under unimodular row operations and column
+    By Cauchy-Binet this equals the sum of norm(minor) over all r x r minors,
+    hence it is invariant under unimodular row operations and column
     permutations and multiplicative over unit row scalings.
     """
-    ring = M.ring
-    rows = list(M.entries)
-    total = 0
-    for cols in itertools.combinations(range(M.n), M.r):
-        total += ring.norm(_det(ring, rows, cols))
-    if total == 0:
-        raise DomainError("matrix is rank-deficient: every maximal minor vanishes")
-    return total
+    for d, _ in _full_rank_subsets(M.ring, M.entries, M.r):
+        return d
+    raise DomainError("matrix is rank-deficient: its Gram determinant vanishes")
 
 
 # ---------------------------------------------------------------------------
@@ -163,87 +189,6 @@ def hermite_normal_form(M: SubgroupMatrix) -> SubgroupMatrix:
             if not ring.is_zero(q):
                 rows[i] = [ring.sub(x, ring.mul(q, y)) for x, y in zip(rows[i], rows[k])]
     return SubgroupMatrix(ring, tuple(tuple(row) for row in rows))
-
-
-# ---------------------------------------------------------------------------
-# Minkowski-style short form
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ReducedRows:
-    """A lattice-reduced basis of the row module, rows by increasing norm,
-    plus the column permutation under which the max-norm entries sit on the
-    diagonal (recorded, not applied: applying it would change the subgroup)."""
-
-    matrix: SubgroupMatrix
-    column_order: tuple[int, ...]
-    diagonal: tuple[Element, ...]
-
-    @property
-    def diagonal_norms(self) -> tuple[int, ...]:
-        return tuple(self.matrix.ring.norm(d) for d in self.diagonal)
-
-
-def _row_sort_key(ring: EndRing, row) -> tuple:
-    # norm ascending; ties broken by reversed lexicographic order so that
-    # earlier-pivot rows (e.g. an identity block) keep their natural position
-    return (ring.row_norm(row), tuple(-x for e in row for x in e))
-
-
-def reduce_rows(M: SubgroupMatrix) -> ReducedRows:
-    """Row-equivalent short basis (pairwise size-reduced), with the greedy
-    diagonal column assignment of the triangular presentation."""
-    ring = M.ring
-    rows = [list(row) for row in hermite_normal_form(M).entries]
-    r = len(rows)
-    changed = True
-    while changed:
-        changed = False
-        rows.sort(key=lambda row: _row_sort_key(ring, row))
-        for i in range(r):
-            ni = ring.row_norm(rows[i])
-            for j in range(r):
-                if i == j:
-                    continue
-                dot = ring.dot_conj(rows[j], rows[i])
-                q = (
-                    _round_ratio(ring, dot, ni)
-                )
-                if ring.is_zero(q):
-                    continue
-                cand = [ring.sub(x, ring.mul(q, y)) for x, y in zip(rows[j], rows[i])]
-                if ring.row_norm(cand) < ring.row_norm(rows[j]):
-                    rows[j] = cand
-                    changed = True
-    rows = [list(ring.canon_row(tuple(row))) for row in rows]
-    rows.sort(key=lambda row: _row_sort_key(ring, row))
-
-    column_order: list[int] = []
-    diagonal: list[Element] = []
-    for row in rows:
-        best_col, best_norm = -1, -1
-        for col in range(len(row)):
-            if col in column_order:
-                continue
-            nv = ring.norm(row[col])
-            if nv > best_norm:
-                best_col, best_norm = col, nv
-        column_order.append(best_col)
-        diagonal.append(row[best_col])
-    for col in range(len(rows[0])):
-        if col not in column_order:
-            column_order.append(col)
-    return ReducedRows(
-        SubgroupMatrix(ring, tuple(tuple(row) for row in rows)),
-        tuple(column_order),
-        tuple(diagonal),
-    )
-
-
-def _round_ratio(ring: EndRing, num: Element, den: int) -> Element:
-    from .rings import _round_half_up
-    return (_round_half_up(Fraction(num[0], den)), _round_half_up(Fraction(num[1], den)))
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +243,13 @@ def _candidate_rows(ring: EndRing, n: int, bound: int) -> list[tuple[Element, ..
 def enumerate_matrices(ring: EndRing, n: int, r: int, dmax: int,
                        ceiling: int = 5_000_000) -> list[SubgroupMatrix]:
     """All rank-r row modules of degree <= dmax, as canonical Hermite forms,
-    sorted by (degree, entries).  Refuses predictably-oversized enumerations."""
+    sorted by (degree, entries).  Refuses predictably-oversized enumerations.
+
+    The candidate rows are those a basis of such a module can have (see
+    `row_bound_for_degree`), one per unit orbit; the r-subsets of full rank
+    and degree <= dmax come from the same Gram elimination as
+    `degree_estimate`, and are deduplicated by their Hermite forms (at r = 1
+    each candidate row is already its own Hermite form)."""
     if not 1 <= r <= n:
         raise DomainError(f"need 1 <= r <= N, got r={r}, N={n}")
     if dmax < 1:
@@ -311,41 +262,18 @@ def enumerate_matrices(ring: EndRing, n: int, r: int, dmax: int,
             f"enumeration would scan {work} row combinations (> ceiling {ceiling}); "
             f"lower Dmax or raise the ceiling explicitly")
 
-    found: dict[tuple, tuple[int, SubgroupMatrix]] = {}
-    if ring.kind == "z" and r == 1:
-        for row in rows:
-            d = sum(a * a for a, _ in row)
-            if 0 < d <= dmax:
-                m = hermite_normal_form(SubgroupMatrix(ring, (row,)))
-                found.setdefault(m.entries, (d, m))
-    elif ring.kind == "z" and r == 2:
-        int_rows = [tuple(a for a, _ in row) for row in rows]
-        pair_cols = list(itertools.combinations(range(n), 2))
-        for i, j in itertools.combinations(range(len(int_rows)), 2):
-            u, v = int_rows[i], int_rows[j]
-            total = 0
-            for c1, c2 in pair_cols:
-                minor = u[c1] * v[c2] - u[c2] * v[c1]
-                if minor:
-                    total += minor * minor
-                    if total > dmax:
-                        break
-            else:
-                if total:
-                    m = hermite_normal_form(
-                        SubgroupMatrix.from_ints(ring, (u, v)))
-                    found.setdefault(m.entries, (total, m))
+    subsets = _full_rank_subsets(ring, rows, r, dmax)
+    if r == 1:
+        # candidate rows are canonical unit-orbit representatives, and a
+        # one-row Hermite form is the canonical row: each row is its own class
+        classes = [(d, SubgroupMatrix(ring, subset)) for d, subset in subsets]
     else:
-        for combo in itertools.combinations(rows, r):
-            cand = SubgroupMatrix(ring, combo)
-            try:
-                d = degree_estimate(cand)
-            except DomainError:
-                continue
-            if d <= dmax:
-                m = hermite_normal_form(cand)
-                found.setdefault(m.entries, (d, m))
-    ordered = sorted(found.values(), key=lambda pair: (pair[0], pair[1].entries))
+        found: dict[tuple, tuple[int, SubgroupMatrix]] = {}
+        for d, subset in subsets:
+            m = hermite_normal_form(SubgroupMatrix(ring, subset))
+            found.setdefault(m.entries, (d, m))
+        classes = list(found.values())
+    ordered = sorted(classes, key=lambda pair: (pair[0], pair[1].entries))
     return [m for _, m in ordered]
 
 

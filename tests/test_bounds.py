@@ -12,7 +12,6 @@ from ntbounds.bounds import (
     constants_CN_expr,
     constants_D,
     constants_D_printed,
-    dobrowolski_lehmer_info,
     exponents,
     family_final_bound,
     family_invariants,
@@ -284,8 +283,3 @@ def test_rc1_cases():
         "deg(V)": (1, 0),
         "h(C)+deg(C)": (Fraction(1, 2), 1),
     }
-
-
-def test_out_of_scope_note_is_static():
-    assert dobrowolski_lehmer_info() == dobrowolski_lehmer_info()
-    assert "not implemented" in dobrowolski_lehmer_info()

@@ -144,9 +144,28 @@ def test_exit_code_domain_error_singular_curve(tmp_path, capsys):
     bad.write_text('{"a": "0", "b": "0", "generator": ["1", "1"]}')
     code = main(["search", "--family", "f1", "--n", "1", "--curve", str(bad),
                  "--height-bound", "1"])
-    assert code in (EXIT_PARSE, EXIT_DOMAIN)
+    assert code == EXIT_DOMAIN
     code = main(["exponents", "--theorem", "census-structure", "--N", "4", "--r", "2"])
     assert code == EXIT_DOMAIN
+
+
+def test_exit_code_domain_error_off_curve_generator(tmp_path, capsys):
+    bad = tmp_path / "off_curve.json"
+    bad.write_text('{"a": "0", "b": "1", "generator": ["1", "1"]}')
+    code = main(["search", "--family", "f1", "--n", "1", "--curve", str(bad),
+                 "--height-bound", "1"])
+    assert code == EXIT_DOMAIN
+    assert "does not satisfy" in capsys.readouterr().err
+
+
+def test_program_value_error_is_not_a_domain_error(monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise ValueError("a bug, not bad input")
+
+    monkeypatch.setattr("ntbounds.cli.census", broken)
+    with pytest.raises(ValueError, match="a bug, not bad input"):
+        main(["census", "--ring", "z", "--N", "2", "--r", "1",
+              "--max-degree", "4", "--torsion", "1"])
 
 
 def test_exit_code_indeterminate_canonical_height(capsys):

@@ -1,21 +1,23 @@
+import itertools
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ntbounds.bruteforce import match_against, modules_equal, oracle_enumerate
+from ntbounds.bruteforce import match_against, oracle_enumerate
 from ntbounds.rings import RING_EISENSTEIN, RING_GAUSS, RING_Z, ring_by_name
 from ntbounds.rounding import DomainError
 from ntbounds.subgroups import (
     ResourceGuardError,
     SubgroupMatrix,
+    _candidate_rows,
     census,
     degree_estimate,
     enumerate_matrices,
     hermite_normal_form,
-    reduce_rows,
     torsion_count,
 )
 
@@ -64,6 +66,71 @@ def test_units_and_canonical_associates():
         assert canon == ring.mul(u, x)
         cs = {ring.canon_assoc(ring.mul(v, x))[0] for v in units}
         assert len(cs) == 1  # one canonical representative per orbit
+
+
+def _element(ring, a, b):
+    return (a, 0) if ring is Z else (a, b)
+
+
+def _divmod_by_fractions(ring, x, y):
+    """The rounded division as first written: round x*conj(y)/norm(y) through
+    reduced Fractions."""
+    def round_half_up(q):
+        return (2 * q.numerator + q.denominator) // (2 * q.denominator)
+
+    n = ring.norm(y)
+    num = ring.mul(x, ring.conj(y))
+    q = (round_half_up(Fraction(num[0], n)), round_half_up(Fraction(num[1], n)))
+    return q, ring.sub(x, ring.mul(q, y))
+
+
+def _canon_row_by_search(ring, row):
+    """The canonical row as first written: the largest of all unit multiples."""
+    if all(ring.is_zero(e) for e in row):
+        return row
+    return max(tuple(ring.mul(u, e) for e in row) for u in ring.units())
+
+
+_rings = st.sampled_from([Z, G, W])
+
+
+@given(ring=_rings, a=st.integers(-10**6, 10**6), b=st.integers(-10**6, 10**6),
+       c=st.integers(-40, 40), d=st.integers(-40, 40))
+@settings(max_examples=300)
+def test_divmod_rounded_matches_fraction_rounding(ring, a, b, c, d):
+    x, y = _element(ring, a, b), _element(ring, c, d)
+    if ring.is_zero(y):
+        with pytest.raises(ZeroDivisionError):
+            ring.divmod_rounded(x, y)
+        return
+    assert ring.divmod_rounded(x, y) == _divmod_by_fractions(ring, x, y)
+
+
+@given(ring=_rings, zeros=st.integers(0, 3),
+       tail=st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
+                     min_size=0, max_size=4))
+@settings(max_examples=300)
+def test_canon_row_matches_unit_search(ring, zeros, tail):
+    row = tuple([(0, 0)] * zeros + [_element(ring, a, b) for a, b in tail])
+    if not row:
+        return
+    assert ring.canon_row(row) == _canon_row_by_search(ring, row)
+
+
+_rows = st.lists(st.tuples(st.integers(-50, 50), st.integers(-50, 50)),
+                min_size=0, max_size=4)
+
+
+@given(ring=_rings, u=_rows, v=_rows)
+@settings(max_examples=200)
+def test_dot_conj_matches_ring_products(ring, u, v):
+    u = [_element(ring, a, b) for a, b in u]
+    v = [_element(ring, a, b) for a, b in v]
+    want = ring.zero
+    for x, y in zip(u, v):
+        want = ring.add(want, ring.mul(x, ring.conj(y)))
+    assert ring.dot_conj(u, v) == want
+    assert ring.dot_conj(u, u) == (ring.row_norm(u), 0)
 
 
 # -- degree --------------------------------------------------------------
@@ -115,56 +182,57 @@ def test_degree_invariant_under_column_permutation():
     rng = random.Random(3)
     M = SubgroupMatrix.from_ints(Z, [(2, 1, 5), (0, 3, 1)])
     d0 = degree_estimate(M)
-    import itertools
     for perm in itertools.permutations(range(3)):
         rows = tuple(tuple(row[p] for p in perm) for row in M.entries)
         assert degree_estimate(SubgroupMatrix(Z, rows)) == d0
 
 
-# -- reduce_rows -----------------------------------------------------------
+def _leibniz_det(ring, rows, cols):
+    """Determinant of the square submatrix on `cols` as a permutation sum."""
+    total = ring.zero
+    for perm in itertools.permutations(range(len(cols))):
+        inversions = sum(perm[i] > perm[j] for i in range(len(perm))
+                         for j in range(i + 1, len(perm)))
+        term = ring.one
+        for i, p in enumerate(perm):
+            term = ring.mul(term, rows[i][cols[p]])
+        total = ring.sub(total, term) if inversions % 2 else ring.add(total, term)
+    return total
 
 
-def test_reduce_rows_identity_block_unchanged():
-    M = SubgroupMatrix.from_ints(Z, [(1, 0), (0, 1)])
-    rr = reduce_rows(M)
-    assert rr.matrix.entries == M.entries
-    assert rr.diagonal == ((1, 0), (1, 0))
+def _cauchy_binet_degree(ring, rows):
+    """Sum of the norms of all r x r minors."""
+    return sum(ring.norm(_leibniz_det(ring, rows, cols))
+               for cols in itertools.combinations(range(len(rows[0])), len(rows)))
 
 
-def test_reduce_rows_permuted_diagonal_example():
-    rr = reduce_rows(SubgroupMatrix.from_ints(Z, [(0, 3), (2, 0)]))
-    assert rr.matrix.entries == (((2, 0), (0, 0)), ((0, 0), (3, 0)))
-    assert rr.column_order == (0, 1)
-    assert rr.diagonal_norms == (4, 9)
+@st.composite
+def _matrices(draw):
+    ring = draw(_rings)
+    n = draw(st.integers(1, 4))
+    r = draw(st.integers(1, n))  # r = 4 reaches the off-diagonal divisions
+    entry = st.builds(lambda a, b: _element(ring, a, b),
+                      st.integers(-3, 3), st.integers(-3, 3))
+    rows = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(r)]
+    if draw(st.booleans()):
+        # make the last row depend on the others (the zero row when r = 1)
+        coeffs = [draw(entry) for _ in range(r - 1)]
+        last = [ring.zero] * n
+        for c, row in zip(coeffs, rows):
+            last = [ring.add(x, ring.mul(c, y)) for x, y in zip(last, row)]
+        rows[-1] = last
+    return SubgroupMatrix(ring, tuple(tuple(row) for row in rows))
 
 
-def test_reduce_rows_preserves_row_span():
-    rng = random.Random(23)
-    M = SubgroupMatrix.from_ints(Z, [(4, 1, 3), (2, 7, 1)])
-    rr = reduce_rows(M)
-    assert modules_equal(Z, M.entries, rr.matrix.entries)
-    for _ in range(20):
-        M2 = _random_unimodular_image(rng, Z, M)
-        rr2 = reduce_rows(M2)
-        assert degree_estimate(rr2.matrix) == degree_estimate(M)
-        assert modules_equal(Z, rr2.matrix.entries, M.entries)
-
-
-def test_reduce_rows_diagonal_product_controls_degree():
-    # Minkowski-flavored check: degree <= prod of squared row norms <= (4/3) degree
-    rng = random.Random(5)
-    for _ in range(30):
-        M = SubgroupMatrix.from_ints(
-            Z, [(rng.randint(-9, 9), rng.randint(-9, 9), rng.randint(-9, 9)),
-                (rng.randint(-9, 9), rng.randint(-9, 9), rng.randint(-9, 9))])
-        try:
-            d = degree_estimate(M)
-        except DomainError:
-            continue
-        rr = reduce_rows(M)
-        norms = [Z.row_norm(row) for row in rr.matrix.entries]
-        assert d <= norms[0] * norms[1]
-        assert 3 * norms[0] * norms[1] <= 4 * d
+@given(M=_matrices())
+@settings(max_examples=300, deadline=None)
+def test_degree_matches_cauchy_binet(M):
+    want = _cauchy_binet_degree(M.ring, M.entries)
+    if want == 0:
+        with pytest.raises(DomainError):
+            degree_estimate(M)
+    else:
+        assert degree_estimate(M) == want
 
 
 # -- enumeration vs oracle ---------------------------------------------------
@@ -193,6 +261,15 @@ def test_enumerate_matches_oracle_z(n, r, dmax):
 
 def test_enumerate_matches_oracle_gaussian():
     _oracle_equivalence(G, 2, 1, 12)
+
+
+def test_rank_one_candidate_rows_are_hermite_forms():
+    for ring in (Z, G, W):
+        for n in (1, 2, 3):
+            rows = _candidate_rows(ring, n, 6)
+            assert rows
+            for row in rows:
+                assert hermite_normal_form(SubgroupMatrix(ring, (row,))).entries == (row,)
 
 
 def test_enumerate_deterministic_order():
@@ -243,6 +320,30 @@ def test_census_unit_degree_only():
     assert rep_full.total_matrices == 1
     only = enumerate_matrices(Z, 2, 2, 1)[0]
     assert only.entries == (((1, 0), (0, 0)), ((0, 0), (1, 0)))
+
+
+@pytest.mark.parametrize("n,r", [(n, r) for n in (1, 2, 3) for r in range(1, n + 1)])
+def test_census_degree_one_classes_are_coordinate_subspaces(n, r):
+    # Gram determinant 1 leaves one minor of norm 1: the span is a coordinate
+    # subspace, and the module is all of it
+    rep = census(Z, n, r, 1, 2)
+    assert rep.degree_buckets == ((1, comb(n, r)),)
+
+
+@pytest.mark.parametrize("ring,dmax", [(Z, 200), (W, 25)])
+def test_rank_one_census_makes_no_hermite_forms(monkeypatch, ring, dmax):
+    calls = []
+
+    def counted(M):
+        calls.append(M)
+        return hermite_normal_form(M)
+
+    monkeypatch.setattr("ntbounds.subgroups.hermite_normal_form", counted)
+    rep = census(ring, 2, 1, dmax, 1)
+    assert rep.total_matrices > 0
+    assert calls == []
+    census(Z, 2, 2, 5, 1)
+    assert calls  # the counter sees the Hermite forms of rank 2
 
 
 def test_census_monotone_in_dmax():
