@@ -13,6 +13,7 @@ the returned enclosure is certified to the requested tolerance.
 from __future__ import annotations
 
 import enum
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -219,13 +220,18 @@ class _DoublingData:
     delta_log_arg: Fraction  # |h(x(2P)) - 4 h(x(P))| <= log(delta_log_arg)
 
 
-_DOUBLING_CACHE: dict[tuple[Fraction, Fraction], _DoublingData] = {}
+# Doubling data by curve (a, b), least recently used first.  Bounded, so that
+# a long-running process that keeps meeting fresh curves does not grow
+# without limit.
+_DOUBLING_CACHE_SIZE = 64
+_DOUBLING_CACHE: OrderedDict[tuple[Fraction, Fraction], _DoublingData] = OrderedDict()
 
 
 def _doubling_data(E: EllipticCurveQ) -> _DoublingData:
     key = (E.a, E.b)
     hit = _DOUBLING_CACHE.get(key)
     if hit is not None:
+        _DOUBLING_CACHE.move_to_end(key)
         return hit
     a, b = E.a, E.b
     # Coefficients by B-degree of F = A^4 - 2a A^2 B^2 - 8b A B^3 + a^2 B^4
@@ -258,6 +264,8 @@ def _doubling_data(E: EllipticCurveQ) -> _DoublingData:
     delta_arg = max(rho_up, rho_down, Fraction(1))
     data = _DoublingData(fi, gi, cap, delta_arg)
     _DOUBLING_CACHE[key] = data
+    if len(_DOUBLING_CACHE) > _DOUBLING_CACHE_SIZE:
+        _DOUBLING_CACHE.popitem(last=False)
     return data
 
 

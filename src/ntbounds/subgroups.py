@@ -8,7 +8,10 @@ determinant det(M conj(M)^T) of the row module, which by Cauchy-Binet is the
 sum of the norms of the r x r minors.  One routine computes it: a
 fraction-free elimination of the Gram matrix that walks the r-subsets of a
 list of rows depth first, so `degree_estimate` (one subset, the matrix's own
-rows) and `enumerate_matrices` (every subset of the candidate rows) share it.
+rows) and `enumerate_matrices` (the subsets of the candidate rows) share it.
+The enumeration walks only the subsets that could be a Minkowski-reduced
+basis (short rows, small mutual inner products), of which every row module
+has at least one.
 Identity of subgroups = equality of row modules, decided by the canonical
 Hermite normal form under left GL_r action; column permutations move to a
 different subgroup of E^N, so they are never applied.
@@ -78,10 +81,12 @@ class SubgroupMatrix:
         return SubgroupMatrix(ring, tuple(conv))
 
 
-def _full_rank_subsets(ring: EndRing, rows, r: int, dmax: int | None = None):
-    """Yield (degree, subset) for every r-subset of `rows`, in the order of
-    itertools.combinations, that has full rank and degree <= dmax (no bound
-    when dmax is None).
+def _full_rank_subsets(ring: EndRing, rows, r: int, dmax: int | None = None,
+                       box: int | None = None):
+    """Yield (degree, subset) for the r-subsets of `rows` that have full rank
+    and degree <= dmax (no bound when dmax is None).  Without a box every such
+    subset is yielded, in the order of itertools.combinations; with one, only
+    the subsets that pass the two Minkowski cuts below.
 
     The degree of a subset is the Gram determinant det(M conj(M)^T) of its
     rows.  The subsets are walked depth first, and each level appends one row
@@ -91,22 +96,41 @@ def _full_rank_subsets(ring: EndRing, rows, r: int, dmax: int | None = None):
     positive integers until a row depends on the rows before it, so no
     pivoting is needed, and D_k <= 0 prunes the prefix with all of its
     extensions.  The divisions by D_k are exact in Z, Z[i] and Z[omega].
+
+    `box` (over Z only, with `rows` sorted by squared norm) is the bound of
+    `row_bound_for_degree`: the walk then keeps only subsets that could be a
+    Minkowski-reduced basis b_1, ..., b_r, sorted by norm.
+      * Break: prod ||b_i||^2 <= box, and every row after row k is at least
+        as long as it, so once the chosen norms times ||row_k||^(2(r - depth))
+        exceed the box no later row can complete the subset.
+      * Skip: b_j +- b_i (i < j) was a valid choice at step j of the
+        reduction, so 2 |<b_i, b_j>| <= ||b_i||^2, the shorter of the two.
+    Every lattice has a Minkowski-reduced basis, whose rows are candidate
+    rows up to sign; so every row module of degree <= dmax keeps at least one
+    of its bases, and deduplication by Hermite form loses no class.  At depth
+    0 (so at r = 1) neither cut removes a candidate row.
     """
     mul, sub, conj, norm, dot_conj, exact_div = (
         ring.mul, ring.sub, ring.conj, ring.norm, ring.dot_conj, ring.exact_div)
     norms = [ring.row_norm(row) for row in rows]
     last = len(rows) - r
     chosen: list[tuple[Element, ...]] = []
+    sizes: list[int] = []  # the squared norms of the chosen rows
     # cols[j][t] (t < j) is entry (j, t) of the prefix Gram matrix after t
     # Bareiss steps, and entry (t, j) is its conjugate; pivots[k] is D_k.
     cols: list[list[Element]] = []
     pivots = [1]
 
-    def extend(start: int):
+    def extend(start: int, prod: int):
         depth = len(chosen)
         for k in range(start, last + depth + 1):
+            if box is not None and prod * norms[k] ** (r - depth) > box:
+                break
             row = rows[k]
             a = [dot_conj(row, prev) for prev in chosen]
+            # the skip reads <row, b_t> before the elimination overwrites it
+            if box is not None and any(2 * abs(x) > n for (x, _), n in zip(a, sizes)):
+                continue
             d = norms[k]  # the diagonal entry stays real: keep it an int
             for t in range(depth):
                 c, p = a[t], pivots[t + 1]
@@ -118,16 +142,18 @@ def _full_rank_subsets(ring: EndRing, rows, r: int, dmax: int | None = None):
                 continue
             if depth + 1 < r:
                 chosen.append(row)
+                sizes.append(norms[k])
                 cols.append(a)
                 pivots.append(d)
-                yield from extend(k + 1)
+                yield from extend(k + 1, prod * norms[k])
                 chosen.pop()
+                sizes.pop()
                 cols.pop()
                 pivots.pop()
             elif dmax is None or d <= dmax:
                 yield d, (*chosen, row)
 
-    return extend(0)
+    return extend(0, 1)
 
 
 def degree_estimate(M: SubgroupMatrix) -> int:
@@ -197,13 +223,17 @@ def hermite_normal_form(M: SubgroupMatrix) -> SubgroupMatrix:
 
 
 def row_bound_for_degree(ring: EndRing, r: int, dmax: int) -> int:
-    """Norm bound so every row module of degree <= dmax has a basis whose rows
-    all satisfy ||row||^2 <= bound.
+    """Bound on prod ||b_i||^2 over a Minkowski-reduced basis b_1, ..., b_r
+    of any row module of degree <= dmax; since each ||b_i||^2 >= 1, it also
+    bounds every row of that basis.
 
-    r = 1: the degree IS the squared row norm.  Over Z, r = 2 uses the
-    Lagrange-reduced bound prod ||b_i||^2 <= (4/3) det(Gram) with the other
-    factor at least 1; r >= 3 the LLL bound 2^(r(r-1)/2).  The CM rings are
-    supported at r = 1 only (no proven box constant is available here).
+    r = 1: the degree IS the squared row norm.  Over Z, Minkowski's second
+    theorem gives prod ||b_i||^2 <= gamma_r^r det(Gram) for a reduced basis
+    when r <= 4, with an extra factor prod_{i>4} (5/4)^(i-4) for r >= 5.  So
+    r = 2 uses gamma_2^2 = 4/3, and r >= 3 the constant 2^(r(r-1)/2), which
+    is at least (4/3)^(r(r-1)/2) (5/4)^((r-4)(r-3)/2) by Hermite's bound
+    gamma_r^r <= (4/3)^(r(r-1)/2).  The CM rings are supported at r = 1 only
+    (no proven box constant is available here).
     """
     if r == 1:
         return dmax
@@ -217,39 +247,41 @@ def row_bound_for_degree(ring: EndRing, r: int, dmax: int) -> int:
 
 
 def _candidate_rows(ring: EndRing, n: int, bound: int) -> list[tuple[Element, ...]]:
-    """All nonzero rows of squared norm <= bound, one per unit orbit,
-    lexicographically sorted."""
-    per_coord = ring.elements_of_norm_at_most(bound)
-    per_coord.sort(key=lambda e: ring.norm(e))
+    """All nonzero rows of squared norm <= bound, one per unit orbit, sorted
+    by (squared norm, row)."""
+    per_coord = sorted(((e, ring.norm(e)) for e in ring.elements_of_norm_at_most(bound)),
+                       key=lambda pair: pair[1])
     out = []
 
     def extend(prefix: list[Element], budget: int):
         if len(prefix) == n:
             row = tuple(prefix)
-            if any(e != (0, 0) for e in row) and ring.canon_row(row) == row:
-                out.append(row)
+            if budget < bound and ring.canon_row(row) == row:  # nonzero row
+                out.append((bound - budget, row))
             return
-        for e in per_coord:
-            ne = ring.norm(e)
+        for e, ne in per_coord:
             if ne > budget:
                 break
             extend(prefix + [e], budget - ne)
 
     extend([], bound)
     out.sort()
-    return out
+    return [row for _, row in out]
 
 
 def enumerate_matrices(ring: EndRing, n: int, r: int, dmax: int,
                        ceiling: int = 5_000_000) -> list[SubgroupMatrix]:
     """All rank-r row modules of degree <= dmax, as canonical Hermite forms,
-    sorted by (degree, entries).  Refuses predictably-oversized enumerations.
+    sorted by (degree, entries).  Refuses predictably-oversized enumerations:
+    the guard counts every r-subset of the candidate rows, which is more than
+    the walk visits.
 
-    The candidate rows are those a basis of such a module can have (see
-    `row_bound_for_degree`), one per unit orbit; the r-subsets of full rank
-    and degree <= dmax come from the same Gram elimination as
-    `degree_estimate`, and are deduplicated by their Hermite forms (at r = 1
-    each candidate row is already its own Hermite form)."""
+    The candidate rows are those a Minkowski-reduced basis of such a module
+    can have (see `row_bound_for_degree`), one per unit orbit; the r-subsets
+    that could be such a basis, of full rank and degree <= dmax, come from the
+    same Gram elimination as `degree_estimate` (see `_full_rank_subsets`), and
+    are deduplicated by their Hermite forms, which every basis of a module
+    shares (at r = 1 each candidate row is already its own Hermite form)."""
     if not 1 <= r <= n:
         raise DomainError(f"need 1 <= r <= N, got r={r}, N={n}")
     if dmax < 1:
@@ -262,7 +294,7 @@ def enumerate_matrices(ring: EndRing, n: int, r: int, dmax: int,
             f"enumeration would scan {work} row combinations (> ceiling {ceiling}); "
             f"lower Dmax or raise the ceiling explicitly")
 
-    subsets = _full_rank_subsets(ring, rows, r, dmax)
+    subsets = _full_rank_subsets(ring, rows, r, dmax, bound)
     if r == 1:
         # candidate rows are canonical unit-orbit representatives, and a
         # one-row Hermite form is the canonical row: each row is its own class

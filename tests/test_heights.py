@@ -128,6 +128,25 @@ def test_canonical_height_against_exact_doubling_partial_sums():
             assert abs(float(mid) - approx) <= radius + float(TOL) + 1e-9
 
 
+def test_doubling_cache_is_bounded_lru(monkeypatch):
+    from collections import OrderedDict
+
+    from ntbounds import heights
+    monkeypatch.setattr(heights, "_DOUBLING_CACHE_SIZE", 4)
+    monkeypatch.setattr(heights, "_DOUBLING_CACHE", OrderedDict())
+    popular = _doubling_data(E2)
+    fresh = []
+    for b in range(3, 13):
+        E = validate_curve(1, b)
+        fresh.append(_doubling_data(E))
+        assert _doubling_data(E) is fresh[-1]  # the most recent curve hits
+        assert _doubling_data(E2) is popular  # used, so kept
+        assert len(heights._DOUBLING_CACHE) <= 4
+    assert (Fraction(1), Fraction(3)) not in heights._DOUBLING_CACHE
+    # an evicted curve gets the same data again
+    assert _doubling_data(validate_curve(1, 3)) == fresh[0]
+
+
 def test_canonical_height_torsion_and_infinity():
     assert canonical_height(E2, ECPoint.infinity(), TOL).value.exact() == 0
     Et = validate_curve(-1, 0)

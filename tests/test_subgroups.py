@@ -8,16 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ntbounds.bruteforce import match_against, oracle_enumerate
-from ntbounds.rings import RING_EISENSTEIN, RING_GAUSS, RING_Z, ring_by_name
+from ntbounds.rings import RING_EISENSTEIN, RING_GAUSS, RING_Z, EndRing, ring_by_name
 from ntbounds.rounding import DomainError
 from ntbounds.subgroups import (
     ResourceGuardError,
     SubgroupMatrix,
     _candidate_rows,
+    _full_rank_subsets,
     census,
     degree_estimate,
     enumerate_matrices,
     hermite_normal_form,
+    row_bound_for_degree,
     torsion_count,
 )
 
@@ -263,6 +265,46 @@ def test_enumerate_matches_oracle_gaussian():
     _oracle_equivalence(G, 2, 1, 12)
 
 
+def _unpruned_classes(ring, n, r, dmax):
+    """Reference: every full-rank r-subset of the candidate rows, in
+    lexicographic order and with no box cuts, deduplicated by Hermite form."""
+    rows = sorted(_candidate_rows(ring, n, row_bound_for_degree(ring, r, dmax)))
+    found = {}
+    for d, subset in _full_rank_subsets(ring, rows, r, dmax):
+        m = hermite_normal_form(SubgroupMatrix(ring, subset))
+        found.setdefault(m.entries, d)
+    return sorted((d, entries) for entries, d in found.items())
+
+
+# N = 3, Dmax = 3 holds the hexagonal lattice spanned by (1, -1, 0) and
+# (0, 1, -1): its reduced basis has prod ||b_i||^2 = 4 = (4/3) * 3, exactly
+# on the edge of the r = 2 box.
+@pytest.mark.parametrize("n,r,dmax", [
+    (2, 2, 7), (2, 2, 25), (2, 2, 50), (3, 2, 3), (3, 2, 10), (3, 2, 20),
+    (4, 2, 2), (4, 2, 5), (3, 3, 1), (3, 3, 2)])
+def test_pruned_walk_matches_unpruned_walk(n, r, dmax):
+    got = [(degree_estimate(m), m.entries) for m in enumerate_matrices(Z, n, r, dmax)]
+    assert got == _unpruned_classes(Z, n, r, dmax)
+
+
+def _sublattice_count(k, index):
+    """Closed form: sublattices of Z^k of the given index, one per Hermite
+    form with diagonal d_1 ... d_k = index and d_i^(i-1) residue choices."""
+    if k == 1:
+        return 1
+    return sum(_sublattice_count(k - 1, index // d) * d ** (k - 1)
+               for d in range(1, index + 1) if index % d == 0)
+
+
+@pytest.mark.parametrize("n,max_index,counts", [
+    (2, 6, [1, 3, 4, 7, 6, 12]), (3, 4, [1, 7, 13, 35])])
+def test_full_rank_counts_match_sublattice_counts(n, max_index, counts):
+    # at r = N the Gram determinant is the squared index of the sublattice
+    assert [_sublattice_count(n, i) for i in range(1, max_index + 1)] == counts
+    rep = census(Z, n, n, max_index ** 2, 1, ceiling=10 ** 12)
+    assert rep.degree_buckets == tuple((i * i, c) for i, c in enumerate(counts, 1))
+
+
 def test_rank_one_candidate_rows_are_hermite_forms():
     for ring in (Z, G, W):
         for n in (1, 2, 3):
@@ -322,7 +364,7 @@ def test_census_unit_degree_only():
     assert only.entries == (((1, 0), (0, 0)), ((0, 0), (1, 0)))
 
 
-@pytest.mark.parametrize("n,r", [(n, r) for n in (1, 2, 3) for r in range(1, n + 1)])
+@pytest.mark.parametrize("n,r", [(n, r) for n in (1, 2, 3, 4) for r in range(1, min(n, 3) + 1)])
 def test_census_degree_one_classes_are_coordinate_subspaces(n, r):
     # Gram determinant 1 leaves one minor of norm 1: the span is a coordinate
     # subspace, and the module is all of it
@@ -344,6 +386,28 @@ def test_rank_one_census_makes_no_hermite_forms(monkeypatch, ring, dmax):
     assert calls == []
     census(Z, 2, 2, 5, 1)
     assert calls  # the counter sees the Hermite forms of rank 2
+
+
+@pytest.mark.parametrize("n,r,dmax,forms,products", [
+    (3, 3, 1, 1, 453), (2, 2, 100, 105, 1004)])
+def test_census_work_pinned(monkeypatch, n, r, dmax, forms, products):
+    # exact work of the pruned walk: a lost cut fails here however noisy the
+    # machine (the break changes only the inner products, not the forms)
+    form_calls, product_calls = [], []
+    dot_conj = EndRing.dot_conj
+
+    def counted(M):
+        form_calls.append(M)
+        return hermite_normal_form(M)
+
+    def counted_dot_conj(ring, u, v):
+        product_calls.append(u)
+        return dot_conj(ring, u, v)
+
+    monkeypatch.setattr("ntbounds.subgroups.hermite_normal_form", counted)
+    monkeypatch.setattr(EndRing, "dot_conj", counted_dot_conj)
+    census(Z, n, r, dmax, 1)
+    assert (len(form_calls), len(product_calls)) == (forms, products)
 
 
 def test_census_monotone_in_dmax():
