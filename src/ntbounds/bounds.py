@@ -380,12 +380,12 @@ def family_final_bound(n: int, family: str = "f2",
     inv = family_invariants("f2", n)
     report = bound_transverse_E2(inv.h_upper, inv.deg_upper, _F2_HW_EXPR, precision)
     composed_up = report.bound
+    d1, d2, d3 = constants_D_expr(_F2_HW_EXPR)
     composed_lo = eval_const(
         Sum((
-            Prod((constants_D_expr(_F2_HW_EXPR)[0], inv.h_upper,
-                  Rat(Fraction(inv.deg_upper ** 2)))),
-            Prod((constants_D_expr(_F2_HW_EXPR)[1], Rat(Fraction(inv.deg_upper ** 3)))),
-            constants_D_expr(_F2_HW_EXPR)[2],
+            Prod((d1, inv.h_upper, Rat(Fraction(inv.deg_upper ** 2)))),
+            Prod((d2, Rat(Fraction(inv.deg_upper ** 3)))),
+            d3,
         )),
         Direction.LOWER, precision)
     closed_lo = BoundedReal.from_fraction(closed_total, Direction.LOWER, precision)

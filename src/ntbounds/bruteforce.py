@@ -21,7 +21,6 @@ from .subgroups import SubgroupMatrix
 __all__ = [
     "oracle_enumerate",
     "oracle_degree",
-    "modules_equal",
     "match_against",
 ]
 
@@ -153,10 +152,6 @@ def _in_module(ring: EndRing, v: tuple, basis: tuple) -> bool:
 
 def _contained(ring: EndRing, rows_a: tuple, rows_b: tuple) -> bool:
     return all(_in_module(ring, v, rows_b) for v in rows_a)
-
-
-def modules_equal(ring: EndRing, rows_a: tuple, rows_b: tuple) -> bool:
-    return _contained(ring, rows_a, rows_b) and _contained(ring, rows_b, rows_a)
 
 
 def match_against(ring: EndRing, raw_matrices: list[tuple],

@@ -19,7 +19,8 @@ from fractions import Fraction
 from math import gcd
 from typing import Sequence, Union
 
-from mpmath import iv
+from mpmath.libmp import mpf_ge, mpf_shift, mpf_sign
+from mpmath.libmp import mpi_abs, mpi_add, mpi_div, mpi_log, mpi_mul, mpi_sub
 
 from .elliptic import ECPoint, EllipticCurveQ, torsion_order
 from .rounding import (
@@ -27,17 +28,15 @@ from .rounding import (
     ConstExpr,
     Direction,
     DomainError,
+    GUARD_BITS,
     IndeterminateError,
     LogRat,
     Prod,
     Rat,
+    _raw_to_fraction,
     eval_const,
     eval_interval,
-    interval_context,
-    iv_endpoints,
-    iv_from_fraction,
     iv_from_int,
-    iv_max,
     rat,
 )
 
@@ -51,7 +50,6 @@ __all__ = [
     "modified_height_h2_expr",
     "canonical_height",
     "canonical_height_enclosure",
-    "x_height",
     "zhang_sandwich",
     "h_upper_from_mu",
     "arithmetic_bezout_upper",
@@ -143,13 +141,6 @@ def modified_height_h2_expr(P: ProjPointQ) -> ConstExpr:
 def modified_height_h2(P: ProjPointQ, direction: Direction = Direction.NEAREST,
                        precision: int = 128) -> HeightValue:
     return HeightValue(HeightKind.H2, eval_const(modified_height_h2_expr(P), direction, precision))
-
-
-def x_height(x: Fraction) -> ConstExpr:
-    """Weil height of x in P^1: log max(|num|, den)."""
-    x = Fraction(x)
-    m = max(abs(x.numerator), x.denominator)
-    return rat(0) if m == 1 else LogRat(Fraction(m))
 
 
 # ---------------------------------------------------------------------------
@@ -295,60 +286,65 @@ def canonical_height_enclosure(E: EllipticCurveQ, P: ECPoint, tol,
 
     work = max(precision, 128)
     for _attempt in range(4):
-        with interval_context(work):
-            n0 = max(abs(A0), B0)
-            total = iv.log(iv_from_int(n0))
-            z = iv_from_int(A0) / iv_from_int(n0)
-            w = iv_from_int(B0) / iv_from_int(n0)
+        wp = work + GUARD_BITS
+        n0 = max(abs(A0), B0)
+        total = mpi_log(iv_from_int(n0, wp), wp)
+        z = mpi_div(iv_from_int(A0, wp), iv_from_int(n0, wp), wp)
+        w = mpi_div(iv_from_int(B0, wp), iv_from_int(n0, wp), wp)
+        if cap > 1:
+            modulus = cap ** (n + 2)
+            alpha, beta = A0 % modulus, B0 % modulus
+        # The coefficients depend only on the working precision.
+        f0, _, f2, f3, f4 = [iv_from_int(c, wp) for c in fc]
+        _, g1, _, g3, g4 = [iv_from_int(c, wp) for c in gc]
+        ok = True
+        for m in range(n):
+            z2 = mpi_mul(z, z, wp)
+            z3 = mpi_mul(z2, z, wp)
+            z4 = mpi_mul(z3, z, wp)
+            w2 = mpi_mul(w, w, wp)
+            # F = f0 z^4 + f2 z^2 w^2 + f3 z w^3 + f4 w^4 and
+            # G = g1 z^3 w + g3 z w^3 + g4 w^4 (F has no z^3 w term, G no z^4
+            # and no z^2 w^2 term), summed left to right, each monomial
+            # multiplied from its coefficient outwards.
+            fz = mpi_add(mpi_add(mpi_add(
+                mpi_mul(f0, z4, wp),
+                mpi_mul(mpi_mul(f2, z2, wp), w2, wp), wp),
+                mpi_mul(mpi_mul(mpi_mul(f3, z, wp), w2, wp), w, wp), wp),
+                mpi_mul(mpi_mul(f4, w2, wp), w2, wp), wp)
+            gz = mpi_add(mpi_add(
+                mpi_mul(mpi_mul(g1, z3, wp), w, wp),
+                mpi_mul(mpi_mul(mpi_mul(g3, z, wp), w2, wp), w, wp), wp),
+                mpi_mul(mpi_mul(g4, w2, wp), w2, wp), wp)
+            (fa, fb), (ga, gb) = mpi_abs(fz, wp), mpi_abs(gz, wp)
+            big = (fa if mpf_ge(fa, ga) else ga, fb if mpf_ge(fb, gb) else gb)
+            if mpf_sign(big[0]) <= 0:
+                ok = False
+                break
+            d = 1
             if cap > 1:
-                modulus = cap ** (n + 2)
-                alpha, beta = A0 % modulus, B0 % modulus
-            # The coefficients depend only on the working precision.
-            f_iv = [iv_from_int(c) for c in fc]
-            g_iv = [iv_from_int(c) for c in gc]
-            ok = True
-            for m in range(n):
-                z2, z3, z4 = z * z, None, None
-                z3 = z2 * z
-                z4 = z3 * z
-                w2 = w * w
-                fz = (f_iv[0] * z4 + f_iv[2] * z2 * w2
-                      + f_iv[3] * z * w2 * w + f_iv[4] * w2 * w2)
-                if fc[1]:
-                    fz = fz + f_iv[1] * z3 * w
-                gz = (g_iv[1] * z3 * w + g_iv[3] * z * w2 * w
-                      + g_iv[4] * w2 * w2)
-                if gc[0]:
-                    gz = gz + g_iv[0] * z4
-                if gc[2]:
-                    gz = gz + g_iv[2] * z2 * w2
-                big = iv_max(abs(fz), abs(gz))
-                lo_big, _ = iv_endpoints(big)
-                if lo_big <= 0:
-                    ok = False
-                    break
-                d = 1
-                if cap > 1:
-                    fr = _eval_form_mod(fc, alpha, beta, modulus)
-                    gr = _eval_form_mod(gc, alpha, beta, modulus)
-                    d = gcd(gcd(fr, gr), modulus)
-                    alpha = (fr // d) % (modulus // d)
-                    beta = (gr // d) % (modulus // d)
-                    modulus //= d
-                step = iv.log(big)
-                if d > 1:
-                    step = step - iv.log(iv_from_int(d))
-                total = total + step * iv_from_fraction(Fraction(1, 4 ** (m + 1)))
-                z = fz / big
-                w = gz / big
-            if ok:
-                lo, hi = iv_endpoints(total)
-                lo, hi = lo - tail, hi + tail
-                if hi - lo <= tol:
-                    lo = max(lo, Fraction(0))  # canonical height is nonnegative
-                    if hi < lo:
-                        hi = lo
-                    return lo, hi
+                fr = _eval_form_mod(fc, alpha, beta, modulus)
+                gr = _eval_form_mod(gc, alpha, beta, modulus)
+                d = gcd(gcd(fr, gr), modulus)
+                alpha = (fr // d) % (modulus // d)
+                beta = (gr // d) % (modulus // d)
+                modulus //= d
+            step = mpi_log(big, wp)
+            if d > 1:
+                step = mpi_sub(step, mpi_log(iv_from_int(d, wp), wp), wp)
+            # times 4^-(m+1): an exact shift of both endpoints
+            shift = -2 * (m + 1)
+            total = mpi_add(total, (mpf_shift(step[0], shift), mpf_shift(step[1], shift)), wp)
+            z = mpi_div(fz, big, wp)
+            w = mpi_div(gz, big, wp)
+        if ok:
+            lo, hi = _raw_to_fraction(total[0]), _raw_to_fraction(total[1])
+            lo, hi = lo - tail, hi + tail
+            if hi - lo <= tol:
+                lo = max(lo, Fraction(0))  # canonical height is nonnegative
+                if hi < lo:
+                    hi = lo
+                return lo, hi
         work *= 2
     raise IndeterminateError("canonical height did not certify at the requested "
                              "tolerance; raise precision")

@@ -4,23 +4,47 @@ Every numeric quantity that is not an exact rational is carried either as a
 symbolic :class:`ConstExpr` (products/sums over rationals, integer powers of pi,
 logarithms of positive rationals, Gamma at half-integers) or as a
 :class:`BoundedReal`: a dyadic float together with the side of the exact value
-it is guaranteed to lie on.  All interval work is delegated to ``mpmath.iv``,
-whose enclosures are certified; endpoints are extracted exactly.
+it is guaranteed to lie on.
+
+The interval substrate is mpmath's ``libmpi``: an interval is a raw pair
+``(lo, hi)`` of libmp floats, and every operation takes its working precision
+as an argument (``precision + GUARD_BITS``).  Precision is never process
+state, so evaluation reads and changes no global ``mpmath`` setting.  The
+libmpi enclosures are certified; endpoints are extracted exactly.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Union
 
 import mpmath
-from mpmath import iv, mp
-from mpmath import libmp
+from mpmath import mp
+from mpmath.libmp import (
+    fone,
+    from_int,
+    from_rational,
+    fzero,
+    mpf_add,
+    mpf_mul,
+    mpf_pi,
+    mpf_pos,
+    mpf_shift,
+    mpf_sub,
+    mpi_add,
+    mpi_div,
+    mpi_log,
+    mpi_mul,
+    mpi_pow_int,
+    mpi_sqrt,
+    round_ceiling,
+    round_floor,
+    round_nearest,
+)
 
 __all__ = [
     "Direction",
@@ -39,7 +63,6 @@ __all__ = [
     "rat",
     "log_rat",
     "pi_pow",
-    "gamma_half_plus_one",
     "unit_ball_volume",
     "eval_const",
     "eval_interval",
@@ -48,21 +71,29 @@ __all__ = [
     "decimal_sig_figs",
     "DEFAULT_PRECISION",
     "MIN_PRECISION",
+    "GUARD_BITS",
 ]
 
 DEFAULT_PRECISION = 128
 MIN_PRECISION = 53
+# Interval work runs this many bits above the precision of the result.
+GUARD_BITS = 16
 
 RationalLike = Union[int, Fraction]
-
-# mpmath's iv context keeps its precision as global state; serialize access.
-_IV_LOCK = threading.RLock()
 
 
 class Direction(enum.Enum):
     UPPER = "upper"
     LOWER = "lower"
     NEAREST = "nearest"
+
+
+# The libmp rounding mode that rounds toward each direction's side.
+_ROUNDING = {
+    Direction.UPPER: round_ceiling,
+    Direction.LOWER: round_floor,
+    Direction.NEAREST: round_nearest,
+}
 
 
 class Comparison(enum.Enum):
@@ -100,64 +131,15 @@ def _raw_to_fraction(t) -> Fraction:
     return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
 
 
-def mpf_to_fraction(x) -> Fraction:
-    raw = getattr(x, "_mpf_", None)
-    if raw is None:
-        # ints and Fractions are exact already
-        return Fraction(x)
-    return _raw_to_fraction(raw)
+def iv_from_int(n: int, wp: int):
+    """Exact-enclosure interval (lo, hi) of an integer at working precision wp."""
+    return from_int(n, wp, round_floor), from_int(n, wp, round_ceiling)
 
 
-class interval_context:
-    """Set iv precision (plus guard bits) while holding the iv lock."""
-
-    def __init__(self, precision: int, guard: int = 16):
-        if precision < MIN_PRECISION:
-            raise DomainError(f"precision must be >= {MIN_PRECISION}, got {precision}")
-        self.prec = precision + guard
-
-    def __enter__(self):
-        _IV_LOCK.acquire()
-        self._saved = iv.prec
-        iv.prec = self.prec
-        return iv
-
-    def __exit__(self, *exc):
-        iv.prec = self._saved
-        _IV_LOCK.release()
-        return False
-
-
-def iv_from_int(n: int):
-    """Exact-enclosure interval for an arbitrary integer (iv.mpf rounds ties itself)."""
-    lo = libmp.from_int(n, iv.prec, libmp.round_floor)
-    hi = libmp.from_int(n, iv.prec, libmp.round_ceiling)
-    return iv.mpf((mp.make_mpf(lo), mp.make_mpf(hi)))
-
-
-def iv_from_fraction(q: Fraction):
+def iv_from_fraction(q: Fraction, wp: int):
     if q.denominator == 1:
-        return iv_from_int(q.numerator)
-    return iv_from_int(q.numerator) / iv_from_int(q.denominator)
-
-
-def iv_endpoints(x) -> tuple[Fraction, Fraction]:
-    a, b = x._mpi_
-    return _raw_to_fraction(a), _raw_to_fraction(b)
-
-
-def iv_max(x, y):
-    """Interval max (mpmath.iv has no max)."""
-    xa, xb = x._mpi_
-    ya, yb = y._mpi_
-    lo = mp.make_mpf(xa) if libmp.mpf_ge(xa, ya) else mp.make_mpf(ya)
-    hi = mp.make_mpf(xb) if libmp.mpf_ge(xb, yb) else mp.make_mpf(yb)
-    return iv.mpf((lo, hi))
-
-
-def _round_endpoint(fr: Fraction, precision: int, rounding) -> mpmath.mpf:
-    raw = libmp.from_rational(fr.numerator, fr.denominator, precision, rounding)
-    return mp.make_mpf(raw)
+        return iv_from_int(q.numerator, wp)
+    return mpi_div(iv_from_int(q.numerator, wp), iv_from_int(q.denominator, wp), wp)
 
 
 @dataclass(frozen=True)
@@ -174,35 +156,31 @@ class BoundedReal:
 
     @staticmethod
     def from_interval(interval, direction: Direction, precision: int) -> "BoundedReal":
-        """Round the raw endpoints directly: the same dyadic as rounding their
-        exact Fraction values, without building them."""
-        lo, hi = interval._mpi_
+        """Round an interval's raw (lo, hi) endpoints directly: the same dyadic
+        as rounding their exact Fraction values, without building them."""
+        lo, hi = interval
         _require_finite(lo)
         _require_finite(hi)
         if direction is Direction.UPPER:
-            raw, rounding = hi, libmp.round_ceiling
+            raw = hi
         elif direction is Direction.LOWER:
-            raw, rounding = lo, libmp.round_floor
+            raw = lo
         else:
             # the exact midpoint: an unrounded sum, then a one-bit shift
-            raw, rounding = libmp.mpf_shift(libmp.mpf_add(lo, hi), -1), libmp.round_nearest
-        v = mp.make_mpf(libmp.mpf_pos(raw, precision, rounding))
+            raw = mpf_shift(mpf_add(lo, hi), -1)
+        v = mp.make_mpf(mpf_pos(raw, precision, _ROUNDING[direction]))
         return BoundedReal(v, direction, precision)
 
     @staticmethod
     def from_fraction(q, direction: Direction = Direction.NEAREST,
                       precision: int = DEFAULT_PRECISION) -> "BoundedReal":
         q = Fraction(q)
-        rounding = {
-            Direction.UPPER: libmp.round_ceiling,
-            Direction.LOWER: libmp.round_floor,
-            Direction.NEAREST: libmp.round_nearest,
-        }[direction]
-        return BoundedReal(_round_endpoint(q, precision, rounding), direction, precision)
+        raw = from_rational(q.numerator, q.denominator, precision, _ROUNDING[direction])
+        return BoundedReal(mp.make_mpf(raw), direction, precision)
 
     def exact(self) -> Fraction:
         """The stored dyadic value, exactly."""
-        return mpf_to_fraction(self.value)
+        return _raw_to_fraction(self.value._mpf_)
 
     def decimal(self, sig_digits: int = 40) -> str:
         return fraction_to_decimal(self.exact(), sig_digits, self.direction)
@@ -220,12 +198,7 @@ class BoundedReal:
             raise DirectionError(f"{what} of {pair[0].value} and {pair[1].value} is not sound")
         direction = allowed[pair]
         precision = min(self.precision, other.precision)
-        rounding = {
-            Direction.UPPER: libmp.round_ceiling,
-            Direction.LOWER: libmp.round_floor,
-            Direction.NEAREST: libmp.round_nearest,
-        }[direction]
-        raw = op(self.value._mpf_, other.value._mpf_, precision, rounding)
+        raw = op(self.value._mpf_, other.value._mpf_, precision, _ROUNDING[direction])
         return BoundedReal(mp.make_mpf(raw), direction, precision)
 
     def __add__(self, other):
@@ -234,7 +207,7 @@ class BoundedReal:
             (Direction.LOWER, Direction.LOWER): Direction.LOWER,
             (Direction.NEAREST, Direction.NEAREST): Direction.NEAREST,
         }
-        return self._binop(other, libmp.mpf_add, allowed, "sum")
+        return self._binop(other, mpf_add, allowed, "sum")
 
     def __sub__(self, other):
         allowed = {
@@ -242,7 +215,7 @@ class BoundedReal:
             (Direction.LOWER, Direction.UPPER): Direction.LOWER,
             (Direction.NEAREST, Direction.NEAREST): Direction.NEAREST,
         }
-        return self._binop(other, libmp.mpf_sub, allowed, "difference")
+        return self._binop(other, mpf_sub, allowed, "difference")
 
     def __mul__(self, other):
         if isinstance(other, BoundedReal):
@@ -254,7 +227,7 @@ class BoundedReal:
                 (Direction.LOWER, Direction.LOWER): Direction.LOWER,
                 (Direction.NEAREST, Direction.NEAREST): Direction.NEAREST,
             }
-            return self._binop(other, libmp.mpf_mul, allowed, "product")
+            return self._binop(other, mpf_mul, allowed, "product")
         if isinstance(other, (int, Fraction)):
             return self.scale(Fraction(other))
         return NotImplemented
@@ -267,13 +240,9 @@ class BoundedReal:
         direction = self.direction
         if q < 0 and direction is not Direction.NEAREST:
             direction = Direction.UPPER if direction is Direction.LOWER else Direction.LOWER
-        rounding = {
-            Direction.UPPER: libmp.round_ceiling,
-            Direction.LOWER: libmp.round_floor,
-            Direction.NEAREST: libmp.round_nearest,
-        }[direction]
-        raw = libmp.from_rational((self.exact() * q).numerator, (self.exact() * q).denominator,
-                                  self.precision, rounding)
+        product = self.exact() * q
+        raw = from_rational(product.numerator, product.denominator, self.precision,
+                            _ROUNDING[direction])
         return BoundedReal(mp.make_mpf(raw), direction, self.precision)
 
 
@@ -443,10 +412,6 @@ def pi_pow(k: int) -> ConstExpr:
     return PiPow(k) if k != 0 else Rat(Fraction(1))
 
 
-def gamma_half_plus_one(k: int) -> GammaHalf:
-    return GammaHalf(k)
-
-
 def unit_ball_volume(r: int) -> ConstExpr:
     """Volume of the euclidean unit ball in R^r: pi^(r/2)/Gamma(r/2+1).
 
@@ -470,58 +435,110 @@ _ATOM_CACHE_SIZE = 4096
 _ATOM_CACHE: OrderedDict = OrderedDict()
 
 
-def _eval_iv(expr: ConstExpr, prec: int):
-    """Evaluate within an active interval_context; returns an iv interval."""
-    key = None
-    if isinstance(expr, (PiPow, LogRat, GammaHalf)):
-        key = (expr, prec)
-        cached = _ATOM_CACHE.get(key)
-        if cached is not None:
-            _ATOM_CACHE.move_to_end(key)
-            return iv.mpf(cached)
-    if isinstance(expr, Rat):
-        return iv_from_fraction(expr.q)
-    if isinstance(expr, PiPow):
-        result = iv.pi ** expr.k
-    elif isinstance(expr, LogRat):
-        if expr.q <= 0:
-            raise DomainError(f"log of nonpositive rational {expr.q}")
-        result = iv.log(iv_from_fraction(expr.q))
-    elif isinstance(expr, GammaHalf):
-        c, has_sqrt_pi = expr.exact_parts()
-        result = iv_from_fraction(c)
-        if has_sqrt_pi:
-            result = result * iv.sqrt(iv.pi)
-    elif isinstance(expr, Opaque):
-        lo = _round_endpoint(expr.lo, iv.prec, libmp.round_floor)
-        hi = _round_endpoint(expr.hi, iv.prec, libmp.round_ceiling)
-        return iv.mpf((lo, hi))
-    elif isinstance(expr, Sum):
-        result = iv.mpf(0)
-        for t in expr.terms:
-            result = result + _eval_iv(t, prec)
-        return result
-    elif isinstance(expr, Prod):
-        result = iv.mpf(1)
-        for f in expr.factors:
-            result = result * _eval_iv(f, prec)
-        return result
-    elif isinstance(expr, Pow):
-        return _eval_iv(expr.base, prec) ** expr.k
-    else:
-        raise TypeError(f"not a ConstExpr leaf or node: {expr!r}")
-    if key is not None:
-        a, b = result._mpi_
-        _ATOM_CACHE[key] = (mp.make_mpf(a), mp.make_mpf(b))
-        if len(_ATOM_CACHE) > _ATOM_CACHE_SIZE:
-            _ATOM_CACHE.popitem(last=False)
+def _pi(wp: int):
+    return mpf_pi(wp, round_floor), mpf_pi(wp, round_ceiling)
+
+
+def _eval_pi_pow(expr: PiPow, wp: int):
+    return mpi_pow_int(_pi(wp), expr.k, wp)
+
+
+def _eval_log_rat(expr: LogRat, wp: int):
+    return mpi_log(iv_from_fraction(expr.q, wp), wp)
+
+
+def _eval_gamma_half(expr: GammaHalf, wp: int):
+    c, has_sqrt_pi = expr.exact_parts()
+    result = iv_from_fraction(c, wp)
+    if has_sqrt_pi:
+        result = mpi_mul(result, mpi_sqrt(_pi(wp), wp), wp)
     return result
+
+
+_ATOMS = {PiPow: _eval_pi_pow, LogRat: _eval_log_rat, GammaHalf: _eval_gamma_half}
+
+
+def _eval_atom(expr, precision: int, wp: int):
+    # Each cache step is a single dict operation, so callers in several
+    # threads at worst evaluate an atom twice.
+    key = (expr, precision)
+    cached = _ATOM_CACHE.pop(key, None)
+    if cached is not None:
+        _ATOM_CACHE[key] = cached  # now the most recently used
+        return cached
+    result = _ATOMS[type(expr)](expr, wp)
+    _ATOM_CACHE[key] = result
+    if len(_ATOM_CACHE) > _ATOM_CACHE_SIZE:
+        _ATOM_CACHE.popitem(last=False)
+    return result
+
+
+def _eval_rat(expr: Rat, precision: int, wp: int):
+    return iv_from_fraction(expr.q, wp)
+
+
+def _eval_opaque(expr: Opaque, precision: int, wp: int):
+    lo, hi = expr.lo, expr.hi
+    return (from_rational(lo.numerator, lo.denominator, wp, round_floor),
+            from_rational(hi.numerator, hi.denominator, wp, round_ceiling))
+
+
+# Every endpoint an evaluation returns has at most wp bits, so adding it to
+# zero or multiplying it by one at wp bits is exact: sums and products start
+# from their first term, and only an empty one needs its identity.
+
+def _eval_sum(expr: Sum, precision: int, wp: int):
+    result = None
+    for t in expr.terms:
+        value = _eval_iv(t, precision, wp)
+        result = value if result is None else mpi_add(result, value, wp)
+    return (fzero, fzero) if result is None else result
+
+
+def _eval_prod(expr: Prod, precision: int, wp: int):
+    result = None
+    for f in expr.factors:
+        value = _eval_iv(f, precision, wp)
+        result = value if result is None else mpi_mul(result, value, wp)
+    return (fone, fone) if result is None else result
+
+
+def _eval_pow(expr: Pow, precision: int, wp: int):
+    return mpi_pow_int(_eval_iv(expr.base, precision, wp), expr.k, wp)
+
+
+_EVAL = {
+    Rat: _eval_rat,
+    PiPow: _eval_atom,
+    LogRat: _eval_atom,
+    GammaHalf: _eval_atom,
+    Opaque: _eval_opaque,
+    Sum: _eval_sum,
+    Prod: _eval_prod,
+    Pow: _eval_pow,
+}
+
+
+def _eval_iv(expr: ConstExpr, precision: int, wp: int):
+    """Enclosure (lo, hi) of a ConstExpr, computed at working precision wp;
+    atoms are cached by (atom, precision)."""
+    try:
+        evaluate = _EVAL[type(expr)]
+    except KeyError:
+        raise TypeError(f"not a ConstExpr leaf or node: {expr!r}") from None
+    return evaluate(expr, precision, wp)
+
+
+def _enclose(expr: ConstExpr, precision: int):
+    if precision < MIN_PRECISION:
+        raise DomainError(f"precision must be >= {MIN_PRECISION}, got {precision}")
+    return _eval_iv(_coerce(expr), precision, precision + GUARD_BITS)
 
 
 def eval_interval(expr: ConstExpr, precision: int = DEFAULT_PRECISION) -> tuple[Fraction, Fraction]:
     """Certified enclosure of a ConstExpr as exact dyadic fractions."""
-    with interval_context(precision):
-        return iv_endpoints(_eval_iv(_coerce(expr), precision))
+    lo, hi = _enclose(expr, precision)
+    return _raw_to_fraction(lo), _raw_to_fraction(hi)
 
 
 def eval_const(expr: ConstExpr, direction: Direction = Direction.NEAREST,
@@ -531,11 +548,7 @@ def eval_const(expr: ConstExpr, direction: Direction = Direction.NEAREST,
     Increasing precision tightens the bracket monotonically (Opaque leaves
     excepted, whose enclosures are fixed).
     """
-    if precision < MIN_PRECISION:
-        raise DomainError(f"precision must be >= {MIN_PRECISION}, got {precision}")
-    with interval_context(precision):
-        value = _eval_iv(_coerce(expr), precision)
-        return BoundedReal.from_interval(value, direction, precision)
+    return BoundedReal.from_interval(_enclose(expr, precision), direction, precision)
 
 
 # ---------------------------------------------------------------------------

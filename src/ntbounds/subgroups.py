@@ -269,12 +269,39 @@ def _candidate_rows(ring: EndRing, n: int, bound: int) -> list[tuple[Element, ..
     return [row for _, row in out]
 
 
+def _row_count(ring: EndRing, n: int, bound: int) -> int:
+    """len(_candidate_rows(ring, n, bound)) without building a row.
+
+    Units act freely on nonzero rows, so each unit orbit of nonzero rows of
+    squared norm <= bound has |units| members, and the count is
+    (#{v : norm(v) <= bound} - 1) / |units|.  The vectors of each norm are
+    counted coordinate by coordinate: the n-fold convolution of the
+    one-coordinate norm counts, truncated at the bound.
+    """
+    per_coord: dict[int, int] = {}
+    for e in ring.elements_of_norm_at_most(bound):
+        ne = ring.norm(e)
+        per_coord[ne] = per_coord.get(ne, 0) + 1
+    steps = sorted(per_coord.items())
+    by_norm = [1] + [0] * bound  # the empty prefix has norm 0
+    for _ in range(n):
+        longer = [0] * (bound + 1)
+        for s, count in enumerate(by_norm):
+            if count:
+                for ne, k in steps:
+                    if s + ne > bound:
+                        break
+                    longer[s + ne] += count * k
+        by_norm = longer
+    return (sum(by_norm) - 1) // len(ring.units())
+
+
 def enumerate_matrices(ring: EndRing, n: int, r: int, dmax: int,
                        ceiling: int = 5_000_000) -> list[SubgroupMatrix]:
     """All rank-r row modules of degree <= dmax, as canonical Hermite forms,
     sorted by (degree, entries).  Refuses predictably-oversized enumerations:
     the guard counts every r-subset of the candidate rows, which is more than
-    the walk visits.
+    the walk visits, and it counts the rows without building them.
 
     The candidate rows are those a Minkowski-reduced basis of such a module
     can have (see `row_bound_for_degree`), one per unit orbit; the r-subsets
@@ -287,12 +314,13 @@ def enumerate_matrices(ring: EndRing, n: int, r: int, dmax: int,
     if dmax < 1:
         return []
     bound = row_bound_for_degree(ring, r, dmax)
-    rows = _candidate_rows(ring, n, bound)
-    work = comb(len(rows), r)
+    # the guard runs before any row is built
+    work = comb(_row_count(ring, n, bound), r)
     if work > ceiling:
         raise ResourceGuardError(
             f"enumeration would scan {work} row combinations (> ceiling {ceiling}); "
             f"lower Dmax or raise the ceiling explicitly")
+    rows = _candidate_rows(ring, n, bound)
 
     subsets = _full_rank_subsets(ring, rows, r, dmax, bound)
     if r == 1:

@@ -205,13 +205,13 @@ def test_atom_cache_is_bounded_and_keeps_recent_atoms(monkeypatch):
        st.sampled_from([53, 64, 128, 256]), st.sampled_from([U, L, NE]))
 def test_from_interval_matches_rounding_the_exact_endpoints(m1, e1, m2, e2, prec, direction):
     # reference: round the endpoints' exact Fraction values, as a Fraction
-    from mpmath import iv, libmp, mp
+    from mpmath import libmp
+    from ntbounds.rounding import _raw_to_fraction
     a = Fraction(m1) * Fraction(2) ** e1
     b = a + Fraction(m2) * Fraction(2) ** e2
-    raw = tuple(libmp.from_rational(q.numerator, q.denominator, 10 ** 4, libmp.round_floor)
-                for q in (a, b))  # exact: every endpoint drawn here fits in 10^4 bits
-    interval = iv.mpf((mp.make_mpf(raw[0]), mp.make_mpf(raw[1])))
-    assert interval._mpi_ == raw
+    interval = tuple(libmp.from_rational(q.numerator, q.denominator, 10 ** 4, libmp.round_floor)
+                     for q in (a, b))  # exact: every endpoint drawn here fits in 10^4 bits
+    assert tuple(map(_raw_to_fraction, interval)) == (a, b)
     rnd = {U: libmp.round_ceiling, L: libmp.round_floor, NE: libmp.round_nearest}[direction]
     target = {U: b, L: a, NE: (a + b) / 2}[direction]
     want = libmp.from_rational(target.numerator, target.denominator, prec, rnd)
@@ -219,7 +219,7 @@ def test_from_interval_matches_rounding_the_exact_endpoints(m1, e1, m2, e2, prec
 
 
 def test_from_interval_rejects_infinite_endpoints():
-    from mpmath import iv
+    from mpmath import libmp
     for direction in (U, L, NE):
         with pytest.raises(DomainError):
-            BoundedReal.from_interval(iv.mpf(["-inf", 1]), direction, 64)
+            BoundedReal.from_interval((libmp.fninf, libmp.fone), direction, 64)

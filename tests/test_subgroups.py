@@ -15,6 +15,7 @@ from ntbounds.subgroups import (
     SubgroupMatrix,
     _candidate_rows,
     _full_rank_subsets,
+    _row_count,
     census,
     degree_estimate,
     enumerate_matrices,
@@ -325,6 +326,28 @@ def test_enumerate_deterministic_order():
 def test_resource_guard_refuses():
     with pytest.raises(ResourceGuardError):
         enumerate_matrices(Z, 3, 2, 50, ceiling=10)
+
+
+@pytest.mark.parametrize("ring, n, bound", [
+    (Z, 1, 1), (Z, 2, 7), (Z, 3, 24), (Z, 4, 30), (Z, 5, 12), (Z, 3, 0),
+    (G, 1, 10), (G, 2, 13), (G, 3, 9), (W, 1, 7), (W, 2, 12), (W, 3, 7),
+])
+def test_row_count_matches_candidate_rows(ring, n, bound):
+    assert _row_count(ring, n, bound) == len(_candidate_rows(ring, n, bound))
+
+
+def test_resource_guard_refuses_before_building_rows(monkeypatch):
+    from ntbounds import subgroups
+
+    def unbuilt(*args):
+        raise AssertionError("candidate rows built before the guard")
+
+    monkeypatch.setattr(subgroups, "_candidate_rows", unbuilt)
+    with pytest.raises(ResourceGuardError, match="would scan 674541 row combinations"):
+        enumerate_matrices(Z, 3, 2, 50, ceiling=10)
+    # Z, N = 5, r = 4, Dmax = 4 used to build 2.78 million rows before refusing
+    with pytest.raises(ResourceGuardError):
+        enumerate_matrices(Z, 5, 4, 4)
 
 
 def test_cm_rings_rank_two_unsupported():
