@@ -33,26 +33,36 @@ def _workloads():
     return module
 
 
-def digest(tree: str, workload: str, decks: int, seed: int) -> tuple[int, str]:
-    """(request count, sha256 hex) of the decks run through `tree`'s CLI."""
+def tree_main(tree: str):
+    """`ntbounds.cli.main` of the source tree `tree`."""
     sys.path.insert(0, str(Path(tree).resolve() / "src"))
     from ntbounds.cli import main
+    return main
 
+
+def run_request(main, argv) -> tuple[int, bytes]:
+    """(exit code, stdout bytes) of one in-process CLI run; stderr is dropped."""
+    out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", write_through=True)
+    saved = sys.stdout, sys.stderr
+    sys.stdout, sys.stderr = out, io.StringIO()
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse rejects a malformed argv this way
+        code = exc.code if isinstance(exc.code, int) else 2
+    finally:
+        sys.stdout, sys.stderr = saved
+    return code, out.buffer.getvalue()
+
+
+def digest(tree: str, workload: str, decks: int, seed: int) -> tuple[int, str]:
+    """(request count, sha256 hex) of the decks run through `tree`'s CLI."""
+    main = tree_main(tree)
     workloads = _workloads()
     h = hashlib.sha256()
     count = 0
     for index in range(decks):
         for req in workloads.deck(workload, seed, index):
-            out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", write_through=True)
-            saved = sys.stdout, sys.stderr
-            sys.stdout, sys.stderr = out, io.StringIO()
-            try:
-                code = main(list(req.argv))
-            except SystemExit as exc:  # argparse rejects a malformed argv this way
-                code = exc.code if isinstance(exc.code, int) else 2
-            finally:
-                sys.stdout, sys.stderr = saved
-            blob = out.buffer.getvalue()
+            code, blob = run_request(main, req.argv)
             h.update(b"%d %d\n" % (code, len(blob)))
             h.update(blob)
             count += 1

@@ -97,6 +97,7 @@ class BoundReport:
     inputs: dict
     intermediates: dict  # name -> BoundedReal
     bound: BoundedReal
+    total: Optional[ConstExpr] = None  # the tree `bound` is the UPPER rounding of
     exponents_used: tuple = ()
     notes: tuple = ()
 
@@ -141,6 +142,32 @@ def constants_CN(N: int, h_w: HeightLike, direction: Direction = Direction.UPPER
     return tuple(eval_const(c, direction, precision) for c in (c1, c2, c3))
 
 
+# The input-free parts of D1-D3, built once: a node remembers its last
+# enclosure, so these are evaluated once per precision, not once per request.
+# A product or sum folds left, so Prod((Prod((a, b)), c)) has the endpoints of
+# Prod((a, b, c)); only left prefixes are split off.
+_D1 = Prod((Rat(Fraction(2 ** 64 * 3 ** 40)), pi_pow(-8)))
+_D2_PREFIX = Prod((Rat(Fraction(2 ** 62 * 3 ** 41)), pi_pow(-8)))
+_D2_LOGS = Sum((
+    Prod((Rat(Fraction(71)), LogRat(Fraction(2)))),
+    Prod((Rat(Fraction(4)), LogRat(Fraction(3)))),
+))
+_D3_HW_COEFFICIENT = Fraction(9, 2)
+_D3_LOG = Prod((Rat(Fraction(21, 2)), LogRat(Fraction(2))))
+
+# The published 4-significant-figure approximations: D2 and D3 split as the
+# coefficient of h_W plus the constant term.  D3's coefficient is exact, so it
+# is rendered once.
+_D_PRINTED = (
+    ("d1", _D1),
+    ("d2_hw_coefficient",
+     Prod((Rat(Fraction(2 ** 62 * 3 ** 41 * 30)), pi_pow(-8)))),
+    ("d2_constant_term", Prod((_D2_PREFIX, _D2_LOGS))),
+    ("d3_constant_term", _D3_LOG),
+)
+_D3_HW_COEFFICIENT_PRINTED = decimal_sig_figs(_D3_HW_COEFFICIENT, 4, Direction.UPPER)
+
+
 def constants_D_expr(h_w: HeightLike) -> tuple[ConstExpr, ConstExpr, ConstExpr]:
     """The transverse-in-E^2 constants.
 
@@ -149,21 +176,9 @@ def constants_D_expr(h_w: HeightLike) -> tuple[ConstExpr, ConstExpr, ConstExpr]:
     D3(E) = (9/2) h_W(E) + (21/2) log2
     """
     hw = _as_expr(h_w, "h_W")
-    d1 = Prod((Rat(Fraction(2 ** 64 * 3 ** 40)), pi_pow(-8)))
-    d2 = Prod((
-        Rat(Fraction(2 ** 62 * 3 ** 41)),
-        pi_pow(-8),
-        Sum((
-            Prod((Rat(Fraction(71)), LogRat(Fraction(2)))),
-            Prod((Rat(Fraction(4)), LogRat(Fraction(3)))),
-            Prod((Rat(Fraction(30)), hw)),
-        )),
-    ))
-    d3 = Sum((
-        Prod((Rat(Fraction(9, 2)), hw)),
-        Prod((Rat(Fraction(21, 2)), LogRat(Fraction(2)))),
-    ))
-    return d1, d2, d3
+    d2 = Prod((_D2_PREFIX, Sum((_D2_LOGS, Prod((Rat(Fraction(30)), hw))))))
+    d3 = Sum((Prod((Rat(_D3_HW_COEFFICIENT), hw)), _D3_LOG))
+    return _D1, d2, d3
 
 
 def constants_D(h_w: HeightLike, direction: Direction = Direction.UPPER,
@@ -174,19 +189,10 @@ def constants_D(h_w: HeightLike, direction: Direction = Direction.UPPER,
 
 def constants_D_printed(precision: int = 256) -> dict:
     """The published 4-significant-figure approximations (UPPER-rounded)."""
-    d1, _, _ = constants_D_expr(0)
-    # D2 split as coefficient of h_W plus constant term; D3 likewise.
-    d2_coeff = Prod((Rat(Fraction(2 ** 62 * 3 ** 41 * 30)), pi_pow(-8)))
-    d2_const = Prod((Rat(Fraction(2 ** 62 * 3 ** 41)), pi_pow(-8),
-                     Sum((Prod((Rat(Fraction(71)), LogRat(Fraction(2)))),
-                          Prod((Rat(Fraction(4)), LogRat(Fraction(3))))))))
-    d3_const = Prod((Rat(Fraction(21, 2)), LogRat(Fraction(2))))
-    out = {}
-    for name, expr in (("d1", d1), ("d2_hw_coefficient", d2_coeff),
-                       ("d2_constant_term", d2_const), ("d3_constant_term", d3_const)):
-        out[name] = decimal_sig_figs(eval_const(expr, Direction.UPPER, precision), 4,
-                                     Direction.UPPER)
-    out["d3_hw_coefficient"] = "4.5"
+    out = {name: decimal_sig_figs(eval_const(expr, Direction.UPPER, precision), 4,
+                                  Direction.UPPER)
+           for name, expr in _D_PRINTED}
+    out["d3_hw_coefficient"] = _D3_HW_COEFFICIENT_PRINTED
     return out
 
 
@@ -211,25 +217,20 @@ def bound_transverse_E2(h_c: HeightLike, deg_c: int, h_w: HeightLike,
         raise DomainError("deg_c must be >= 1")
     hc = _as_expr(h_c, "h_C")
     d1, d2, d3 = constants_D_expr(h_w)
-    total = Sum((
-        Prod((d1, hc, Rat(Fraction(deg_c ** 2)))),
-        Prod((d2, Rat(Fraction(deg_c ** 3)))),
-        Prod((d3,)),
-    ))
+    term_height = Prod((d1, hc, Rat(Fraction(deg_c ** 2))))
+    term_degree = Prod((d2, Rat(Fraction(deg_c ** 3))))
+    total = Sum((term_height, term_degree, d3))
     inter = {
-        "d1": eval_const(d1, Direction.UPPER, precision),
-        "d2": eval_const(d2, Direction.UPPER, precision),
-        "d3": eval_const(d3, Direction.UPPER, precision),
-        "term_height": eval_const(Prod((d1, hc, Rat(Fraction(deg_c ** 2)))),
-                                  Direction.UPPER, precision),
-        "term_degree": eval_const(Prod((d2, Rat(Fraction(deg_c ** 3)))),
-                                  Direction.UPPER, precision),
+        name: eval_const(expr, Direction.UPPER, precision)
+        for name, expr in (("d1", d1), ("d2", d2), ("d3", d3),
+                           ("term_height", term_height), ("term_degree", term_degree))
     }
     return BoundReport(
         theorem="transverse-square-height",
         inputs={"deg_c": deg_c, "h_c": _echo(h_c), "h_w": _echo(h_w)},
         intermediates=inter,
         bound=eval_const(total, Direction.UPPER, precision),
+        total=total,
         exponents_used=(("deg_c with height term", 2), ("deg_c", 3)),
         notes=("rank-1 coordinate module; non-CM explicit constants",),
     )
@@ -258,6 +259,7 @@ def bound_weaktransverse_EN(inputs: BoundInputs, precision: int = 256) -> BoundR
                 "h_w": _echo(inputs.h_w)},
         intermediates=inter,
         bound=eval_const(total, Direction.UPPER, precision),
+        total=total,
         exponents_used=(("deg_c with height term", inputs.N - 1), ("deg_c", inputs.N)),
     )
 
@@ -274,6 +276,13 @@ CLOSED_FORM_COEFF = {
 
 # h_W of the ambient curve of the second family, y^2 = x^3 - x - 2
 _F2_HW_EXPR = Prod((Rat(Fraction(1, 3)), LogRat(Fraction(2))))
+
+# The logs and the steps of the second family's coordinate-height chain that
+# do not depend on n, built once.
+_LOG18 = LogRat(Fraction(18))
+_LOG24 = LogRat(Fraction(24))
+_F2_H_Y2 = Prod((Rat(Fraction(1, 2)), LogRat(Fraction(6))))
+_F2_H2_PT2 = Prod((Rat(Fraction(1, 2)), _LOG18))
 
 
 @dataclass(frozen=True)
@@ -305,29 +314,24 @@ def family_invariants(family: str, n: int) -> FamilyInvariants:
     cover_deg, profile = family_curve_profile(n)
     genus = hurwitz_genus(cover_deg, 0, profile)
 
-    log6 = LogRat(Fraction(6))
-    log24 = LogRat(Fraction(24))
-    log18 = LogRat(Fraction(18))
-    h_zeta = rat(0)
-    h_y2 = Prod((Rat(Fraction(1, 2)), log6))
-    h_x1 = Prod((Rat(Fraction(1, 2 * n)), log24))
-    h_y1 = Sum((Prod((Rat(Fraction(1, n)), log24)), Prod((Rat(Fraction(1, 2)), log6))))
-    h_pt1 = Sum((Prod((Rat(Fraction(3, 2 * n)), log24)), Prod((Rat(Fraction(1, 2)), log6))))
-    h_pt2 = h_y2
-    h2_pt1 = Sum((Prod((Rat(Fraction(3, 2 * n)), log24)), Prod((Rat(Fraction(1, 2)), log18))))
-    h2_pt2 = Prod((Rat(Fraction(1, 2)), log18))
-    h2_q = Sum((Prod((Rat(Fraction(3, 2 * n)), log24)), log18))
-    mu = Sum((log18, Prod((Rat(Fraction(3, 2 * n)), log24))))
+    # Equal subtrees are one object, so each is evaluated once.
+    x1_term = Prod((Rat(Fraction(3, 2 * n)), _LOG24))
+    h_x1 = Prod((Rat(Fraction(1, 2 * n)), _LOG24))
+    h_y1 = Sum((Prod((Rat(Fraction(1, n)), _LOG24)), _F2_H_Y2))
+    h_pt1 = Sum((x1_term, _F2_H_Y2))
+    h2_pt1 = Sum((x1_term, _F2_H2_PT2))
+    h2_q = Sum((x1_term, _LOG18))
+    mu = Sum((_LOG18, x1_term))
     h_upper = Prod((Rat(Fraction(2 * deg)), mu))
     chain = (
-        ("h(zeta)", h_zeta),
-        ("h(y2)", h_y2),
+        ("h(zeta)", rat(0)),
+        ("h(y2)", _F2_H_Y2),
         ("h(x1)", h_x1),
         ("h(y1)", h_y1),
         ("h(x1,y1)", h_pt1),
-        ("h(zeta,y2)", h_pt2),
+        ("h(zeta,y2)", _F2_H_Y2),
         ("h2(x1,y1)", h2_pt1),
-        ("h2(zeta,y2)", h2_pt2),
+        ("h2(zeta,y2)", _F2_H2_PT2),
         ("h2(point)", h2_q),
         ("mu_upper", mu),
         ("h_upper = 2*deg*mu", h_upper),
@@ -343,6 +347,7 @@ class FamilyBoundReport:
     genus: Optional[int]
     composed: Optional[BoundReport]
     composed_total: Optional[BoundedReal]
+    invariants: Optional[FamilyInvariants]
     closed_form_total: Fraction
     closed_form_coefficient: str
     verdict: str
@@ -366,7 +371,7 @@ def family_final_bound(n: int, family: str = "f2",
         deg = family_degree_upper(n, "f1")
         return FamilyBoundReport(
             family="f1", n=n, deg_upper=deg, genus=None,
-            composed=None, composed_total=None,
+            composed=None, composed_total=None, invariants=None,
             closed_form_total=closed_total,
             closed_form_coefficient=closed_str,
             verdict="closed-form-only",
@@ -380,14 +385,7 @@ def family_final_bound(n: int, family: str = "f2",
     inv = family_invariants("f2", n)
     report = bound_transverse_E2(inv.h_upper, inv.deg_upper, _F2_HW_EXPR, precision)
     composed_up = report.bound
-    d1, d2, d3 = constants_D_expr(_F2_HW_EXPR)
-    composed_lo = eval_const(
-        Sum((
-            Prod((d1, inv.h_upper, Rat(Fraction(inv.deg_upper ** 2)))),
-            Prod((d2, Rat(Fraction(inv.deg_upper ** 3)))),
-            d3,
-        )),
-        Direction.LOWER, precision)
+    composed_lo = eval_const(report.total, Direction.LOWER, precision)
     closed_lo = BoundedReal.from_fraction(closed_total, Direction.LOWER, precision)
     closed_up = BoundedReal.from_fraction(closed_total, Direction.UPPER, precision)
     if compare_bound(composed_up, closed_lo) is Comparison.LESS or \
@@ -404,7 +402,7 @@ def family_final_bound(n: int, family: str = "f2",
         notes = ("comparison indeterminate at this precision",)
     return FamilyBoundReport(
         family="f2", n=n, deg_upper=inv.deg_upper, genus=inv.genus,
-        composed=report, composed_total=composed_up,
+        composed=report, composed_total=composed_up, invariants=inv,
         closed_form_total=closed_total,
         closed_form_coefficient=closed_str,
         verdict=verdict, flagged=flagged, notes=notes,

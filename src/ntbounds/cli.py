@@ -26,7 +26,6 @@ from .bounds import (
     constants_D_printed,
     exponents,
     family_final_bound,
-    family_invariants,
     THEOREM_IDS,
 )
 from .elliptic import (
@@ -35,7 +34,7 @@ from .elliptic import (
     curve_from_json,
     weierstrass_height_expr,
 )
-from .presets import PRESET_NAMES, preset_curve_json
+from .presets import PRESET_NAMES, ambient_curve
 from .reporting import (
     SCHEMA_VERSION,
     bound_report_payload,
@@ -118,7 +117,8 @@ def _load_curve(spec: str):
     """A path to a curve JSON file, or a preset name (f1/f2, preset:f1, ...)."""
     name = spec.removeprefix("preset:")
     if name in PRESET_NAMES:
-        return curve_from_json(preset_curve_json(name))
+        curve, gen = ambient_curve(name)
+        return curve, gen, 1, 1
     path = Path(spec)
     if not path.exists():
         raise InputParseError(f"curve file {spec!r} does not exist and is not a preset "
@@ -228,8 +228,8 @@ def _cmd_family_audit(args) -> int:
                 f"composed-versus-closed-form comparison indeterminate at n={n}; "
                 f"raise --precision")
         extra = {}
-        if args.family == "f2":
-            inv = family_invariants("f2", n)
+        inv = rep.invariants
+        if inv is not None:
             extra["mu_upper"] = bounded_real_payload(
                 eval_const(inv.mu_upper, Direction.UPPER, args.precision), args.digits)
             extra["h_upper"] = bounded_real_payload(

@@ -11,6 +11,14 @@ The interval substrate is mpmath's ``libmpi``: an interval is a raw pair
 as an argument (``precision + GUARD_BITS``).  Precision is never process
 state, so evaluation reads and changes no global ``mpmath`` setting.  The
 libmpi enclosures are certified; endpoints are extracted exactly.
+
+Atoms are cached by (atom, precision).  Each Sum/Prod/Pow node remembers its
+last enclosure together with the working precision it was computed at, so a
+subtree shared by several trees (or evaluated again at the same precision) is
+evaluated once.  The enclosure is a function of the node's structure and the
+working precision only, so a remembered one is the very pair a fresh
+evaluation returns.  A node holds one enclosure, not one per precision, and
+the slot is not a dataclass field: equality, hashing and repr are structural.
 """
 
 from __future__ import annotations
@@ -271,6 +279,10 @@ def compare_bound(a: BoundedReal, b: BoundedReal) -> Comparison:
 class ConstExpr:
     """Finite symbolic tree over rationals, pi^k, log(q), Gamma(k/2+1)."""
 
+    # (wp, (lo, hi)) of a Sum/Prod/Pow node's last evaluation, set by
+    # `_eval_iv`; leaves keep none.
+    _enclosure = None
+
     def __add__(self, other):
         return Sum((self, _coerce(other)))
 
@@ -519,14 +531,27 @@ _EVAL = {
 }
 
 
+_NODES = (Sum, Prod, Pow)
+
+
 def _eval_iv(expr: ConstExpr, precision: int, wp: int):
     """Enclosure (lo, hi) of a ConstExpr, computed at working precision wp;
-    atoms are cached by (atom, precision)."""
+    atoms are cached by (atom, precision), and a node returns its remembered
+    enclosure when it was computed at wp."""
     try:
         evaluate = _EVAL[type(expr)]
     except KeyError:
         raise TypeError(f"not a ConstExpr leaf or node: {expr!r}") from None
-    return evaluate(expr, precision, wp)
+    if type(expr) not in _NODES:
+        return evaluate(expr, precision, wp)
+    slot = expr._enclosure
+    if slot is not None and slot[0] == wp:
+        return slot[1]
+    result = evaluate(expr, precision, wp)
+    # One attribute store of one tuple: a reader in another thread sees the
+    # old slot or the new one, never a mix.
+    object.__setattr__(expr, "_enclosure", (wp, result))
+    return result
 
 
 def _enclose(expr: ConstExpr, precision: int):

@@ -30,7 +30,6 @@ __all__ = [
     "SearchReport",
     "FAMILY_IDS",
     "enumerate_rank1",
-    "family_membership",
     "search_rational_points",
 ]
 
@@ -174,14 +173,6 @@ def _check_family(family: str, n: int) -> None:
 def _family_rhs(family: str, n: int, x: Fraction) -> Fraction:
     """The y that the family equation asks of p2, given x = x(p1)."""
     return x ** n if family == "f1" else x ** n + 1
-
-
-def family_membership(p1: ECPoint, p2: ECPoint, family: str, n: int) -> bool:
-    """Exact test of the family equation on an affine pair; infinity fails."""
-    _check_family(family, n)
-    if p1.is_infinity or p2.is_infinity:
-        return False
-    return _family_rhs(family, n, p1.x) == p2.y
 
 
 @dataclass(frozen=True)

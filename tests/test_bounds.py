@@ -1,9 +1,13 @@
+import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import mpmath
 import pytest
 
+from ntbounds import bounds as bounds_module
+from ntbounds import cli, rounding
 from ntbounds.bounds import (
     BoundInputs,
     bound_transverse_E2,
@@ -283,3 +287,71 @@ def test_rc1_cases():
         "deg(V)": (1, 0),
         "h(C)+deg(C)": (Fraction(1, 2), 1),
     }
+
+
+# -- each subtree evaluated once per request -----------------------------------
+
+_fresh_logs = itertools.count(10 ** 6 + 1)
+
+
+def _fresh_height():
+    """A height expression with a log argument no other request has used."""
+    return log_rat(Fraction(next(_fresh_logs), 7)) / 3
+
+
+@pytest.fixture
+def node_evaluations(monkeypatch):
+    """Counts the Sum/Prod/Pow evaluations (not remembered enclosures) by
+    (node, working precision); the nodes are kept alive so ids stay unique."""
+    counts, alive = Counter(), []
+    for node in (rounding.Sum, rounding.Prod, rounding.Pow):
+        evaluate = rounding._EVAL[node]
+
+        def counting(expr, precision, wp, evaluate=evaluate):
+            counts[id(expr), wp] += 1
+            alive.append(expr)
+            return evaluate(expr, precision, wp)
+
+        monkeypatch.setitem(rounding._EVAL, node, counting)
+    return counts
+
+
+def _audit_cli(tmp_path):
+    out = tmp_path / "audit.json"
+    assert cli.main(["family-audit", "--family", "f2", "--n", "5", "--precision", "256",
+                     "--out", str(out)]) == 0
+
+
+_REQUESTS = {
+    "square": lambda tmp_path: bound_transverse_E2(_fresh_height(), 7, _fresh_height(), 256),
+    "power": lambda tmp_path: bound_weaktransverse_EN(
+        BoundInputs(N=4, h_v=_fresh_height(), deg_v=3, h_w=_fresh_height()), 256),
+    "family": lambda tmp_path: family_final_bound(5, "f2", 256),
+    "family-audit-cli": _audit_cli,
+}
+
+
+@pytest.mark.parametrize("request_kind", sorted(_REQUESTS))
+def test_each_subtree_is_evaluated_once_per_request(request_kind, node_evaluations,
+                                                     tmp_path):
+    _REQUESTS[request_kind](tmp_path)
+    node_evaluations.clear()
+    _REQUESTS[request_kind](tmp_path)  # the repeated request: earlier tests do not matter
+    assert node_evaluations, "the request evaluated no node"
+    assert max(node_evaluations.values()) == 1
+
+
+def test_family_audit_builds_the_invariants_once_per_n(monkeypatch, tmp_path):
+    # family_invariants is the only caller of family_curve_profile
+    calls = Counter()
+    real = bounds_module.family_curve_profile
+
+    def counting(n):
+        calls[n] += 1
+        return real(n)
+
+    monkeypatch.setattr(bounds_module, "family_curve_profile", counting)
+    out = tmp_path / "audit.json"
+    assert cli.main(["family-audit", "--family", "f2", "--n-range", "1:3",
+                     "--out", str(out)]) == 0
+    assert calls == {1: 1, 2: 1, 3: 1}

@@ -109,6 +109,15 @@ def test_search_metrics_out_is_separate(tmp_path, capsys):
     assert set(stats) == {"wall_clock_seconds", "pairs_per_second", "shards"}
 
 
+@pytest.mark.parametrize("name", ["f1", "f2", "preset:f2"])
+def test_preset_curve_equals_its_json_round_trip(name):
+    from ntbounds.cli import _load_curve
+    from ntbounds.elliptic import curve_from_json
+    from ntbounds.presets import preset_curve_json
+    want = curve_from_json(preset_curve_json(name.removeprefix("preset:")))
+    assert _load_curve(name) == want
+
+
 def test_search_accepts_curve_file(tmp_path, capsys):
     from ntbounds.presets import preset_curve_json
     curve_file = tmp_path / "curve.json"

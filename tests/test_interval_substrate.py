@@ -7,6 +7,7 @@ temporarily raised `iv.prec`.  The production code must return the very same
 endpoints, bit for bit.
 """
 
+import dataclasses
 from collections import OrderedDict
 from fractions import Fraction
 from math import gcd
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import iv, libmp, mp
 
-from ntbounds import heights, rounding
+from ntbounds import bounds, heights, rounding
 from ntbounds.elliptic import ECPoint, add, scalar_mul, torsion_order, validate_curve
 from ntbounds.heights import _doubling_data, _eval_form_mod, canonical_height_enclosure
 from ntbounds.rounding import (
@@ -247,6 +248,18 @@ def test_raw_evaluator_matches_iv_reference_on_fixed_trees(expr, precision):
     assert rounding._enclose(expr, precision) == ref_enclosure(expr, precision)
 
 
+def _fresh(expr):
+    """A structurally equal copy that shares no object with `expr` (and so
+    remembers no enclosure)."""
+    if isinstance(expr, Sum):
+        return Sum(tuple(_fresh(t) for t in expr.terms))
+    if isinstance(expr, Prod):
+        return Prod(tuple(_fresh(f) for f in expr.factors))
+    if isinstance(expr, Pow):
+        return Pow(_fresh(expr.base), expr.k)
+    return dataclasses.replace(expr)
+
+
 def test_results_do_not_depend_on_iv_precision_and_leave_it_untouched(monkeypatch):
     E, g = validate_curve(-1, -2), ECPoint.affine(2, 2)
     exprs = _FIXED[3:]
@@ -257,11 +270,60 @@ def test_results_do_not_depend_on_iv_precision_and_leave_it_untouched(monkeypatc
     for prec in (10, 53, 300):
         monkeypatch.setattr(iv, "prec", prec)
         monkeypatch.setattr(rounding, "_ATOM_CACHE", OrderedDict())  # evaluate afresh
-        got = [(eval_const(e, d, 128).value._mpf_, eval_interval(e, 256))
-               for e in exprs for d in Direction]
+        got = [(eval_const(f, d, 128).value._mpf_, eval_interval(f, 256))
+               for f in map(_fresh, exprs) for d in Direction]
         got_h = canonical_height_enclosure(E, scalar_mul(E, 3, g), Fraction(1, 10 ** 10))
         assert got == want and got_h == want_h
         assert iv.prec == prec and mpmath.mp.prec == mp_prec
+
+
+# -- node-held enclosures --------------------------------------------------------
+
+
+@st.composite
+def _dags(draw):
+    """A tree in which subtree objects recur: every new node takes its
+    children, with repetition, from the nodes built so far."""
+    pool = [draw(_exprs) for _ in range(draw(st.integers(1, 3)))]
+    for _ in range(draw(st.integers(1, 4))):
+        picks = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3))
+        node = draw(st.sampled_from(("sum", "prod", "pow")))
+        if node == "sum":
+            pool.append(Sum(tuple(picks)))
+        elif node == "prod":
+            pool.append(Prod(tuple(picks)))
+        else:
+            pool.append(Pow(picks[0], draw(st.integers(-3, 3))))
+    return pool[-1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_dags(), st.lists(st.sampled_from((53, 64, 256)), min_size=2, max_size=4))
+def test_remembered_enclosures_match_fresh_trees_and_the_iv_reference(dag, precisions):
+    for precision in (64, 256, 64, *precisions):
+        got = rounding._enclose(dag, precision)
+        assert got == rounding._enclose(_fresh(dag), precision)
+        assert got == ref_enclosure(dag, precision)
+
+
+def test_paper_constant_across_precisions_matches_fresh_trees():
+    d1 = Prod((Rat(Fraction(2 ** 64 * 3 ** 40)), pi_pow(-8)))
+    assert bounds._D1 == d1 and bounds._D1 is not d1
+    for precision in (128, 512, 128):
+        for direction in Direction:
+            assert (eval_const(bounds._D1, direction, precision)
+                    == eval_const(_fresh(d1), direction, precision))
+        assert rounding._enclose(bounds._D1, precision) == ref_enclosure(d1, precision)
+
+
+def test_evaluated_node_equals_and_hashes_like_a_fresh_one():
+    for expr in _FIXED:
+        copy = _fresh(expr)
+        eval_const(expr, Direction.UPPER, 128)
+        assert expr == copy and hash(expr) == hash(copy) and repr(expr) == repr(copy)
+    node = _FIXED[7]
+    assert node._enclosure is not None and _fresh(node)._enclosure is None
+    assert [f.name for f in dataclasses.fields(node)] == ["base", "k"]
 
 
 # -- canonical heights ----------------------------------------------------------

@@ -13,12 +13,22 @@ from ntbounds.rounding import DomainError
 from ntbounds.search import (
     GammaSpec,
     enumerate_rank1,
-    family_membership,
     search_rational_points,
 )
 
 TOL = Fraction(1, 10 ** 10)
 O = ECPoint.infinity()
+
+# The constant c of each family's equation x(p1)^n + c = y(p2).
+_FAMILY_SHIFT = {"f1": 0, "f2": 1}
+
+
+def family_membership(p1, p2, family, n):
+    """Oracle: the family equation on an affine pair, tested exactly; a pair
+    with a point at infinity is not a member."""
+    if p1.is_infinity or p2.is_infinity:
+        return False
+    return p1.x ** n + _FAMILY_SHIFT[family] == p2.y
 
 
 def test_gamma_spec_validation():
@@ -100,7 +110,9 @@ def test_membership_examples():
     assert not family_membership(O, p11, "f1", 1)
     assert not family_membership(p11, O, "f2", 1)
     with pytest.raises(DomainError):
-        family_membership(p11, p11, "f9", 1)
+        search_rational_points("f9", 1, ambient_gamma("f1"), 1, TOL)
+    with pytest.raises(DomainError):
+        search_rational_points("f1", 0, ambient_gamma("f1"), 1, TOL)
 
 
 def test_search_f1_finds_exactly_the_expected_points():
