@@ -36,7 +36,6 @@ from .rounding import (
 )
 
 __all__ = [
-    "BoundInputs",
     "BoundReport",
     "constants_CN_expr",
     "constants_CN",
@@ -66,29 +65,6 @@ def _as_expr(h: HeightLike, label: str = "supplied") -> ConstExpr:
         v = h.exact()
         return Opaque(v, v, label)
     return rat(Fraction(h))
-
-
-@dataclass(frozen=True)
-class BoundInputs:
-    """Inputs of the power-of-E bound evaluators (heights enter as UPPER values)."""
-
-    N: int
-    h_v: HeightLike
-    deg_v: int
-    h_w: HeightLike
-    ktor_degree: int = 1
-    k_degree: int = 1
-    eta: Fraction = Fraction(1, 10)
-    rank_t: int = 1
-    gen_height: HeightLike = 0
-
-    def __post_init__(self):
-        if self.deg_v < 1:
-            raise DomainError("deg_v must be >= 1")
-        if self.ktor_degree < 1 or self.k_degree < 1:
-            raise DomainError("field degrees must be >= 1")
-        if Fraction(self.eta) <= 0:
-            raise DomainError("eta must be positive")
 
 
 @dataclass(frozen=True)
@@ -236,16 +212,18 @@ def bound_transverse_E2(h_c: HeightLike, deg_c: int, h_w: HeightLike,
     )
 
 
-def bound_weaktransverse_EN(inputs: BoundInputs, precision: int = 256) -> BoundReport:
+def bound_weaktransverse_EN(N: int, h_c: HeightLike, deg_c: int, h_w: HeightLike,
+                            precision: int = 256) -> BoundReport:
     """Height bound C1(N) h(C) (deg C)^(N-1) + C2(E,N) (deg C)^N + C3(E,N), N >= 3."""
-    if inputs.N < 3:
+    if deg_c < 1:
+        raise DomainError("deg_c must be >= 1")
+    if N < 3:
         raise DomainError("N must be >= 3 (use the transverse-square branch for N = 2)")
-    hc = _as_expr(inputs.h_v, "h_C")
-    c1, c2, c3 = constants_CN_expr(inputs.N, inputs.h_w)
-    deg = inputs.deg_v
+    hc = _as_expr(h_c, "h_C")
+    c1, c2, c3 = constants_CN_expr(N, h_w)
     total = Sum((
-        Prod((c1, hc, Rat(Fraction(deg ** (inputs.N - 1))))),
-        Prod((c2, Rat(Fraction(deg ** inputs.N)))),
+        Prod((c1, hc, Rat(Fraction(deg_c ** (N - 1))))),
+        Prod((c2, Rat(Fraction(deg_c ** N)))),
         c3,
     ))
     inter = {
@@ -255,12 +233,11 @@ def bound_weaktransverse_EN(inputs: BoundInputs, precision: int = 256) -> BoundR
     }
     return BoundReport(
         theorem="weak-transverse-power-height",
-        inputs={"N": inputs.N, "deg_c": deg, "h_c": _echo(inputs.h_v),
-                "h_w": _echo(inputs.h_w)},
+        inputs={"N": N, "deg_c": deg_c, "h_c": _echo(h_c), "h_w": _echo(h_w)},
         intermediates=inter,
         bound=eval_const(total, Direction.UPPER, precision),
         total=total,
-        exponents_used=(("deg_c with height term", inputs.N - 1), ("deg_c", inputs.N)),
+        exponents_used=(("deg_c with height term", N - 1), ("deg_c", N)),
     )
 
 

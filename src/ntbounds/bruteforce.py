@@ -12,7 +12,6 @@ would square the Gram determinant), so one-sided inclusion decides equality.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
 from .rings import Element, EndRing
 from .rounding import DomainError
@@ -25,14 +24,18 @@ __all__ = [
 ]
 
 
-def _oracle_row_box(ring: EndRing, r: int, dmax: int) -> int:
-    # Coarser than the production bound on purpose: 2^(r(r-1)/2) * dmax covers
-    # the Lagrange/LLL constants for every supported rank.
-    if r == 1:
-        return dmax
-    if ring.kind != "z":
+def _require_supported(ring: EndRing, r: int) -> None:
+    if r > 2:
+        raise DomainError("oracle supports r <= 2")
+    if r == 2 and ring.kind != "z":
         raise DomainError("oracle supports CM rings at r = 1 only")
-    return 2 ** (r * (r - 1) // 2) * dmax
+
+
+def _oracle_row_box(ring: EndRing, r: int, dmax: int) -> int:
+    # Coarser than the production bound on purpose: 2 * dmax covers the
+    # Lagrange constant 4/3 of a reduced rank-2 basis.
+    _require_supported(ring, r)
+    return dmax if r == 1 else 2 * dmax
 
 
 def _oracle_rows(ring: EndRing, n: int, bound: int) -> list[tuple[Element, ...]]:
@@ -86,25 +89,20 @@ def oracle_enumerate(ring: EndRing, n: int, r: int, dmax: int) -> list[tuple]:
             if 0 < d <= dmax:
                 out.append((row,))
         return out
-    if ring.kind == "z":
-        int_rows = [tuple(a for a, _ in row) for row in rows]
-        cols = list(itertools.combinations(range(n), 2))
-        for u, v in itertools.combinations(int_rows, 2):
-            total = 0
-            for c1, c2 in cols:
-                m = u[c1] * v[c2] - u[c2] * v[c1]
-                if m:
-                    total += m * m
-                    if total > dmax:
-                        break
-            else:
-                if total:
-                    out.append((tuple((a, 0) for a in u), tuple((a, 0) for a in v)))
-        return out
-    for pair in itertools.combinations(rows, 2):
-        d = oracle_degree(ring, pair)
-        if 0 < d <= dmax:
-            out.append(pair)
+    # r = 2 over Z
+    int_rows = [tuple(a for a, _ in row) for row in rows]
+    cols = list(itertools.combinations(range(n), 2))
+    for u, v in itertools.combinations(int_rows, 2):
+        total = 0
+        for c1, c2 in cols:
+            m = u[c1] * v[c2] - u[c2] * v[c1]
+            if m:
+                total += m * m
+                if total > dmax:
+                    break
+        else:
+            if total:
+                out.append((tuple((a, 0) for a in u), tuple((a, 0) for a in v)))
     return out
 
 
@@ -143,34 +141,37 @@ def _in_module_z_r2(v: tuple[int, ...], u1: tuple[int, ...], u2: tuple[int, ...]
 def _in_module(ring: EndRing, v: tuple, basis: tuple) -> bool:
     if len(basis) == 1:
         return _in_module_r1(ring, v, basis[0])
-    if ring.kind == "z" and len(basis) == 2:
-        return _in_module_z_r2(tuple(a for a, _ in v),
-                               tuple(a for a, _ in basis[0]),
-                               tuple(a for a, _ in basis[1]))
-    return _in_module_generic(ring, v, basis)
+    return _in_module_z_r2(tuple(a for a, _ in v),
+                           tuple(a for a, _ in basis[0]),
+                           tuple(a for a, _ in basis[1]))
 
 
 def _contained(ring: EndRing, rows_a: tuple, rows_b: tuple) -> bool:
     return all(_in_module(ring, v, rows_b) for v in rows_a)
 
 
+def _match_key(ring: EndRing, rows: tuple) -> tuple:
+    """(degree, sorted minor norms): both row-operation invariants."""
+    _require_supported(ring, len(rows))
+    norms = _minor_norms(ring, rows)
+    return sum(norms), norms
+
+
 def match_against(ring: EndRing, raw_matrices: list[tuple],
                   reference: list[SubgroupMatrix]) -> dict:
     """Match every oracle matrix to exactly one reference class; report stats.
 
-    Buckets by (degree, sorted minor norms) - both row-operation invariants -
-    then decides by one-sided inclusion (equal Gram determinant makes the
-    inclusion an equality).
+    Buckets by `_match_key`, then decides by one-sided inclusion (equal Gram
+    determinant makes the inclusion an equality).  Like `oracle_enumerate`,
+    it refuses matrices of rank above 2, and CM matrices of rank 2.
     """
     by_key: dict[tuple, list[int]] = {}
     for idx, m in enumerate(reference):
-        norms = _minor_norms(ring, m.entries)
-        by_key.setdefault((sum(norms), norms), []).append(idx)
+        by_key.setdefault(_match_key(ring, m.entries), []).append(idx)
     hits = [0] * len(reference)
     unmatched, ambiguous = [], []
     for raw in raw_matrices:
-        norms = _minor_norms(ring, raw)
-        matches = [idx for idx in by_key.get((sum(norms), norms), ())
+        matches = [idx for idx in by_key.get(_match_key(ring, raw), ())
                    if _contained(ring, raw, reference[idx].entries)]
         if not matches:
             unmatched.append(raw)
@@ -179,72 +180,3 @@ def match_against(ring: EndRing, raw_matrices: list[tuple],
         else:
             hits[matches[0]] += 1
     return {"matched": hits, "unmatched": unmatched, "ambiguous": ambiguous}
-
-
-# ---------------------------------------------------------------------------
-# Generic field fallback (kept for the CM rings at higher rank, if ever)
-# ---------------------------------------------------------------------------
-
-FieldElem = tuple[Fraction, Fraction]
-
-
-def _f_zero() -> FieldElem:
-    return (Fraction(0), Fraction(0))
-
-
-def _f_from(e: Element) -> FieldElem:
-    return (Fraction(e[0]), Fraction(e[1]))
-
-
-def _f_sub(x, y):
-    return (x[0] - y[0], x[1] - y[1])
-
-
-def _f_mul(ring: EndRing, x: FieldElem, y: FieldElem) -> FieldElem:
-    a, b = x
-    c, d = y
-    if ring.kind == "z":
-        return (a * c, Fraction(0))
-    if ring.kind == "zi":
-        return (a * c - b * d, a * d + b * c)
-    return (a * c - b * d, a * d + b * c - b * d)
-
-
-def _f_inv(ring: EndRing, x: FieldElem) -> FieldElem:
-    a, b = x
-    if ring.kind == "z":
-        return (1 / a, Fraction(0))
-    if ring.kind == "zi":
-        nrm = a * a + b * b
-        return (a / nrm, -b / nrm)
-    nrm = a * a - a * b + b * b
-    return ((a - b) / nrm, -b / nrm)
-
-
-def _in_module_generic(ring: EndRing, v: tuple, basis: tuple) -> bool:
-    r, n = len(basis), len(v)
-    aug = [[_f_from(basis[i][col]) for i in range(r)] + [_f_from(v[col])]
-           for col in range(n)]
-    pivot_cols: list[int] = []
-    row_at = 0
-    for unk in range(r):
-        p = next((i for i in range(row_at, n) if aug[i][unk] != _f_zero()), None)
-        if p is None:
-            continue
-        aug[row_at], aug[p] = aug[p], aug[row_at]
-        inv = _f_inv(ring, aug[row_at][unk])
-        aug[row_at] = [_f_mul(ring, inv, x) for x in aug[row_at]]
-        for i in range(n):
-            if i != row_at and aug[i][unk] != _f_zero():
-                factor = aug[i][unk]
-                aug[i] = [_f_sub(x, _f_mul(ring, factor, y))
-                          for x, y in zip(aug[i], aug[row_at])]
-        pivot_cols.append(unk)
-        row_at += 1
-    for i in range(row_at, n):
-        if aug[i][r] != _f_zero():
-            return False
-    coeffs = [_f_zero()] * r
-    for idx, unk in enumerate(pivot_cols):
-        coeffs[unk] = aug[idx][r]
-    return all(c[0].denominator == 1 and c[1].denominator == 1 for c in coeffs)

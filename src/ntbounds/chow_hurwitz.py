@@ -10,7 +10,6 @@ degree-6n projection of the curves cut out by x1^n + 1 = y2 in E x E.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -29,8 +28,6 @@ __all__ = [
     "family_curve_profile",
     "family_curve_degree_class",
     "family_degree_upper",
-    "profile_from_json",
-    "profile_to_json",
 ]
 
 
@@ -224,38 +221,3 @@ def family_curve_degree_class(n: int, family: str = "f2") -> ChowClass:
 def family_degree_upper(n: int, family: str = "f2") -> int:
     """Degree bound for the family curve, read off the Chow product."""
     return top_coefficient(family_curve_degree_class(n, family))
-
-
-# ---------------------------------------------------------------------------
-# Profile files
-# ---------------------------------------------------------------------------
-
-
-def profile_from_json(text: str) -> tuple[int, int, RamificationProfile]:
-    """(degree, base_genus, profile) from the JSON schema."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DomainError(f"profile file is not valid JSON: {exc}") from exc
-    try:
-        deg = int(data["degree"])
-        base_genus = int(data.get("base_genus", 0))
-        branches = tuple(
-            BranchPoint(str(b["label"]), tuple((int(e), int(c)) for e, c in b["fibers"]))
-            for b in data["branches"]
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DomainError(f"malformed profile file: {exc}") from exc
-    return deg, base_genus, RamificationProfile(branches)
-
-
-def profile_to_json(deg: int, base_genus: int, profile: RamificationProfile) -> str:
-    payload = {
-        "degree": deg,
-        "base_genus": base_genus,
-        "branches": [
-            {"label": b.label, "fibers": [[e, c] for e, c in b.fibers]}
-            for b in profile.branches
-        ],
-    }
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"

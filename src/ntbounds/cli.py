@@ -18,7 +18,6 @@ from fractions import Fraction
 from pathlib import Path
 
 from .bounds import (
-    BoundInputs,
     bound_transverse_E2,
     bound_weaktransverse_EN,
     constants_CN,
@@ -203,8 +202,7 @@ def _cmd_bound(args) -> int:
     else:
         if args.N is None:
             raise InputParseError("--branch power requires --N")
-        report = bound_weaktransverse_EN(
-            BoundInputs(N=args.N, h_v=h_c, deg_v=args.deg_c, h_w=hw), args.precision)
+        report = bound_weaktransverse_EN(args.N, h_c, args.deg_c, hw, args.precision)
     _emit(bound_report_payload(report, args.digits), args.out)
     return EXIT_OK
 
@@ -381,6 +379,8 @@ def main(argv=None) -> int:
             args.precision = _default_precision()
         elif args.precision < 53:
             raise InputParseError("--precision must be >= 53")
+        if args.digits < 1:
+            raise InputParseError("--digits must be >= 1")
         return args.func(args)
     except InputParseError as exc:
         print(f"ntbounds: parse error: {exc}", file=sys.stderr)

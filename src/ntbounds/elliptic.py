@@ -291,10 +291,6 @@ def _fraction_from_string(s: str) -> Fraction:
     return Fraction(s)
 
 
-def fraction_to_string(q: Fraction) -> str:
-    return str(q)
-
-
 def curve_from_json(text: str) -> tuple[EllipticCurveQ, ECPoint, int, int]:
     """Parse a curve spec file: curve, generator, rank, torsion order."""
     try:
@@ -320,9 +316,9 @@ def curve_to_json(E: EllipticCurveQ, generator: ECPoint, rank: int = 1,
     if generator.is_infinity:
         raise DomainError("generator must be affine")
     payload = {
-        "a": fraction_to_string(E.a),
-        "b": fraction_to_string(E.b),
-        "generator": [fraction_to_string(generator.x), fraction_to_string(generator.y)],
+        "a": str(E.a),
+        "b": str(E.b),
+        "generator": [str(generator.x), str(generator.y)],
         "rank": rank,
         "torsion_order": torsion,
     }

@@ -53,7 +53,6 @@ __all__ = [
     "zhang_sandwich",
     "h_upper_from_mu",
     "arithmetic_bezout_upper",
-    "HeightConvention",
 ]
 
 
@@ -68,18 +67,6 @@ class HeightKind(enum.Enum):
 class HeightValue:
     kind: HeightKind
     value: BoundedReal
-
-
-@dataclass(frozen=True)
-class HeightConvention:
-    """Records the canonical-height normalization in reports.
-
-    h-hat here is the x-coordinate duplication limit (divisor class 2(O)).
-    Reports may rescale by `scale` to other embeddings' conventions.
-    """
-
-    scale: Fraction = Fraction(1)
-    note: str = "x-coordinate duplication limit, divisor class 2(O)"
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,6 @@ from fractions import Fraction
 from typing import Any
 
 from .bounds import BoundReport, ExponentReport, FamilyBoundReport
-from .heights import HeightConvention
 from .rounding import BoundedReal, Direction, fraction_to_decimal
 from .search import SearchReport
 from .subgroups import CensusReport
@@ -122,7 +121,6 @@ def search_report_payload(report: SearchReport, digits: int = 30) -> dict:
             "height1": height_entry(f.height1),
             "height2": height_entry(f.height2),
         })
-    convention = HeightConvention()
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "search",
@@ -131,7 +129,10 @@ def search_report_payload(report: SearchReport, digits: int = 30) -> dict:
         "height_bound": report.height_bound,
         "tolerance": report.tolerance,
         "exhaustive_up_to_height_bound_only": True,
-        "height_convention": {"scale": str(convention.scale), "note": convention.note},
+        "height_convention": {
+            "scale": "1",
+            "note": "x-coordinate duplication limit, divisor class 2(O)",
+        },
         "candidate_points": report.candidate_points,
         "pairs_scanned": report.pairs_scanned,
         "found": found,

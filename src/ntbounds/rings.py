@@ -9,6 +9,7 @@ strictly smaller norm; that is what the Hermite normal form relies on.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 from typing import Iterable
 
 from .rounding import DomainError
@@ -32,9 +33,6 @@ class EndRing:
     def one(self) -> Element:
         return (1, 0)
 
-    def from_int(self, n: int) -> Element:
-        return (n, 0)
-
     def is_zero(self, x: Element) -> bool:
         return x == (0, 0)
 
@@ -43,9 +41,6 @@ class EndRing:
 
     def sub(self, x: Element, y: Element) -> Element:
         return (x[0] - y[0], x[1] - y[1])
-
-    def neg(self, x: Element) -> Element:
-        return (-x[0], -x[1])
 
     def mul(self, x: Element, y: Element) -> Element:
         a, b = x
@@ -96,10 +91,6 @@ class EndRing:
         r = self.sub(x, self.mul(q, y))
         return q, r
 
-    def divides_exactly(self, d: Element, x: Element) -> bool:
-        q, r = self.divmod_rounded(x, d)
-        return self.is_zero(r)
-
     def exact_div(self, x: Element, d: Element) -> Element:
         q, r = self.divmod_rounded(x, d)
         if not self.is_zero(r):
@@ -135,7 +126,7 @@ class EndRing:
                 return row if u == self.one else tuple(self.mul(u, x) for x in row)
         return row
 
-    # -- inner products and display ------------------------------------------------
+    # -- inner products and norms ------------------------------------------------
 
     def dot_conj(self, u: Iterable[Element], v: Iterable[Element]) -> Element:
         """sum u_k * conj(v_k); with u = v this is (norm, 0)."""
@@ -153,37 +144,21 @@ class EndRing:
     def row_norm(self, row: Iterable[Element]) -> int:
         return sum(self.norm(e) for e in row)
 
-    def element_str(self, x: Element) -> str:
-        a, b = x
-        if self.kind == "z":
-            return str(a)
-        sym = "i" if self.kind == "zi" else "w"
-        if b == 0:
-            return str(a)
-        if a == 0:
-            return f"{b}{sym}"
-        return f"{a}{b:+d}{sym}"
-
     def elements_of_norm_at_most(self, bound: int) -> list[Element]:
         """All ring elements of norm <= bound, deterministic order."""
         out = []
         if bound < 0:
             return out
         if self.kind == "z":
-            s = _isqrt(bound)
+            s = isqrt(bound)
             return [(a, 0) for a in range(-s, s + 1)]
         # both quadratic rings: norm >= (|a| - |b|)^2-ish; scan a safe box
-        s = _isqrt(4 * bound) + 1
+        s = isqrt(4 * bound) + 1
         for a in range(-s, s + 1):
             for b in range(-s, s + 1):
                 if self.norm((a, b)) <= bound:
                     out.append((a, b))
         return out
-
-
-def _isqrt(n: int) -> int:
-    import math
-    return math.isqrt(n) if n >= 0 else -1
 
 
 RING_Z = EndRing("z")

@@ -38,11 +38,9 @@ from mpmath.libmp import (
     from_rational,
     fzero,
     mpf_add,
-    mpf_mul,
     mpf_pi,
     mpf_pos,
     mpf_shift,
-    mpf_sub,
     mpi_add,
     mpi_div,
     mpi_log,
@@ -112,10 +110,6 @@ class Comparison(enum.Enum):
 
 class DomainError(ValueError):
     """Raised for arguments outside an operation's domain (e.g. log of q <= 0)."""
-
-
-class DirectionError(ValueError):
-    """Raised when an arithmetic combination of BoundedReals is not sound."""
 
 
 class IndeterminateError(RuntimeError):
@@ -192,66 +186,6 @@ class BoundedReal:
 
     def decimal(self, sig_digits: int = 40) -> str:
         return fraction_to_decimal(self.exact(), sig_digits, self.direction)
-
-    def __float__(self) -> float:
-        return float(self.value)
-
-    # -- sound directed arithmetic -------------------------------------------
-
-    def _binop(self, other: "BoundedReal", op, allowed, what: str) -> "BoundedReal":
-        if not isinstance(other, BoundedReal):
-            return NotImplemented
-        pair = (self.direction, other.direction)
-        if pair not in allowed:
-            raise DirectionError(f"{what} of {pair[0].value} and {pair[1].value} is not sound")
-        direction = allowed[pair]
-        precision = min(self.precision, other.precision)
-        raw = op(self.value._mpf_, other.value._mpf_, precision, _ROUNDING[direction])
-        return BoundedReal(mp.make_mpf(raw), direction, precision)
-
-    def __add__(self, other):
-        allowed = {
-            (Direction.UPPER, Direction.UPPER): Direction.UPPER,
-            (Direction.LOWER, Direction.LOWER): Direction.LOWER,
-            (Direction.NEAREST, Direction.NEAREST): Direction.NEAREST,
-        }
-        return self._binop(other, mpf_add, allowed, "sum")
-
-    def __sub__(self, other):
-        allowed = {
-            (Direction.UPPER, Direction.LOWER): Direction.UPPER,
-            (Direction.LOWER, Direction.UPPER): Direction.LOWER,
-            (Direction.NEAREST, Direction.NEAREST): Direction.NEAREST,
-        }
-        return self._binop(other, mpf_sub, allowed, "difference")
-
-    def __mul__(self, other):
-        if isinstance(other, BoundedReal):
-            if (self.value < 0 or other.value < 0) and \
-                    Direction.NEAREST not in (self.direction, other.direction):
-                raise DirectionError("directed product requires nonnegative operands")
-            allowed = {
-                (Direction.UPPER, Direction.UPPER): Direction.UPPER,
-                (Direction.LOWER, Direction.LOWER): Direction.LOWER,
-                (Direction.NEAREST, Direction.NEAREST): Direction.NEAREST,
-            }
-            return self._binop(other, mpf_mul, allowed, "product")
-        if isinstance(other, (int, Fraction)):
-            return self.scale(Fraction(other))
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def scale(self, q: Fraction) -> "BoundedReal":
-        """Multiply by an exact rational; a negative scalar flips the direction."""
-        q = Fraction(q)
-        direction = self.direction
-        if q < 0 and direction is not Direction.NEAREST:
-            direction = Direction.UPPER if direction is Direction.LOWER else Direction.LOWER
-        product = self.exact() * q
-        raw = from_rational(product.numerator, product.denominator, self.precision,
-                            _ROUNDING[direction])
-        return BoundedReal(mp.make_mpf(raw), direction, self.precision)
 
 
 def compare_bound(a: BoundedReal, b: BoundedReal) -> Comparison:

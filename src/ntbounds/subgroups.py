@@ -66,11 +66,6 @@ class SubgroupMatrix:
     def n(self) -> int:
         return len(self.entries[0])
 
-    def pretty(self) -> str:
-        return "[" + "; ".join(
-            " ".join(self.ring.element_str(e) for e in row) for row in self.entries
-        ) + "]"
-
     @staticmethod
     def from_ints(ring: EndRing, rows) -> "SubgroupMatrix":
         """Rows of ints (Z) or (a, b) pairs."""
@@ -373,7 +368,9 @@ class CensusReport:
 def census(ring: EndRing, n: int, r: int, dmax: int, t: int,
            ceiling: int = 5_000_000) -> CensusReport:
     """Bounded-degree census: reduced-matrix counts per degree bucket, torsion
-    counts, and the product-form bound (matrix count) * T^(2N+1)."""
+    counts, and the product-form bound (matrix count) * T^(2N+1).  The torsion
+    count comes first, so that N < 1 or T < 1 is refused before any walk."""
+    torsion_total = torsion_count(n, t)
     matrices = enumerate_matrices(ring, n, r, dmax, ceiling)
     buckets: dict[int, int] = {}
     for m in matrices:
@@ -387,6 +384,6 @@ def census(ring: EndRing, n: int, r: int, dmax: int, t: int,
         torsion_order_bound=t,
         total_matrices=len(matrices),
         degree_buckets=tuple(sorted(buckets.items())),
-        torsion_total=torsion_count(n, t),
+        torsion_total=torsion_total,
         product_bound=len(matrices) * t ** (2 * n + 1),
     )

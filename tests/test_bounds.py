@@ -9,7 +9,6 @@ import pytest
 from ntbounds import bounds as bounds_module
 from ntbounds import cli, rounding
 from ntbounds.bounds import (
-    BoundInputs,
     bound_transverse_E2,
     bound_weaktransverse_EN,
     constants_CN,
@@ -80,7 +79,7 @@ def test_c_constants_reject_small_n():
 
 def test_power_bound_substitution():
     # h = 1, deg = 1, hw = 0, N = 3: bound is C1 + C2 + C3
-    report = bound_weaktransverse_EN(BoundInputs(N=3, h_v=1, deg_v=1, h_w=0))
+    report = bound_weaktransverse_EN(3, 1, 1, 0)
     c1, c2, c3 = constants_CN(3, 0, Direction.UPPER, 256)
     total = c1.exact() + c2.exact() + c3.exact()
     assert abs(report.bound.exact() - total) < total * Fraction(1, 10 ** 40)
@@ -89,11 +88,11 @@ def test_power_bound_substitution():
 
 def test_power_bound_requires_n_at_least_3():
     with pytest.raises(DomainError):
-        bound_weaktransverse_EN(BoundInputs(N=2, h_v=1, deg_v=1, h_w=0))
+        bound_weaktransverse_EN(2, 1, 1, 0)
 
 
 def test_power_bound_zero_height_unit_degree():
-    report = bound_weaktransverse_EN(BoundInputs(N=3, h_v=0, deg_v=1, h_w=0))
+    report = bound_weaktransverse_EN(3, 0, 1, 0)
     _, c2, c3 = constants_CN(3, 0, Direction.UPPER, 256)
     want = c2.exact() + c3.exact()
     assert abs(report.bound.exact() - want) < want * Fraction(1, 10 ** 40)
@@ -133,8 +132,8 @@ def test_bound_monotone_in_inputs():
         lo = bound_transverse_E2(h1, d1_, hw1).bound.exact()
         hi = bound_transverse_E2(h2, d2_, hw2).bound.exact()
         assert lo <= hi
-        lo_n = bound_weaktransverse_EN(BoundInputs(N=4, h_v=h1, deg_v=d1_, h_w=hw1)).bound.exact()
-        hi_n = bound_weaktransverse_EN(BoundInputs(N=4, h_v=h2, deg_v=d2_, h_w=hw2)).bound.exact()
+        lo_n = bound_weaktransverse_EN(4, h1, d1_, hw1).bound.exact()
+        hi_n = bound_weaktransverse_EN(4, h2, d2_, hw2).bound.exact()
         assert lo_n <= hi_n
 
 
@@ -324,8 +323,8 @@ def _audit_cli(tmp_path):
 
 _REQUESTS = {
     "square": lambda tmp_path: bound_transverse_E2(_fresh_height(), 7, _fresh_height(), 256),
-    "power": lambda tmp_path: bound_weaktransverse_EN(
-        BoundInputs(N=4, h_v=_fresh_height(), deg_v=3, h_w=_fresh_height()), 256),
+    "power": lambda tmp_path: bound_weaktransverse_EN(4, _fresh_height(), 3, _fresh_height(),
+                                                      256),
     "family": lambda tmp_path: family_final_bound(5, "f2", 256),
     "family-audit-cli": _audit_cli,
 }

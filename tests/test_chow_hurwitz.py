@@ -12,8 +12,6 @@ from ntbounds.chow_hurwitz import (
     family_degree_upper,
     hurwitz_genus,
     hyperplane_combination,
-    profile_from_json,
-    profile_to_json,
     top_coefficient,
     validate_profile,
 )
@@ -125,17 +123,3 @@ def test_hurwitz_rejects_inconsistent_profile():
     prof = RamificationProfile((BranchPoint("x", ((2, 1), (1, 1))),))
     with pytest.raises(DomainError):
         hurwitz_genus(3, 0, prof)
-
-
-def test_profile_json_roundtrip():
-    deg, prof = family_curve_profile(4)
-    blob = profile_to_json(deg, 0, prof)
-    deg2, base2, prof2 = profile_from_json(blob)
-    assert (deg2, base2, prof2) == (deg, 0, prof)
-
-
-def test_profile_json_malformed():
-    with pytest.raises(DomainError):
-        profile_from_json("{not json")
-    with pytest.raises(DomainError):
-        profile_from_json('{"degree": 6}')

@@ -208,6 +208,17 @@ def test_exit_code_resource_guard(capsys):
     assert code == EXIT_RESOURCE
 
 
+@pytest.mark.parametrize("args", [
+    ["constants", "--d", "--hw", "0"],
+    ["census", "--N", "2", "--r", "1", "--max-degree", "5", "--torsion", "2"],
+])
+def test_digits_below_one_is_a_parse_error(capsys, args):
+    assert main([*args, "--digits", "0"]) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--digits" in captured.err
+
+
 def test_precision_env_variable(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("NTBOUNDS_PRECISION", "128")
     blob = run_to_bytes(tmp_path, ["constants", "--d", "--hw", "0"])

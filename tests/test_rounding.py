@@ -9,7 +9,6 @@ from ntbounds.rounding import (
     BoundedReal,
     Comparison,
     Direction,
-    DirectionError,
     DomainError,
     GammaHalf,
     compare_bound,
@@ -117,23 +116,6 @@ def test_compare_bound_rules():
     # NEAREST never certifies
     assert compare_bound(BoundedReal.from_fraction(1, NE),
                          BoundedReal.from_fraction(100, L)) is Comparison.INDETERMINATE
-
-
-def test_bounded_real_arithmetic_directions():
-    a = BoundedReal.from_fraction(Fraction(3, 2), U)
-    b = BoundedReal.from_fraction(Fraction(1, 4), U)
-    assert (a + b).direction is U
-    assert (a + b).exact() >= Fraction(7, 4)
-    lo = BoundedReal.from_fraction(1, L)
-    assert (a - lo).direction is U
-    with pytest.raises(DirectionError):
-        _ = a + lo
-    assert (a * b).direction is U
-    neg = BoundedReal.from_fraction(-2, U)
-    with pytest.raises(DirectionError):
-        _ = neg * a
-    flipped = a.scale(Fraction(-1))
-    assert flipped.direction is L and flipped.exact() == -a.exact()
 
 
 def test_directed_decimal_rendering():

@@ -355,6 +355,18 @@ def test_cm_rings_rank_two_unsupported():
         enumerate_matrices(G, 2, 2, 10)
 
 
+def test_oracle_refuses_unsupported_shapes():
+    # no CM rank-2 oracle exists: the Z-only rank-2 membership solve must not
+    # be applied to Gaussian entries
+    reference = [SubgroupMatrix.from_ints(G, [[(1, 1), (0, 0)], [(0, 0), (1, 0)]])]
+    with pytest.raises(DomainError):
+        match_against(G, [], reference)
+    with pytest.raises(DomainError):
+        oracle_enumerate(G, 2, 2, 4)
+    with pytest.raises(DomainError):
+        oracle_enumerate(Z, 3, 3, 1)
+
+
 # -- torsion and census -----------------------------------------------------
 
 
@@ -372,6 +384,15 @@ def test_torsion_count_oracle_and_bound():
                 direct += i ** (2 * n)
             assert torsion_count(n, t) == direct
             assert torsion_count(n, t) <= t ** (2 * n + 1)
+
+
+@pytest.mark.parametrize("n,t", [(3, 0), (0, 20)])
+def test_census_refuses_bad_torsion_input_before_the_walk(monkeypatch, n, t):
+    def no_walk(*args, **kwargs):
+        raise AssertionError("census walked before refusing its torsion input")
+    monkeypatch.setattr("ntbounds.subgroups.enumerate_matrices", no_walk)
+    with pytest.raises(DomainError):
+        census(Z, n, 2, 20, t)
 
 
 def test_census_unit_degree_only():
