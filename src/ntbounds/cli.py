@@ -33,7 +33,7 @@ from .elliptic import (
     curve_from_json,
     weierstrass_height_expr,
 )
-from .presets import PRESET_NAMES, ambient_curve
+from .presets import PRESET_NAMES, ambient_curve, ambient_gamma
 from .reporting import (
     SCHEMA_VERSION,
     bound_report_payload,
@@ -67,6 +67,10 @@ EXIT_PARSE = 2
 EXIT_DOMAIN = 3
 EXIT_INDETERMINATE = 4
 EXIT_RESOURCE = 5
+
+# The preset Gammas, validated once; each keeps its generator's last
+# canonical-height enclosure from one search request to the next.
+_PRESET_GAMMAS = {name: ambient_gamma(name) for name in PRESET_NAMES}
 
 
 class InputParseError(ValueError):
@@ -244,8 +248,10 @@ def _cmd_family_audit(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    curve, gen, _rank, _tor = _load_curve(args.curve)
-    gamma = GammaSpec(curve, gen)
+    gamma = _PRESET_GAMMAS.get(args.curve.removeprefix("preset:"))
+    if gamma is None:
+        curve, gen, _rank, _tor = _load_curve(args.curve)
+        gamma = GammaSpec(curve, gen)
     tol = _parse_fraction(args.tol, "--tol")
     bound = _parse_fraction(args.height_bound, "--height-bound")
     report = search_rational_points(args.family, args.n, gamma, bound, tol,

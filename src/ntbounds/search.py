@@ -8,8 +8,11 @@ enclosure [g_lo, g_hi] of h-hat(g) decides almost every candidate: a point is
 kept if a^2 g_hi <= B + tol/2 and dropped if a^2 g_lo > B + 3 tol/2.  Only a
 point in the band between gets its own certified canonical height, kept if
 its midpoint is at most B + tol; the kept set is exactly that of certifying
-every point.  The published bounds (~10^38) are far beyond any search; B is
-always desk-scale and explicit.
+every point.  A GammaSpec keeps its generator's last enclosure with the
+(tol, precision) it was computed at, so repeated searches on one Gamma
+certify the generator once.  Only a >= 0 is walked: the points of -a are the
+negations of those of a.  The published bounds (~10^38) are far beyond any
+search; B is always desk-scale and explicit.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterator, Optional
 
-from .elliptic import ECPoint, EllipticCurveQ, add, scalar_mul, torsion_order
+from .elliptic import ECPoint, EllipticCurveQ, add, negate, scalar_mul, torsion_order
 from .heights import canonical_height_enclosure
 from .rounding import DomainError
 
@@ -44,6 +47,11 @@ class GammaSpec:
     generator: ECPoint
     torsion_points: tuple[ECPoint, ...] = (ECPoint.infinity(),)
 
+    # ((tol, precision), (g_lo, g_hi)) of the generator's last certified
+    # enclosure, set by `_free_range_bound`.  Not a field, so ==, hash and
+    # repr ignore it.
+    _enclosure = None
+
     def __post_init__(self):
         self.curve.require(self.generator)
         if self.generator.is_infinity or torsion_order(self.curve, self.generator) is not None:
@@ -65,15 +73,15 @@ class GammaSpec:
         object.__setattr__(self, "torsion_points", ordered)
 
 
+def _floor_sqrt_fraction(q: Fraction) -> int:
+    """Largest integer m with m^2 <= q (q >= 0): isqrt of floor(q)."""
+    return math.isqrt(q.numerator // q.denominator)
+
+
 def _ceil_sqrt_fraction(q: Fraction) -> int:
     """Smallest integer m with m^2 >= q (q >= 0)."""
-    if q <= 0:
-        return 0
-    num, den = q.numerator, q.denominator
-    m = math.isqrt(num // den)
-    while Fraction(m * m) < q:
-        m += 1
-    return m
+    m = _floor_sqrt_fraction(q)
+    return m if m * m == q else m + 1
 
 
 def _as_fraction(x) -> Fraction:
@@ -83,12 +91,24 @@ def _as_fraction(x) -> Fraction:
 def _free_range_bound(gamma: GammaSpec, B: Fraction, tol: Fraction,
                       precision: int) -> tuple[int, Fraction, Fraction]:
     """(a_max, g_lo, g_hi): the certified enclosure [g_lo, g_hi] of the
-    generator's height at tol and a_max = ceil(sqrt((B + tol)/g_lo))."""
+    generator's height at tol and a_max = ceil(sqrt((B + tol)/g_lo)).
+
+    The enclosure is read from gamma's slot when it was computed at the same
+    (tol, precision), and otherwise computed and put in the slot.
+    """
     if B < 0:
         raise DomainError("height bound must be >= 0")
     if tol <= 0:
         raise DomainError("tolerance must be positive")
-    g_lo, g_hi = canonical_height_enclosure(gamma.curve, gamma.generator, tol, precision)
+    key = (tol, precision)
+    slot = gamma._enclosure
+    if slot is not None and slot[0] == key:
+        g_lo, g_hi = slot[1]
+    else:
+        g_lo, g_hi = canonical_height_enclosure(gamma.curve, gamma.generator, tol, precision)
+        # One attribute store of one tuple: a reader in another thread sees
+        # the old slot or the new one, never a mix.
+        object.__setattr__(gamma, "_enclosure", (key, (g_lo, g_hi)))
     if g_lo <= tol:
         raise DomainError(
             "generator's canonical height does not exceed the tolerance; "
@@ -117,30 +137,42 @@ def _height_estimator(gamma: GammaSpec, tol: Fraction, precision: int,
 
 def _walk_rank1(gamma: GammaSpec, B: Fraction, tol: Fraction, g_lo: Fraction,
                 g_hi: Fraction, lo: int, hi: int,
-                estimate: Callable[[ECPoint], Fraction]) -> Iterator[ECPoint]:
-    """The points a*g + T with lo <= a <= hi whose estimated height is at most
-    B + tol.  a*g is stepped by one addition of g per a, not recomputed.
+                estimate: Callable[[ECPoint], Fraction]) -> dict[int, list[ECPoint]]:
+    """a -> the points a*g + T, in torsion-list order, with lo <= a <= hi
+    whose estimated height is at most B + tol.
+
+    Only |a| is walked, a*g stepped by one addition of g per step.  The
+    torsion list is closed under negation and (-a)*g + T = -(a*g + (-T)), so
+    the points of -a are negations of those of a; a point and its negation
+    share x(P), and with it their estimate.
 
     h-hat(a*g + T) = a^2 h-hat(g) lies in [a^2 g_lo, a^2 g_hi], and a point's
     own estimate lies within tol/2 of it: a^2 g_hi <= B + tol/2 keeps the
-    point and a^2 g_lo > B + 3 tol/2 drops it.  Only in the band between does
-    `estimate` certify the point's own height.
+    point and a^2 g_lo > B + 3 tol/2 drops it.  As cutoffs on |a|, the first
+    keeps |a| <= sure and the second drops |a| > last, so the walk stops at
+    last.  Only in the band between does `estimate` certify the point's own
+    height.
     """
-    if lo > hi:
-        return
-    E, g = gamma.curve, gamma.generator
-    keep_below, drop_above = B + tol / 2, B + 3 * tol / 2
-    base = scalar_mul(E, lo, g)
-    for a in range(lo, hi + 1):
-        if a > lo:
+    E, g, torsion = gamma.curve, gamma.generator, gamma.torsion_points
+    sure = _floor_sqrt_fraction((B + tol / 2) / g_hi)
+    last = _floor_sqrt_fraction((B + 3 * tol / 2) / g_lo)
+    start = 0 if lo <= 0 <= hi else min(abs(lo), abs(hi))
+    top = min(max(-lo, hi), last)
+    if lo > hi or start > top:
+        return {}
+    negated = [torsion.index(negate(T)) for T in torsion]
+    kept = {}
+    base = scalar_mul(E, start, g)
+    for a in range(start, top + 1):
+        if a > start:
             base = add(E, base, g)
-        if a * a * g_lo > drop_above:
-            continue
-        sure = a * a * g_hi <= keep_below
-        for T in gamma.torsion_points:
-            P = add(E, base, T)
-            if sure or estimate(P) <= B + tol:
-                yield P
+        points = [add(E, base, T) for T in torsion]
+        keep = [a <= sure or estimate(P) <= B + tol for P in points]
+        if lo <= a <= hi:
+            kept[a] = [P for P, k in zip(points, keep) if k]
+        if a > 0 and lo <= -a <= hi:
+            kept[-a] = [negate(points[j]) for j in negated if keep[j]]
+    return kept
 
 
 def enumerate_rank1(gamma: GammaSpec, height_bound, tol,
@@ -157,10 +189,12 @@ def enumerate_rank1(gamma: GammaSpec, height_bound, tol,
     tol = _as_fraction(tol)
     a_max, g_lo, g_hi = _free_range_bound(gamma, B, tol, precision)
     lo, hi = (-a_max, a_max) if a_range is None else a_range
+    lo, hi = max(lo, -a_max), min(hi, a_max)
     estimate = _height_estimator(gamma, tol, precision, g_lo, g_hi)
-    for P in _walk_rank1(gamma, B, tol, g_lo, g_hi, max(lo, -a_max), min(hi, a_max),
-                         estimate):
-        yield P, estimate(P)
+    kept = _walk_rank1(gamma, B, tol, g_lo, g_hi, lo, hi, estimate)
+    for a in range(lo, hi + 1):
+        for P in kept.get(a, ()):
+            yield P, estimate(P)
 
 
 def _check_family(family: str, n: int) -> None:
@@ -203,9 +237,9 @@ def search_rational_points(family: str, n: int, gamma: GammaSpec, height_bound,
                            tol, shards: int = 1,
                            precision: int = 256) -> SearchReport:
     """Exhaustive-below-B search: enumerate Gamma x Gamma and filter by the
-    family equation.  One walk covers the whole free range; `shards` is
-    validated and echoed in the report, and changes neither the work nor the
-    result."""
+    family equation.  One walk over a = 0..a_max covers the whole free range;
+    `shards` is validated and echoed in the report, and changes neither the
+    work nor the result."""
     if shards < 1:
         raise DomainError("shard count must be >= 1")
     _check_family(family, n)
@@ -214,8 +248,8 @@ def search_rational_points(family: str, n: int, gamma: GammaSpec, height_bound,
     t0 = time.perf_counter()
     a_max, g_lo, g_hi = _free_range_bound(gamma, B, tol_f, precision)
     estimate = _height_estimator(gamma, tol_f, precision, g_lo, g_hi)
-    points = sorted(_walk_rank1(gamma, B, tol_f, g_lo, g_hi, -a_max, a_max, estimate),
-                    key=ECPoint.key)
+    kept = _walk_rank1(gamma, B, tol_f, g_lo, g_hi, -a_max, a_max, estimate)
+    points = sorted((P for row in kept.values() for P in row), key=ECPoint.key)
 
     # Every pair is decided: a pair with a point at infinity lies on the
     # boundary of the affine chart and is listed, never equation-tested; an

@@ -20,6 +20,7 @@ different subgroup of E^N, so they are never applied.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from math import comb
 
 from .rings import Element, EndRing
@@ -247,19 +248,19 @@ def _candidate_rows(ring: EndRing, n: int, bound: int) -> list[tuple[Element, ..
     per_coord = sorted(((e, ring.norm(e)) for e in ring.elements_of_norm_at_most(bound)),
                        key=lambda pair: pair[1])
     out = []
-
-    def extend(prefix: list[Element], budget: int):
+    # depth first over the coordinates, with a stack of (prefix, budget left)
+    # rather than one Python frame per coordinate
+    stack: list[tuple[tuple[Element, ...], int]] = [((), bound)]
+    while stack:
+        prefix, budget = stack.pop()
         if len(prefix) == n:
-            row = tuple(prefix)
-            if budget < bound and ring.canon_row(row) == row:  # nonzero row
-                out.append((bound - budget, row))
-            return
+            if budget < bound and ring.canon_row(prefix) == prefix:  # nonzero row
+                out.append((bound - budget, prefix))
+            continue
         for e, ne in per_coord:
             if ne > budget:
                 break
-            extend(prefix + [e], budget - ne)
-
-    extend([], bound)
+            stack.append((prefix + (e,), budget - ne))
     out.sort()
     return [row for _, row in out]
 
@@ -337,12 +338,38 @@ def enumerate_matrices(ring: EndRing, n: int, r: int, dmax: int,
 # ---------------------------------------------------------------------------
 
 
+def _even_bernoulli(n: int) -> list[Fraction]:
+    """[B_0, B_2, ..., B_2n] exactly, from the tangent numbers T_1..T_n:
+    B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)) (Brent and Harvey, "Fast
+    computation of Bernoulli, tangent and secant numbers", 2011)."""
+    tangent = [0, 1] + [0] * (n - 1)
+    for k in range(2, n + 1):
+        tangent[k] = (k - 1) * tangent[k - 1]
+    for k in range(2, n + 1):
+        for j in range(k, n + 1):
+            tangent[j] = (j - k) * tangent[j - 1] + (j - k + 2) * tangent[j]
+    return [Fraction(1)] + [
+        Fraction((-1) ** (k - 1) * 2 * k * tangent[k], 4 ** k * (4 ** k - 1))
+        for k in range(1, n + 1)]
+
+
 def torsion_count(n_power: int, t: int) -> int:
-    """Exact sum_{i=1}^{T} i^(2N): points of order dividing i number i^(2N)."""
+    """Exact sum_{i=1}^{T} i^(2N): points of order dividing i number i^(2N).
+
+    Faulhaber's formula with p = 2N,
+    sum_{i<=T} i^p = (1/(p+1)) sum_{j=0}^{p} C(p+1, j) B+_j T^(p+1-j),
+    where B+_1 = +1/2 and the other odd B_j vanish, so the work grows with N
+    (the Bernoulli numbers take O(N^2) integer steps) but not with T.
+    """
     if n_power < 1 or t < 1:
         raise DomainError("need N >= 1 and T >= 1")
-    e = 2 * n_power
-    return sum(i ** e for i in range(1, t + 1))
+    p = 2 * n_power
+    total = Fraction(t ** p * (p + 1), 2)  # j = 1
+    for k, b in enumerate(_even_bernoulli(n_power)):
+        total += comb(p + 1, 2 * k) * b * t ** (p + 1 - 2 * k)
+    count = total / (p + 1)
+    assert count.denominator == 1
+    return count.numerator
 
 
 @dataclass(frozen=True)

@@ -128,6 +128,32 @@ def test_search_accepts_curve_file(tmp_path, capsys):
     assert blob == (GOLDEN / "search_f1_n1.json").read_bytes()
 
 
+def test_preset_searches_reuse_one_validated_gamma(tmp_path, capsys, monkeypatch):
+    # a preset Gamma is validated once, at import, and keeps its generator's
+    # enclosure; a curve file builds and validates its own Gamma per request
+    from fractions import Fraction
+
+    import ntbounds.cli as cli_module
+    import ntbounds.search as search_module
+    from ntbounds.elliptic import torsion_order
+    from ntbounds.presets import preset_curve_json
+    checks = []
+    monkeypatch.setattr(search_module, "torsion_order",
+                        lambda E, P: checks.append(P) or torsion_order(E, P))
+    args = ["search", "--family", "f1", "--n", "1", "--height-bound", "25", "--tol", "1e-10"]
+    for curve in ("f1", "preset:f1"):
+        blob = run_to_bytes(tmp_path, [*args, "--curve", curve])
+        assert blob == (GOLDEN / "search_f1_n1.json").read_bytes()
+    assert checks == []
+    gamma = cli_module._PRESET_GAMMAS["f1"]
+    assert gamma._enclosure[0] == (Fraction(1, 10 ** 10), 256)
+    curve_file = tmp_path / "curve.json"
+    curve_file.write_text(preset_curve_json("f1"))
+    run_to_bytes(tmp_path, [*args, "--curve", str(curve_file)])
+    run_to_bytes(tmp_path, [*args, "--curve", str(curve_file)])
+    assert checks.count(gamma.generator) == 2
+
+
 # -- exit codes -----------------------------------------------------------------
 
 

@@ -193,8 +193,20 @@ def _two_torsion_gamma():
     return GammaSpec(E, ECPoint.affine(2, 2), torsion_points=(O, ECPoint.affine(0, 0)))
 
 
+def _three_torsion_gamma():
+    # y^2 = x^3 + 9: (0, 3) and (0, -3) are each other's negation, so the
+    # walk's negative half must map each torsion point to its negation
+    E = validate_curve(0, 9)
+    return GammaSpec(E, ECPoint.affine(-2, 1),
+                     torsion_points=(O, ECPoint.affine(0, 3), ECPoint.affine(0, -3)))
+
+
 def _gamma(name):
-    return _two_torsion_gamma() if name == "two_torsion" else ambient_gamma(name)
+    if name == "two_torsion":
+        return _two_torsion_gamma()
+    if name == "three_torsion":
+        return _three_torsion_gamma()
+    return ambient_gamma(name)
 
 
 def _contiguous_splits(a_max, shards):
@@ -204,7 +216,8 @@ def _contiguous_splits(a_max, shards):
     return [(lo, hi - 1) for lo, hi in zip(cuts, cuts[1:]) if hi > lo]
 
 
-@pytest.mark.parametrize("name,B", [("f1", 10), ("f2", 25), ("two_torsion", 10)])
+@pytest.mark.parametrize("name,B", [("f1", 10), ("f2", 25), ("two_torsion", 10),
+                                    ("three_torsion", 10)])
 def test_incremental_walk_matches_per_a_reference(name, B):
     gamma = _gamma(name)
     a_max = _a_max(gamma, B)
@@ -292,6 +305,9 @@ def test_kept_set_with_one_sided_enclosures(name, monkeypatch):
     g_lo, g_hi = canonical_height_enclosure(gamma.curve, gamma.generator, tol)
     for generator_side in ("low", "high"):
         for point_side in ("low", "high"):
+            # A Gamma keeps its generator's enclosure, so each oracle gets a
+            # fresh one: a shared Gamma would serve the first oracle's answer.
+            gamma = _gamma(name)
             oracle = _OneSidedEnclosure(gamma.generator, generator_side, point_side)
             monkeypatch.setattr(search_module, "canonical_height_enclosure", oracle)
             for a in (1, 2):
@@ -355,10 +371,12 @@ def test_canonical_height_is_symmetric_under_negation(name, a, t):
 class _CountingEnclosure:
     def __init__(self):
         self.calls = 0
+        self.points = []
 
-    def __call__(self, *args, **kwargs):
+    def __call__(self, E, P, *args, **kwargs):
         self.calls += 1
-        return canonical_height_enclosure(*args, **kwargs)
+        self.points.append(P)
+        return canonical_height_enclosure(E, P, *args, **kwargs)
 
 
 def test_f1_search_certifies_one_height(monkeypatch):
@@ -367,3 +385,57 @@ def test_f1_search_certifies_one_height(monkeypatch):
     rep = search_rational_points("f1", 1, ambient_gamma("f1"), 25, TOL)
     assert len(rep.found) == 2
     assert counter.calls == 1
+
+
+def test_repeated_searches_on_one_gamma_certify_the_generator_once(monkeypatch):
+    counter = _CountingEnclosure()
+    monkeypatch.setattr(search_module, "canonical_height_enclosure", counter)
+    gamma = ambient_gamma("f1")
+    for family, n, B in (("f1", 1, 25), ("f2", 2, 25), ("f1", 3, 10), ("f1", 1, 25)):
+        search_rational_points(family, n, gamma, B, TOL)
+    assert counter.calls == 1
+    # the enumeration certifies every point it yields, but reads the
+    # generator's enclosure from the same slot
+    list(enumerate_rank1(gamma, 25, TOL))
+    assert counter.calls > 1
+    assert counter.points.count(gamma.generator) == 1
+
+
+@pytest.mark.parametrize("tol,precision", [(Fraction(1, 1000), 256), (TOL, 320)])
+def test_new_tol_or_precision_certifies_again(monkeypatch, tol, precision):
+    counter = _CountingEnclosure()
+    monkeypatch.setattr(search_module, "canonical_height_enclosure", counter)
+    gamma = ambient_gamma("f1")
+    first = search_rational_points("f1", 1, gamma, 25, TOL)
+    again = search_rational_points("f1", 1, gamma, 25, tol, precision=precision)
+    assert counter.calls == 2
+    assert again == search_rational_points("f1", 1, ambient_gamma("f1"), 25, tol,
+                                           precision=precision)
+    assert len(again.found) == len(first.found) == 2
+    # the slot now holds the new key, so going back certifies once more
+    assert search_rational_points("f1", 1, gamma, 25, TOL) == first
+    assert counter.calls == 4
+
+
+def test_filled_slot_leaves_equality_hash_and_repr_alone():
+    gamma, fresh = ambient_gamma("f2"), ambient_gamma("f2")
+    search_rational_points("f2", 1, gamma, 10, TOL)
+    assert gamma._enclosure is not None and fresh._enclosure is None
+    assert gamma == fresh
+    assert hash(gamma) == hash(fresh)
+    assert repr(gamma) == repr(fresh)
+
+
+@pytest.mark.parametrize("name,B", [("f1", 25), ("f2", 40), ("two_torsion", 12),
+                                    ("three_torsion", 12)])
+def test_search_point_set_matches_per_a_reference(name, B):
+    # every candidate P shows up in the closure list as "O x P"
+    gamma = _gamma(name)
+    a_max = _a_max(gamma, B)
+    want = sorted(str(P) for kept in _per_a_reference(gamma, B, a_max).values()
+                  for P, _ in kept)
+    rep = search_rational_points("f1", 1, gamma, B, TOL)
+    got = sorted(c.removeprefix("O x ") for c in rep.closure_candidates
+                 if c.startswith("O x "))
+    assert got == want
+    assert rep.candidate_points == len(want)

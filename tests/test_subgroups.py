@@ -1,5 +1,7 @@
+import inspect
 import itertools
 import random
+import sys
 from fractions import Fraction
 from math import comb
 
@@ -377,13 +379,36 @@ def test_torsion_count_examples():
 
 
 def test_torsion_count_oracle_and_bound():
-    for n in range(1, 5):
-        for t in (1, 2, 3, 10, 100):
+    for n in range(1, 9):
+        for t in (1, 2, 3, 7, 10, 64, 100, 1000):
             direct = 0
             for i in range(1, t + 1):
                 direct += i ** (2 * n)
             assert torsion_count(n, t) == direct
             assert torsion_count(n, t) <= t ** (2 * n + 1)
+
+
+def test_torsion_count_work_does_not_grow_with_t():
+    # closed forms of sum i^2 and sum i^4, at a T no loop over T reaches
+    t = 10 ** 12
+    assert torsion_count(1, t) == t * (t + 1) * (2 * t + 1) // 6
+    assert torsion_count(2, t) == t * (t + 1) * (2 * t + 1) * (3 * t * t + 3 * t - 1) // 30
+
+
+def test_census_with_more_coordinates_than_the_recursion_limit():
+    # N coordinates under a recursion limit far below N: the candidate rows
+    # must not take one Python frame per coordinate
+    n = 400
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        rows = _candidate_rows(Z, n, 1)
+        rep = census(Z, n, 1, 1, 1)
+    finally:
+        sys.setrecursionlimit(limit)
+    units = sorted(tuple((int(i == j), 0) for j in range(n)) for i in range(n))
+    assert rows == units
+    assert rep.total_matrices == n and rep.degree_buckets == ((1, n),)
 
 
 @pytest.mark.parametrize("n,t", [(3, 0), (0, 20)])
