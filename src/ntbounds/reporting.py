@@ -6,6 +6,7 @@ reproducibility for identical logical inputs.
 from __future__ import annotations
 
 import json
+from decimal import Decimal
 from fractions import Fraction
 from typing import Any
 
@@ -140,6 +141,14 @@ def search_report_payload(report: SearchReport, digits: int = 30) -> dict:
     }
 
 
+def _integer_digits(n: int) -> str:
+    """The decimal digits of an int of any size.  str() refuses ints longer
+    than sys.get_int_max_str_digits() (4 300 digits by default), and the
+    census totals grow as T^(2N+1); the exact int-to-Decimal conversion has
+    no such limit."""
+    return str(Decimal(n))
+
+
 def census_payload(report: CensusReport) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
@@ -152,8 +161,8 @@ def census_payload(report: CensusReport) -> dict:
         "total_matrices": report.total_matrices,
         "degree_buckets": [[d, c] for d, c in report.degree_buckets],
         "cumulative_counts": [[d, c] for d, c in report.cumulative()],
-        "torsion_total": str(report.torsion_total),
-        "product_bound": str(report.product_bound),
+        "torsion_total": _integer_digits(report.torsion_total),
+        "product_bound": _integer_digits(report.product_bound),
     }
 
 

@@ -1,6 +1,6 @@
 """Algebraic subgroups of E^N as matrices over End(E): Gram-determinant
-degrees, Hermite normal forms, bounded-degree enumeration, and torsion
-counting.
+degrees, Hermite normal forms, bounded-degree enumeration and counting, and
+torsion counting.
 
 A codimension-r subgroup corresponds to a rank-r matrix M in
 Mat_{r x N}(End(E)); its degree is, up to dimension-only constants, the Gram
@@ -15,13 +15,24 @@ has at least one.
 Identity of subgroups = equality of row modules, decided by the canonical
 Hermite normal form under left GL_r action; column permutations move to a
 different subgroup of E^N, so they are never applied.
+
+The census needs only the number of modules of each degree, and counts them
+without listing them where it can.  Every row module has exactly one reduced
+Gram matrix f, the reduced member of its class, of determinant its degree;
+the r-tuples of vectors with Gram matrix f number R_N(f), Siegel's
+representation number of f by N copies of the norm form, and |Aut(f)| of
+them are bases of each module with reduced form f.  So R_N(f) / |Aut(f)|
+counts each module exactly once.  At r = 1, on every ring, f = (d) and
+Aut(f) is the unit group; at r = 2 over Z, f runs over the Gauss-reduced
+binary forms, whose automorphism groups have order 2, 4, 8 or 12 (Conway and
+Sloane, SPLAG, ch. 15).  At r >= 3 the census walks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, factorial, isqrt
 
 from .rings import Element, EndRing
 from .rounding import DomainError
@@ -265,39 +276,65 @@ def _candidate_rows(ring: EndRing, n: int, bound: int) -> list[tuple[Element, ..
     return [row for _, row in out]
 
 
-def _row_count(ring: EndRing, n: int, bound: int) -> int:
-    """len(_candidate_rows(ring, n, bound)) without building a row.
+def _norm_counts(ring: EndRing, n: int, bound: int) -> list[list[int]]:
+    """counts[j][s] = #{v in ring^j : norm(v) = s} for j = 0..n and s <= bound.
 
-    Units act freely on nonzero rows, so each unit orbit of nonzero rows of
-    squared norm <= bound has |units| members, and the count is
-    (#{v : norm(v) <= bound} - 1) / |units|.  The vectors of each norm are
-    counted coordinate by coordinate: the n-fold convolution of the
-    one-coordinate norm counts, truncated at the bound.
+    The vectors of each norm are counted coordinate by coordinate: the j-fold
+    convolution of the one-coordinate norm counts, truncated at the bound.
     """
     per_coord: dict[int, int] = {}
     for e in ring.elements_of_norm_at_most(bound):
         ne = ring.norm(e)
         per_coord[ne] = per_coord.get(ne, 0) + 1
     steps = sorted(per_coord.items())
-    by_norm = [1] + [0] * bound  # the empty prefix has norm 0
+    counts = [[1] + [0] * bound]  # the empty prefix has norm 0
     for _ in range(n):
         longer = [0] * (bound + 1)
-        for s, count in enumerate(by_norm):
+        for s, count in enumerate(counts[-1]):
             if count:
                 for ne, k in steps:
                     if s + ne > bound:
                         break
                     longer[s + ne] += count * k
-        by_norm = longer
+        counts.append(longer)
+    return counts
+
+
+def _row_count(ring: EndRing, by_norm: list[int]) -> int:
+    """len(_candidate_rows(ring, n, bound)) without building a row, from
+    by_norm = _norm_counts(ring, n, bound)[n].
+
+    Units act freely on nonzero rows, so each unit orbit of nonzero rows of
+    squared norm <= bound has |units| members, and the count is
+    (#{v : norm(v) <= bound} - 1) / |units|.
+    """
     return (sum(by_norm) - 1) // len(ring.units())
 
 
-def enumerate_matrices(ring: EndRing, n: int, r: int, dmax: int,
-                       ceiling: int = 5_000_000) -> list[SubgroupMatrix]:
-    """All rank-r row modules of degree <= dmax, as canonical Hermite forms,
-    sorted by (degree, entries).  Refuses predictably-oversized enumerations:
-    the guard counts every r-subset of the candidate rows, which is more than
-    the walk visits, and it counts the rows without building them.
+def _checked_norm_counts(ring: EndRing, n: int, r: int, dmax: int,
+                         ceiling: int) -> list[list[int]]:
+    """The checks of `enumerate_matrices` and `census`, in order, and the norm
+    counts up to the row bound that the guard counted with (empty when
+    dmax < 1).  The guard counts every r-subset of the candidate rows, which
+    is more than the walk visits, and it counts the rows without building
+    them."""
+    if not 1 <= r <= n:
+        raise DomainError(f"need 1 <= r <= N, got r={r}, N={n}")
+    if dmax < 1:
+        return []
+    counts = _norm_counts(ring, n, row_bound_for_degree(ring, r, dmax))
+    work = comb(_row_count(ring, counts[n]), r)
+    if work > ceiling:
+        raise ResourceGuardError(
+            f"enumeration would scan {work} row combinations (> ceiling {ceiling}); "
+            f"lower Dmax or raise the ceiling explicitly")
+    return counts
+
+
+def _walk_classes(ring: EndRing, n: int, r: int,
+                  dmax: int) -> list[tuple[int, SubgroupMatrix]]:
+    """(degree, class) of every rank-r row module of degree <= dmax, sorted by
+    (degree, entries); the caller has run `_checked_norm_counts`.
 
     The candidate rows are those a Minkowski-reduced basis of such a module
     can have (see `row_bound_for_degree`), one per unit orbit; the r-subsets
@@ -305,19 +342,8 @@ def enumerate_matrices(ring: EndRing, n: int, r: int, dmax: int,
     same Gram elimination as `degree_estimate` (see `_full_rank_subsets`), and
     are deduplicated by their Hermite forms, which every basis of a module
     shares (at r = 1 each candidate row is already its own Hermite form)."""
-    if not 1 <= r <= n:
-        raise DomainError(f"need 1 <= r <= N, got r={r}, N={n}")
-    if dmax < 1:
-        return []
     bound = row_bound_for_degree(ring, r, dmax)
-    # the guard runs before any row is built
-    work = comb(_row_count(ring, n, bound), r)
-    if work > ceiling:
-        raise ResourceGuardError(
-            f"enumeration would scan {work} row combinations (> ceiling {ceiling}); "
-            f"lower Dmax or raise the ceiling explicitly")
     rows = _candidate_rows(ring, n, bound)
-
     subsets = _full_rank_subsets(ring, rows, r, dmax, bound)
     if r == 1:
         # candidate rows are canonical unit-orbit representatives, and a
@@ -329,8 +355,111 @@ def enumerate_matrices(ring: EndRing, n: int, r: int, dmax: int,
             m = hermite_normal_form(SubgroupMatrix(ring, subset))
             found.setdefault(m.entries, (d, m))
         classes = list(found.values())
-    ordered = sorted(classes, key=lambda pair: (pair[0], pair[1].entries))
-    return [m for _, m in ordered]
+    return sorted(classes, key=lambda pair: (pair[0], pair[1].entries))
+
+
+def enumerate_matrices(ring: EndRing, n: int, r: int, dmax: int,
+                       ceiling: int = 5_000_000) -> list[SubgroupMatrix]:
+    """All rank-r row modules of degree <= dmax, as canonical Hermite forms,
+    sorted by (degree, entries), found by walking the candidate bases (see
+    `_walk_classes`).  Refuses predictably-oversized enumerations before any
+    row is built (see `_checked_norm_counts`)."""
+    if not _checked_norm_counts(ring, n, r, dmax, ceiling):
+        return []
+    return [m for _, m in _walk_classes(ring, n, r, dmax)]
+
+
+# ---------------------------------------------------------------------------
+# Counting classes by their reduced Gram forms
+# ---------------------------------------------------------------------------
+
+
+def _classes_of_form(reps: int, aut: int, form) -> int:
+    """R(f) / |Aut(f)|, which must be exact: every module with reduced Gram
+    form f has exactly |Aut(f)| bases whose Gram matrix is f."""
+    classes, rest = divmod(reps, aut)
+    if rest:
+        raise RuntimeError(
+            f"{reps} representations of the form {form} are not a multiple of "
+            f"its {aut} automorphisms")
+    return classes
+
+
+def _binary_aut_order(a: int, b: int, c: int) -> int:
+    """|Aut_GL2(Z)| of the reduced form [[a, b], [b, c]], 0 <= 2b <= a <= c
+    (Conway and Sloane, SPLAG, ch. 15): {+-1} in general, doubled by each one
+    of b = 0 (sign changes), 2b = a (b_2 -> b_1 - b_2) and a = c (swap); the
+    square form (a, 0, a) has the 8 symmetries of the square, the hexagonal
+    form (a, a/2, a) the 12 of the hexagon."""
+    if a == c:
+        return 8 if b == 0 else 12 if 2 * b == a else 4
+    return 4 if b == 0 or 2 * b == a else 2
+
+
+def _square_parts(total: int, largest: int, slots: int):
+    """Nonincreasing tuples of positive ints x_1 <= largest with sum x_i^2 =
+    total and at most `slots` parts."""
+    if total == 0:
+        yield ()
+        return
+    if slots == 0:
+        return
+    for x in range(min(largest, isqrt(total)), 0, -1):
+        for rest in _square_parts(total - x * x, x, slots - 1):
+            yield (x, *rest)
+
+
+def _orbit_size(n: int, parts: tuple[int, ...]) -> int:
+    """Vectors of Z^n that a signed coordinate permutation takes to the
+    vector (parts, 0, ..., 0)."""
+    size = 2 ** len(parts) * factorial(n) // factorial(n - len(parts))
+    for x in set(parts):
+        size //= factorial(parts.count(x))
+    return size
+
+
+def _rank_two_forms(counts: list[list[int]], n: int, dmax: int) -> dict[tuple, int]:
+    """R_n(f) for every Gauss-reduced form f = (a, b, c), 0 <= 2b <= a <= c,
+    with 0 < ac - b^2 <= dmax and R_n(f) > 0: the number of pairs (v, w) in
+    Z^n with |v|^2 = a, <v, w> = b and |w|^2 = c.  `counts` are the norm
+    counts of `_norm_counts` over Z, with bound >= dmax.
+
+    Such a form has 3a^2/4 <= ac - b^2 <= dmax, so a <= sqrt(4 dmax / 3),
+    and c <= (dmax + b^2) / a.  The number of w for a given v is invariant
+    under the signed coordinate permutations, which keep inner products, so
+    v runs over one vector (parts, 0, ..., 0) per orbit, weighted by the
+    orbit's size.  On the support of v, w is enumerated (its last entry
+    solved from 0 <= 2b <= a); off it, only the norm of w matters, and the
+    vectors of each norm on the n - k other coordinates are counts[n - k].
+    """
+    reps: dict[tuple, int] = {}
+    for a in range(1, isqrt(4 * dmax // 3) + 1):
+        c_top = (dmax + (a // 2) ** 2) // a
+        for parts in _square_parts(a, a, n):
+            k = len(parts)
+            # (b, |w|^2 on the support) -> number of such w
+            heads: dict[tuple[int, int], int] = {}
+            stack = [(0, 0, 0)]  # (next coordinate, b so far, norm so far)
+            while stack:
+                i, b, s = stack.pop()
+                x = parts[i]
+                if i < k - 1:
+                    y = isqrt(c_top - s)
+                    stack.extend((i + 1, b + x * z, s + z * z) for z in range(-y, y + 1))
+                    continue
+                # the last entry z: 0 <= b + x z <= a // 2
+                for z in range(-(b // x), (a // 2 - b) // x + 1):
+                    if s + z * z <= c_top:
+                        key = (b + x * z, s + z * z)
+                        heads[key] = heads.get(key, 0) + 1
+            weight = _orbit_size(n, parts)
+            tails = counts[n - k]
+            for (b, s), ways in heads.items():
+                for c in range(max(a, s), (dmax + b * b) // a + 1):
+                    if tails[c - s]:
+                        key = (a, b, c)
+                        reps[key] = reps.get(key, 0) + weight * ways * tails[c - s]
+    return reps
 
 
 # ---------------------------------------------------------------------------
@@ -394,23 +523,53 @@ class CensusReport:
 
 def census(ring: EndRing, n: int, r: int, dmax: int, t: int,
            ceiling: int = 5_000_000) -> CensusReport:
-    """Bounded-degree census: reduced-matrix counts per degree bucket, torsion
-    counts, and the product-form bound (matrix count) * T^(2N+1).  The torsion
-    count comes first, so that N < 1 or T < 1 is refused before any walk."""
+    """Bounded-degree census: row-module counts per degree bucket, torsion
+    counts, and the product-form bound (module count) * T^(2N+1).
+
+    The modules are counted, not listed, wherever their reduced Gram forms
+    are known.  Each rank-r row module L has exactly one reduced Gram matrix
+    f, and its degree is det f.  The r-tuples of vectors whose Gram matrix is
+    f number R_N(f) (Siegel's representation number of f by N copies of the
+    norm form), and each module with reduced form f has exactly |Aut(f)| of
+    them among its bases, so it is counted exactly once by R_N(f) / |Aut(f)|.
+      * r = 1, every ring: f = (d), Aut(f) is the unit group, and R_N(d) is
+        the number of vectors of norm d (`_norm_counts`).
+      * r = 2, over Z: f runs over the Gauss-reduced forms (a, b, c),
+        0 <= 2b <= a <= c, of degree ac - b^2 <= dmax (`_rank_two_forms`),
+        with |Aut(f)| from `_binary_aut_order`: 2, or 4 when exactly one of
+        b = 0, 2b = a, a = c holds, 8 for (a, 0, a), 12 for (a, a/2, a).
+      * r >= 3 walks the candidate bases (`_walk_classes`) and reads each
+        class's degree off the walk.
+    The checks run in the order of `enumerate_matrices`, the torsion count
+    first, so that N < 1 or T < 1 is refused before any other work; the
+    resource guard refuses exactly the inputs whose walk it would refuse."""
     torsion_total = torsion_count(n, t)
-    matrices = enumerate_matrices(ring, n, r, dmax, ceiling)
+    counts = _checked_norm_counts(ring, n, r, dmax, ceiling)
     buckets: dict[int, int] = {}
-    for m in matrices:
-        d = degree_estimate(m)
-        buckets[d] = buckets.get(d, 0) + 1
+    if not counts:  # dmax < 1: no module has so small a degree
+        pass
+    elif r == 1:
+        units = len(ring.units())
+        for d in range(1, dmax + 1):
+            if counts[n][d]:
+                buckets[d] = _classes_of_form(counts[n][d], units, (d,))
+    elif r == 2:
+        for (a, b, c), reps in _rank_two_forms(counts, n, dmax).items():
+            d = a * c - b * b
+            buckets[d] = buckets.get(d, 0) + _classes_of_form(
+                reps, _binary_aut_order(a, b, c), (a, b, c))
+    else:
+        for d, _ in _walk_classes(ring, n, r, dmax):
+            buckets[d] = buckets.get(d, 0) + 1
+    total = sum(buckets.values())
     return CensusReport(
         ring=ring.kind,
         n=n,
         r=r,
         dmax=dmax,
         torsion_order_bound=t,
-        total_matrices=len(matrices),
+        total_matrices=total,
         degree_buckets=tuple(sorted(buckets.items())),
         torsion_total=torsion_total,
-        product_bound=len(matrices) * t ** (2 * n + 1),
+        product_bound=total * t ** (2 * n + 1),
     )

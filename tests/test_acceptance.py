@@ -13,7 +13,7 @@ from pathlib import Path
 import mpmath
 
 from ntbounds.bounds import constants_D_printed, exponents, family_final_bound, family_invariants
-from ntbounds.bruteforce import match_against, oracle_enumerate
+from ntbounds.bruteforce import match_against, oracle_degree, oracle_enumerate
 from ntbounds.chow_hurwitz import family_curve_profile, family_degree_upper, hurwitz_genus
 from ntbounds.cli import main
 from ntbounds.elliptic import add, negate, scalar_mul, validate_curve, weierstrass_height
@@ -27,7 +27,7 @@ from ntbounds.presets import ambient_gamma
 from ntbounds.rings import RING_GAUSS, RING_Z
 from ntbounds.rounding import Direction, eval_const
 from ntbounds.search import search_rational_points
-from ntbounds.subgroups import enumerate_matrices, torsion_count
+from ntbounds.subgroups import census, enumerate_matrices, torsion_count
 
 GOLDEN = Path(__file__).parent / "golden"
 TOL = Fraction(1, 10 ** 10)
@@ -193,6 +193,12 @@ def test_criterion_09_census_oracle_equivalence():
         assert not stats["unmatched"], (ring.kind, n, r)
         assert not stats["ambiguous"], (ring.kind, n, r)
         assert all(h >= 1 for h in stats["matched"]), (ring.kind, n, r)
+        # the census counts the classes the oracle confirms, degree by degree
+        buckets: dict[int, int] = {}
+        for m in production:
+            d = oracle_degree(ring, m.entries)
+            buckets[d] = buckets.get(d, 0) + 1
+        assert census(ring, n, r, dmax, 1).degree_buckets == tuple(sorted(buckets.items()))
     for n in range(1, 5):
         for t in (1, 7, 100):
             direct = sum(i ** (2 * n) for i in range(1, t + 1))

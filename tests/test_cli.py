@@ -234,6 +234,20 @@ def test_exit_code_resource_guard(capsys):
     assert code == EXIT_RESOURCE
 
 
+@pytest.mark.parametrize("n,digits", [(2, 1000), (600, 4)])
+def test_census_prints_totals_past_the_int_digit_limit(tmp_path, n, digits):
+    # T^(2N+1) has more digits than str() converts by default (4 300)
+    from decimal import Decimal
+    from ntbounds.subgroups import torsion_count
+    t = 10 ** digits
+    blob = run_to_bytes(tmp_path, ["census", "--ring", "z", "--N", str(n), "--r", "1",
+                                   "--max-degree", "1", "--torsion", str(t)])
+    payload = json.loads(blob)
+    assert payload["total_matrices"] == n
+    assert payload["product_bound"] == str(n) + "0" * (digits * (2 * n + 1))
+    assert Decimal(payload["torsion_total"]) == torsion_count(n, t)
+
+
 @pytest.mark.parametrize("args", [
     ["constants", "--d", "--hw", "0"],
     ["census", "--N", "2", "--r", "1", "--max-degree", "5", "--torsion", "2"],

@@ -15,8 +15,10 @@ from ntbounds.rounding import DomainError
 from ntbounds.subgroups import (
     ResourceGuardError,
     SubgroupMatrix,
+    _binary_aut_order,
     _candidate_rows,
     _full_rank_subsets,
+    _norm_counts,
     _row_count,
     census,
     degree_estimate,
@@ -335,7 +337,8 @@ def test_resource_guard_refuses():
     (G, 1, 10), (G, 2, 13), (G, 3, 9), (W, 1, 7), (W, 2, 12), (W, 3, 7),
 ])
 def test_row_count_matches_candidate_rows(ring, n, bound):
-    assert _row_count(ring, n, bound) == len(_candidate_rows(ring, n, bound))
+    assert _row_count(ring, _norm_counts(ring, n, bound)[n]) == len(
+        _candidate_rows(ring, n, bound))
 
 
 def test_resource_guard_refuses_before_building_rows(monkeypatch):
@@ -414,8 +417,9 @@ def test_census_with_more_coordinates_than_the_recursion_limit():
 @pytest.mark.parametrize("n,t", [(3, 0), (0, 20)])
 def test_census_refuses_bad_torsion_input_before_the_walk(monkeypatch, n, t):
     def no_walk(*args, **kwargs):
-        raise AssertionError("census walked before refusing its torsion input")
-    monkeypatch.setattr("ntbounds.subgroups.enumerate_matrices", no_walk)
+        raise AssertionError("census walked or counted before refusing its torsion input")
+    for name in ("enumerate_matrices", "_walk_classes", "_norm_counts", "_rank_two_forms"):
+        monkeypatch.setattr(f"ntbounds.subgroups.{name}", no_walk)
     with pytest.raises(DomainError):
         census(Z, n, 2, 20, t)
 
@@ -450,18 +454,19 @@ def test_rank_one_census_makes_no_hermite_forms(monkeypatch, ring, dmax):
         return hermite_normal_form(M)
 
     monkeypatch.setattr("ntbounds.subgroups.hermite_normal_form", counted)
-    rep = census(ring, 2, 1, dmax, 1)
-    assert rep.total_matrices > 0
+    assert enumerate_matrices(ring, 2, 1, dmax)
     assert calls == []
-    census(Z, 2, 2, 5, 1)
+    enumerate_matrices(Z, 2, 2, 5)
     assert calls  # the counter sees the Hermite forms of rank 2
 
 
 @pytest.mark.parametrize("n,r,dmax,forms,products", [
     (3, 3, 1, 1, 453), (2, 2, 100, 105, 1004)])
 def test_census_work_pinned(monkeypatch, n, r, dmax, forms, products):
-    # exact work of the pruned walk: a lost cut fails here however noisy the
-    # machine (the break changes only the inner products, not the forms)
+    # exact work of the reference census, the pruned walk plus one degree per
+    # class (r(r - 1)/2 inner products each): a lost cut fails here however
+    # noisy the machine (the break changes only the inner products, not the
+    # forms)
     form_calls, product_calls = [], []
     dot_conj = EndRing.dot_conj
 
@@ -475,8 +480,81 @@ def test_census_work_pinned(monkeypatch, n, r, dmax, forms, products):
 
     monkeypatch.setattr("ntbounds.subgroups.hermite_normal_form", counted)
     monkeypatch.setattr(EndRing, "dot_conj", counted_dot_conj)
-    census(Z, n, r, dmax, 1)
+    for m in enumerate_matrices(Z, n, r, dmax):
+        degree_estimate(m)
     assert (len(form_calls), len(product_calls)) == (forms, products)
+
+
+@pytest.mark.parametrize("ring,n,r,dmax", [
+    (Z, 2, 1, 200), (Z, 3, 1, 100), (Z, 2, 2, 100), (Z, 4, 2, 5), (W, 2, 1, 25)])
+def test_census_counts_rank_at_most_two_without_walking(monkeypatch, ring, n, r, dmax):
+    from ntbounds import subgroups
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(subgroups, name, wrapper)
+
+    for name in ("hermite_normal_form", "degree_estimate", "_candidate_rows",
+                 "_full_rank_subsets", "enumerate_matrices"):
+        counted(name, getattr(subgroups, name))
+    assert census(ring, n, r, dmax, 1).total_matrices > 0
+    assert calls == []
+
+
+def _reference_buckets(ring, n, r, dmax):
+    """Degree buckets of the listed classes, each degree recomputed."""
+    buckets = {}
+    for m in enumerate_matrices(ring, n, r, dmax, ceiling=10 ** 9):
+        d = degree_estimate(m)
+        buckets[d] = buckets.get(d, 0) + 1
+    return tuple(sorted(buckets.items()))
+
+
+# the census deck's shapes, Z at r = 1 for N <= 5, Z at r = 2 for N = 2..5
+# (N = 3, Dmax = 3 holds the hexagonal form on the edge of the r = 2 box), and
+# the CM rings at r = 1 for N <= 4
+@pytest.mark.parametrize("ring,n,r,dmax", [
+    (Z, 2, 1, 200), (Z, 3, 1, 100), (Z, 4, 1, 30), (Z, 2, 2, 100), (Z, 3, 2, 20),
+    (Z, 4, 2, 5), (Z, 3, 3, 1), (G, 2, 1, 25), (G, 3, 1, 5), (W, 2, 1, 25), (W, 3, 1, 5),
+    (Z, 1, 1, 60), (Z, 5, 1, 6),
+    (Z, 2, 2, 7), (Z, 2, 2, 48), (Z, 2, 2, 150), (Z, 3, 2, 3), (Z, 3, 2, 12),
+    (Z, 3, 2, 30), (Z, 4, 2, 2), (Z, 4, 2, 8), (Z, 5, 2, 2), (Z, 5, 2, 4),
+    (G, 1, 1, 40), (G, 4, 1, 3), (W, 1, 1, 40), (W, 4, 1, 3),
+])
+def test_census_counts_match_listed_classes(ring, n, r, dmax):
+    rep = census(ring, n, r, dmax, 1, ceiling=10 ** 9)
+    assert rep.degree_buckets == _reference_buckets(ring, n, r, dmax)
+    assert rep.total_matrices == sum(c for _, c in rep.degree_buckets)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([(Z, 1), (Z, 2), (G, 1), (W, 1)]),
+       st.integers(1, 4), st.integers(-1, 10))
+def test_census_counts_match_listed_classes_small(ring_rank, n, dmax):
+    ring, r = ring_rank
+    r = min(r, n)
+    assert (census(ring, n, r, dmax, 1).degree_buckets
+            == _reference_buckets(ring, n, r, dmax))
+
+
+def test_binary_aut_order_matches_brute_force():
+    # the automorphisms of a reduced binary form have entries in {-1, 0, 1}
+    # (Conway and Sloane, SPLAG, ch. 15); [-2, 2] leaves a margin
+    matrices = [g for g in itertools.product(range(-2, 3), repeat=4)
+                if abs(g[0] * g[3] - g[1] * g[2]) == 1]
+    forms = [(a, b, c) for a in range(1, 7) for b in range(a // 2 + 1)
+             for c in range(a, 13)]
+    assert (1, 0, 1) in forms and (2, 1, 2) in forms
+    for a, b, c in forms:
+        fixed = sum(
+            1 for p, q, u, v in matrices
+            if (a * p * p + 2 * b * p * q + c * q * q,
+                a * p * u + b * (p * v + q * u) + c * q * v,
+                a * u * u + 2 * b * u * v + c * v * v) == (a, b, c))
+        assert _binary_aut_order(a, b, c) == fixed, (a, b, c)
 
 
 def test_census_monotone_in_dmax():
