@@ -250,7 +250,12 @@ def _cmd_family_audit(args) -> int:
 def _cmd_search(args) -> int:
     gamma = _PRESET_GAMMAS.get(args.curve.removeprefix("preset:"))
     if gamma is None:
-        curve, gen, _rank, _tor = _load_curve(args.curve)
+        curve, gen, rank, torsion = _load_curve(args.curve)
+        if rank != 1 or torsion != 1:
+            # The search walks Z*g with torsion {O}: a file declaring more
+            # would be searched in part and reported as if in full.
+            raise DomainError(f"search needs rank 1 and torsion order 1; the curve file "
+                              f"declares rank {rank} and torsion order {torsion}")
         gamma = GammaSpec(curve, gen)
     tol = _parse_fraction(args.tol, "--tol")
     bound = _parse_fraction(args.height_bound, "--height-bound")
@@ -397,10 +402,7 @@ def main(argv=None) -> int:
     except IndeterminateError as exc:
         print(f"ntbounds: indeterminate: {exc}", file=sys.stderr)
         return EXIT_INDETERMINATE
-    except DomainError as exc:
-        print(f"ntbounds: domain error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except (SingularCurveError, PointNotOnCurveError) as exc:
+    except (DomainError, SingularCurveError, PointNotOnCurveError) as exc:
         print(f"ntbounds: domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
 

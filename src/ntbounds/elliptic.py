@@ -1,7 +1,8 @@
 """Short-Weierstrass elliptic curves over Q: exact group law, torsion, h_W(E).
 
-All point arithmetic is exact Fraction arithmetic; nothing here rounds except
-the single final log inside :func:`weierstrass_height`.
+All point arithmetic is exact Fraction arithmetic, and nothing here rounds:
+h_W(E) is returned as an exact expression, :func:`weierstrass_height_expr`,
+for the caller to evaluate.
 """
 
 from __future__ import annotations
@@ -12,15 +13,12 @@ from fractions import Fraction
 from typing import Optional
 
 from .rounding import (
-    BoundedReal,
     ConstExpr,
-    Direction,
     DomainError,
     LogRat,
     Prod,
     Rat,
     Sum,
-    eval_const,
     rat,
 )
 
@@ -34,7 +32,6 @@ __all__ = [
     "negate",
     "scalar_mul",
     "torsion_order",
-    "weierstrass_height",
     "weierstrass_height_expr",
     "curve_from_json",
     "curve_to_json",
@@ -272,11 +269,6 @@ def weierstrass_height_expr(E: EllipticCurveQ) -> ConstExpr:
     if len(terms) == 1:
         return terms[0]
     return Sum(tuple(terms))
-
-
-def weierstrass_height(E: EllipticCurveQ, direction: Direction = Direction.NEAREST,
-                       precision: int = 128) -> BoundedReal:
-    return eval_const(weierstrass_height_expr(E), direction, precision)
 
 
 # ---------------------------------------------------------------------------

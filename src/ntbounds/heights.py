@@ -1,4 +1,5 @@
-"""Weil height, modified height h2, Neron-Tate canonical height, bound combinators.
+"""Weil and modified h2 height expressions, Neron-Tate canonical height
+enclosures, bound combinators.
 
 The canonical height is the duplication limit of x-coordinate Weil heights,
 h-hat(P) = lim 4^-n h(x(2^n P)).  It is computed through the telescoping
@@ -12,10 +13,9 @@ the returned enclosure is certified to the requested tolerance.
 
 from __future__ import annotations
 
-import enum
-from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 from typing import Sequence, Union
 
@@ -41,32 +41,14 @@ from .rounding import (
 )
 
 __all__ = [
-    "HeightKind",
-    "HeightValue",
     "ProjPointQ",
-    "weil_height",
     "weil_height_expr",
-    "modified_height_h2",
     "modified_height_h2_expr",
-    "canonical_height",
     "canonical_height_enclosure",
     "zhang_sandwich",
     "h_upper_from_mu",
     "arithmetic_bezout_upper",
 ]
-
-
-class HeightKind(enum.Enum):
-    WEIL = "weil"
-    H2 = "h2"
-    CANONICAL = "canonical"
-    ESSENTIAL_MIN_UPPER = "essential_min_upper"
-
-
-@dataclass(frozen=True)
-class HeightValue:
-    kind: HeightKind
-    value: BoundedReal
 
 
 @dataclass(frozen=True)
@@ -114,20 +96,10 @@ def weil_height_expr(P: ProjPointQ) -> ConstExpr:
     return rat(0) if m == 1 else LogRat(Fraction(m))
 
 
-def weil_height(P: ProjPointQ, direction: Direction = Direction.NEAREST,
-                precision: int = 128) -> HeightValue:
-    return HeightValue(HeightKind.WEIL, eval_const(weil_height_expr(P), direction, precision))
-
-
 def modified_height_h2_expr(P: ProjPointQ) -> ConstExpr:
     """Archimedean term is the euclidean norm: (1/2) log(sum of squares)."""
     s = sum(c * c for c in P.coords)
     return rat(0) if s == 1 else Prod((Rat(Fraction(1, 2)), LogRat(Fraction(s))))
-
-
-def modified_height_h2(P: ProjPointQ, direction: Direction = Direction.NEAREST,
-                       precision: int = 128) -> HeightValue:
-    return HeightValue(HeightKind.H2, eval_const(modified_height_h2_expr(P), direction, precision))
 
 
 # ---------------------------------------------------------------------------
@@ -198,19 +170,11 @@ class _DoublingData:
     delta_log_arg: Fraction  # |h(x(2P)) - 4 h(x(P))| <= log(delta_log_arg)
 
 
-# Doubling data by curve (a, b), least recently used first.  Bounded, so that
-# a long-running process that keeps meeting fresh curves does not grow
-# without limit.
-_DOUBLING_CACHE_SIZE = 64
-_DOUBLING_CACHE: OrderedDict[tuple[Fraction, Fraction], _DoublingData] = OrderedDict()
-
-
+# Bounded, so that a long-running process that keeps meeting fresh curves
+# does not grow without limit.  EllipticCurveQ is frozen: it hashes and
+# compares by (a, b).
+@lru_cache(maxsize=64)
 def _doubling_data(E: EllipticCurveQ) -> _DoublingData:
-    key = (E.a, E.b)
-    hit = _DOUBLING_CACHE.get(key)
-    if hit is not None:
-        _DOUBLING_CACHE.move_to_end(key)
-        return hit
     a, b = E.a, E.b
     # Coefficients by B-degree of F = A^4 - 2a A^2 B^2 - 8b A B^3 + a^2 B^4
     # and G = 4 A^3 B + 4a A B^3 + 4b B^4, scaled to integers.
@@ -240,11 +204,7 @@ def _doubling_data(E: EllipticCurveQ) -> _DoublingData:
     rho_up = Fraction(max(sum(abs(c) for c in fi), sum(abs(c) for c in gi)))
     rho_down = Fraction(cap) * max(Fraction(int(k1), m1i), Fraction(int(k2), m2i))
     delta_arg = max(rho_up, rho_down, Fraction(1))
-    data = _DoublingData(fi, gi, cap, delta_arg)
-    _DOUBLING_CACHE[key] = data
-    if len(_DOUBLING_CACHE) > _DOUBLING_CACHE_SIZE:
-        _DOUBLING_CACHE.popitem(last=False)
-    return data
+    return _DoublingData(fi, gi, cap, delta_arg)
 
 
 def canonical_height_enclosure(E: EllipticCurveQ, P: ECPoint, tol,
@@ -349,18 +309,6 @@ def _eval_form_mod(coeffs: tuple[int, ...], a: int, b: int, modulus: int) -> int
         if c:
             acc = (acc + c * pa[deg - i] * pb[i]) % modulus
     return acc % modulus
-
-
-def canonical_height(E: EllipticCurveQ, P: ECPoint, tol,
-                     direction: Direction = Direction.NEAREST,
-                     precision: int = 256) -> HeightValue:
-    """h-hat_x(P) with certified error at most tol; exactly 0 for torsion."""
-    lo, hi = canonical_height_enclosure(E, P, tol, precision)
-    value = BoundedReal.from_fraction(
-        {Direction.UPPER: hi, Direction.LOWER: lo,
-         Direction.NEAREST: (lo + hi) / 2}[direction],
-        direction, precision)
-    return HeightValue(HeightKind.CANONICAL, value)
 
 
 # ---------------------------------------------------------------------------

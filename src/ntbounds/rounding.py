@@ -2,9 +2,8 @@
 
 Every numeric quantity that is not an exact rational is carried either as a
 symbolic :class:`ConstExpr` (products/sums over rationals, integer powers of pi,
-logarithms of positive rationals, Gamma at half-integers) or as a
-:class:`BoundedReal`: a dyadic float together with the side of the exact value
-it is guaranteed to lie on.
+logarithms of positive rationals) or as a :class:`BoundedReal`: a dyadic float
+together with the side of the exact value it is guaranteed to lie on.
 
 The interval substrate is mpmath's ``libmpi``: an interval is a raw pair
 ``(lo, hi)`` of libmp floats, and every operation takes its working precision
@@ -46,7 +45,6 @@ from mpmath.libmp import (
     mpi_log,
     mpi_mul,
     mpi_pow_int,
-    mpi_sqrt,
     round_ceiling,
     round_floor,
     round_nearest,
@@ -61,7 +59,6 @@ __all__ = [
     "Rat",
     "PiPow",
     "LogRat",
-    "GammaHalf",
     "Opaque",
     "Sum",
     "Prod",
@@ -288,27 +285,6 @@ class LogRat(ConstExpr):
 
 
 @dataclass(frozen=True)
-class GammaHalf(ConstExpr):
-    """Gamma(k/2 + 1) for integer k >= 0: exact factorial / double-factorial * sqrt(pi)."""
-
-    k: int
-
-    def __post_init__(self):
-        if self.k < 0:
-            raise DomainError("GammaHalf requires k >= 0")
-
-    def exact_parts(self) -> tuple[Fraction, bool]:
-        """(rational factor, whether a sqrt(pi) factor is present)."""
-        k = self.k
-        if k % 2 == 0:
-            return Fraction(math.factorial(k // 2)), False
-        dfact = 1
-        for j in range(k, 0, -2):
-            dfact *= j
-        return Fraction(dfact, 2 ** ((k + 1) // 2)), True
-
-
-@dataclass(frozen=True)
 class Opaque(ConstExpr):
     """A precomputed enclosure embedded as a leaf (e.g. a certified height).
 
@@ -374,9 +350,11 @@ def unit_ball_volume(r: int) -> ConstExpr:
     return Prod((Rat(Fraction(2 ** ((r + 1) // 2), dfact)), pi_pow((r - 1) // 2)))
 
 
-# Enclosures of atoms (pi powers, logs, Gamma values) by (atom, precision),
-# least recently used first.  Bounded, so that a long-running process that
-# keeps meeting fresh log arguments does not grow without limit.
+# Enclosures of atoms (pi powers, logs) by (atom, precision), least recently
+# used first.  Bounded, so that a long-running process that keeps meeting
+# fresh log arguments does not grow without limit.  Kept hand-rolled rather
+# than a functools.lru_cache: perfbench/run.py reads its size as
+# len(_ATOM_CACHE).
 _ATOM_CACHE_SIZE = 4096
 _ATOM_CACHE: OrderedDict = OrderedDict()
 
@@ -393,15 +371,7 @@ def _eval_log_rat(expr: LogRat, wp: int):
     return mpi_log(iv_from_fraction(expr.q, wp), wp)
 
 
-def _eval_gamma_half(expr: GammaHalf, wp: int):
-    c, has_sqrt_pi = expr.exact_parts()
-    result = iv_from_fraction(c, wp)
-    if has_sqrt_pi:
-        result = mpi_mul(result, mpi_sqrt(_pi(wp), wp), wp)
-    return result
-
-
-_ATOMS = {PiPow: _eval_pi_pow, LogRat: _eval_log_rat, GammaHalf: _eval_gamma_half}
+_ATOMS = {PiPow: _eval_pi_pow, LogRat: _eval_log_rat}
 
 
 def _eval_atom(expr, precision: int, wp: int):
@@ -457,7 +427,6 @@ _EVAL = {
     Rat: _eval_rat,
     PiPow: _eval_atom,
     LogRat: _eval_atom,
-    GammaHalf: _eval_atom,
     Opaque: _eval_opaque,
     Sum: _eval_sum,
     Prod: _eval_prod,

@@ -1,18 +1,19 @@
 """Bounded-height enumeration of rank-1 Mordell-Weil groups in E x E and
 membership testing against the curve families.
 
-Exhaustiveness holds only up to the caller's height bound B: the free part is
-cut off at |a| <= ceil(sqrt((B + tol)/h-hat(g))).  The canonical height is a
-quadratic form, h-hat(a*g + T) = a^2 h-hat(g) for torsion T, so one certified
-enclosure [g_lo, g_hi] of h-hat(g) decides almost every candidate: a point is
-kept if a^2 g_hi <= B + tol/2 and dropped if a^2 g_lo > B + 3 tol/2.  Only a
-point in the band between gets its own certified canonical height, kept if
-its midpoint is at most B + tol; the kept set is exactly that of certifying
-every point.  A GammaSpec keeps its generator's last enclosure with the
-(tol, precision) it was computed at, so repeated searches on one Gamma
-certify the generator once.  Only a >= 0 is walked: the points of -a are the
-negations of those of a.  The published bounds (~10^38) are far beyond any
-search; B is always desk-scale and explicit.
+Exhaustiveness holds only up to the caller's height bound B.  The canonical
+height is a quadratic form, h-hat(a*g + T) = a^2 h-hat(g) for torsion T, so
+one certified enclosure [g_lo, g_hi] of h-hat(g) decides almost every
+candidate: a point is kept if a^2 g_hi <= B + tol/2 and dropped if
+a^2 g_lo > B + 3 tol/2, which cuts the free part off at
+|a| <= last = floor(sqrt((B + 3 tol/2)/g_lo)).  Only a point in the band
+between gets its own certified canonical height, kept if its midpoint is at
+most B + tol; the kept set is exactly that of certifying every point.  A
+GammaSpec keeps its generator's last enclosure with the (tol, precision) it
+was computed at, so repeated searches on one Gamma certify the generator
+once.  Only a = 0..last is walked: the points of -a are the negations of
+those of a.  The published bounds (~10^38) are far beyond any search; B is
+always desk-scale and explicit.
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator
 
-from .elliptic import ECPoint, EllipticCurveQ, add, negate, scalar_mul, torsion_order
+from .elliptic import ECPoint, EllipticCurveQ, add, negate, torsion_order
 from .heights import canonical_height_enclosure
 from .rounding import DomainError
 
@@ -78,20 +79,14 @@ def _floor_sqrt_fraction(q: Fraction) -> int:
     return math.isqrt(q.numerator // q.denominator)
 
 
-def _ceil_sqrt_fraction(q: Fraction) -> int:
-    """Smallest integer m with m^2 >= q (q >= 0)."""
-    m = _floor_sqrt_fraction(q)
-    return m if m * m == q else m + 1
-
-
 def _as_fraction(x) -> Fraction:
     return Fraction(str(x)) if isinstance(x, float) else Fraction(x)
 
 
 def _free_range_bound(gamma: GammaSpec, B: Fraction, tol: Fraction,
-                      precision: int) -> tuple[int, Fraction, Fraction]:
-    """(a_max, g_lo, g_hi): the certified enclosure [g_lo, g_hi] of the
-    generator's height at tol and a_max = ceil(sqrt((B + tol)/g_lo)).
+                      precision: int) -> tuple[Fraction, Fraction]:
+    """(g_lo, g_hi): the certified enclosure of the generator's height at tol,
+    with g_lo > tol checked.
 
     The enclosure is read from gamma's slot when it was computed at the same
     (tol, precision), and otherwise computed and put in the slot.
@@ -113,7 +108,7 @@ def _free_range_bound(gamma: GammaSpec, B: Fraction, tol: Fraction,
         raise DomainError(
             "generator's canonical height does not exceed the tolerance; "
             "the GammaSpec looks inconsistent (torsion-like generator)")
-    return _ceil_sqrt_fraction((B + tol) / g_lo), g_lo, g_hi
+    return g_lo, g_hi
 
 
 def _height_estimator(gamma: GammaSpec, tol: Fraction, precision: int,
@@ -136,15 +131,15 @@ def _height_estimator(gamma: GammaSpec, tol: Fraction, precision: int,
 
 
 def _walk_rank1(gamma: GammaSpec, B: Fraction, tol: Fraction, g_lo: Fraction,
-                g_hi: Fraction, lo: int, hi: int,
-                estimate: Callable[[ECPoint], Fraction]) -> dict[int, list[ECPoint]]:
-    """a -> the points a*g + T, in torsion-list order, with lo <= a <= hi
-    whose estimated height is at most B + tol.
+                g_hi: Fraction, estimate: Callable[[ECPoint], Fraction]
+                ) -> dict[int, list[ECPoint]]:
+    """a -> the points a*g + T, in torsion-list order, whose estimated height
+    is at most B + tol.
 
-    Only |a| is walked, a*g stepped by one addition of g per step.  The
-    torsion list is closed under negation and (-a)*g + T = -(a*g + (-T)), so
-    the points of -a are negations of those of a; a point and its negation
-    share x(P), and with it their estimate.
+    Only |a| is walked, from a = 0 with a*g stepped by one addition of g per
+    step.  The torsion list is closed under negation and
+    (-a)*g + T = -(a*g + (-T)), so the points of -a are negations of those of
+    a; a point and its negation share x(P), and with it their estimate.
 
     h-hat(a*g + T) = a^2 h-hat(g) lies in [a^2 g_lo, a^2 g_hi], and a point's
     own estimate lies within tol/2 of it: a^2 g_hi <= B + tol/2 keeps the
@@ -156,44 +151,38 @@ def _walk_rank1(gamma: GammaSpec, B: Fraction, tol: Fraction, g_lo: Fraction,
     E, g, torsion = gamma.curve, gamma.generator, gamma.torsion_points
     sure = _floor_sqrt_fraction((B + tol / 2) / g_hi)
     last = _floor_sqrt_fraction((B + 3 * tol / 2) / g_lo)
-    start = 0 if lo <= 0 <= hi else min(abs(lo), abs(hi))
-    top = min(max(-lo, hi), last)
-    if lo > hi or start > top:
-        return {}
     negated = [torsion.index(negate(T)) for T in torsion]
     kept = {}
-    base = scalar_mul(E, start, g)
-    for a in range(start, top + 1):
-        if a > start:
+    base = ECPoint.infinity()
+    for a in range(last + 1):
+        if a:
             base = add(E, base, g)
         points = [add(E, base, T) for T in torsion]
         keep = [a <= sure or estimate(P) <= B + tol for P in points]
-        if lo <= a <= hi:
-            kept[a] = [P for P, k in zip(points, keep) if k]
-        if a > 0 and lo <= -a <= hi:
+        kept[a] = [P for P, k in zip(points, keep) if k]
+        if a:
             kept[-a] = [negate(points[j]) for j in negated if keep[j]]
     return kept
 
 
+def _kept_points(gamma: GammaSpec, B: Fraction, tol: Fraction, precision: int
+                 ) -> tuple[dict[int, list[ECPoint]], Callable[[ECPoint], Fraction]]:
+    """(the walk's a -> kept points, the height estimator it used)."""
+    g_lo, g_hi = _free_range_bound(gamma, B, tol, precision)
+    estimate = _height_estimator(gamma, tol, precision, g_lo, g_hi)
+    return _walk_rank1(gamma, B, tol, g_lo, g_hi, estimate), estimate
+
+
 def enumerate_rank1(gamma: GammaSpec, height_bound, tol,
-                    a_range: Optional[tuple[int, int]] = None,
                     precision: int = 256) -> Iterator[tuple[ECPoint, Fraction]]:
     """Yield (point, certified h-hat midpoint) for points a*g + T of canonical
     height at most B + tol, in deterministic order (a ascending, then the
     torsion list order).
-
-    a_range restricts the free coefficient to a closed subinterval: disjoint
-    a-ranges partition the enumeration exactly.
     """
-    B = _as_fraction(height_bound)
-    tol = _as_fraction(tol)
-    a_max, g_lo, g_hi = _free_range_bound(gamma, B, tol, precision)
-    lo, hi = (-a_max, a_max) if a_range is None else a_range
-    lo, hi = max(lo, -a_max), min(hi, a_max)
-    estimate = _height_estimator(gamma, tol, precision, g_lo, g_hi)
-    kept = _walk_rank1(gamma, B, tol, g_lo, g_hi, lo, hi, estimate)
-    for a in range(lo, hi + 1):
-        for P in kept.get(a, ()):
+    kept, estimate = _kept_points(gamma, _as_fraction(height_bound), _as_fraction(tol),
+                                  precision)
+    for a in sorted(kept):
+        for P in kept[a]:
             yield P, estimate(P)
 
 
@@ -237,7 +226,7 @@ def search_rational_points(family: str, n: int, gamma: GammaSpec, height_bound,
                            tol, shards: int = 1,
                            precision: int = 256) -> SearchReport:
     """Exhaustive-below-B search: enumerate Gamma x Gamma and filter by the
-    family equation.  One walk over a = 0..a_max covers the whole free range;
+    family equation.  One walk over a = 0..last covers the whole free range;
     `shards` is validated and echoed in the report, and changes neither the
     work nor the result."""
     if shards < 1:
@@ -246,9 +235,7 @@ def search_rational_points(family: str, n: int, gamma: GammaSpec, height_bound,
     B = _as_fraction(height_bound)
     tol_f = _as_fraction(tol)
     t0 = time.perf_counter()
-    a_max, g_lo, g_hi = _free_range_bound(gamma, B, tol_f, precision)
-    estimate = _height_estimator(gamma, tol_f, precision, g_lo, g_hi)
-    kept = _walk_rank1(gamma, B, tol_f, g_lo, g_hi, -a_max, a_max, estimate)
+    kept, estimate = _kept_points(gamma, B, tol_f, precision)
     points = sorted((P for row in kept.values() for P in row), key=ECPoint.key)
 
     # Every pair is decided: a pair with a point at infinity lies on the

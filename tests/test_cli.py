@@ -193,6 +193,24 @@ def test_exit_code_domain_error_off_curve_generator(tmp_path, capsys):
     assert "does not satisfy" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("declared", ['"torsion_order": 2', '"rank": 2'],
+                         ids=["torsion", "rank"])
+def test_search_refuses_curve_file_beyond_rank_one_and_trivial_torsion(
+        tmp_path, capsys, declared):
+    # y^2 = x^3 - 2x with g = (-1, 1) and the 2-torsion point (0, 0): a walk
+    # over Z*g alone would print a report missing half of Gamma's points
+    curve = tmp_path / "curve.json"
+    curve.write_text('{"a": "-2", "b": "0", "generator": ["-1", "1"], %s}' % declared)
+    code = main(["search", "--family", "f1", "--n", "1", "--curve", str(curve),
+                 "--height-bound", "6"])
+    out, err = capsys.readouterr()
+    assert code == EXIT_DOMAIN
+    assert out == ""
+    assert "rank 1 and torsion order 1" in err
+    # constants and bound read only h_W(E) from the file
+    assert main(["constants", "--d", "--curve", str(curve)]) == 0
+
+
 def test_program_value_error_is_not_a_domain_error(monkeypatch, capsys):
     def broken(*args, **kwargs):
         raise ValueError("a bug, not bad input")

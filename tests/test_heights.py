@@ -10,12 +10,9 @@ from ntbounds.elliptic import ECPoint, add, negate, scalar_mul, validate_curve
 from ntbounds.heights import (
     ProjPointQ,
     arithmetic_bezout_upper,
-    canonical_height,
     canonical_height_enclosure,
     h_upper_from_mu,
-    modified_height_h2,
     modified_height_h2_expr,
-    weil_height,
     weil_height_expr,
     zhang_sandwich,
     _doubling_data,
@@ -34,20 +31,25 @@ G1 = ECPoint.affine(1, 1)
 
 
 def test_weil_examples():
-    assert weil_height(ProjPointQ((1, 0, 0))).value.exact() == 0
-    got = weil_height(ProjPointQ((1, 2, 3)), Direction.NEAREST, 128).value.exact()
+    assert eval_const(weil_height_expr(ProjPointQ((1, 0, 0))), Direction.NEAREST).exact() == 0
+    got = eval_const(weil_height_expr(ProjPointQ((1, 2, 3))), Direction.NEAREST, 128).exact()
     assert abs(got - Fraction(str(math.log(3)))) < Fraction(1, 10 ** 12)
     # (2/3 : 1) clears to (2 : 3)
-    got2 = weil_height(ProjPointQ((Fraction(2, 3), 1))).value.exact()
+    got2 = eval_const(weil_height_expr(ProjPointQ((Fraction(2, 3), 1))),
+                      Direction.NEAREST).exact()
     assert abs(got2 - got * 1) < 1  # same log 3 value
     assert ProjPointQ((Fraction(2, 3), 1)).coords == (2, 3)
 
 
 def test_h2_examples():
-    assert modified_height_h2(ProjPointQ((1, 0))).value.exact() == 0
-    got = modified_height_h2(ProjPointQ((1, 1)), Direction.NEAREST, 128).value.exact()
+    def h2(coords):
+        return eval_const(modified_height_h2_expr(ProjPointQ(coords)), Direction.NEAREST,
+                          128).exact()
+
+    assert h2((1, 0)) == 0
+    got = h2((1, 1))
     assert abs(got - Fraction(str(0.5 * math.log(2)))) < Fraction(1, 10 ** 12)
-    got = modified_height_h2(ProjPointQ((1, 2, 3)), Direction.NEAREST, 128).value.exact()
+    got = h2((1, 2, 3))
     assert abs(got - Fraction(str(0.5 * math.log(14)))) < Fraction(1, 10 ** 12)
 
 
@@ -128,29 +130,27 @@ def test_canonical_height_against_exact_doubling_partial_sums():
             assert abs(float(mid) - approx) <= radius + float(TOL) + 1e-9
 
 
-def test_doubling_cache_is_bounded_lru(monkeypatch):
-    from collections import OrderedDict
-
-    from ntbounds import heights
-    monkeypatch.setattr(heights, "_DOUBLING_CACHE_SIZE", 4)
-    monkeypatch.setattr(heights, "_DOUBLING_CACHE", OrderedDict())
+def test_doubling_cache_is_bounded_lru():
+    maxsize = _doubling_data.cache_info().maxsize
     popular = _doubling_data(E2)
     fresh = []
-    for b in range(3, 13):
+    # more fresh curves than the cache holds, none seen before by this process
+    for b in range(1000, 1000 + maxsize + 6):
         E = validate_curve(1, b)
         fresh.append(_doubling_data(E))
         assert _doubling_data(E) is fresh[-1]  # the most recent curve hits
         assert _doubling_data(E2) is popular  # used, so kept
-        assert len(heights._DOUBLING_CACHE) <= 4
-    assert (Fraction(1), Fraction(3)) not in heights._DOUBLING_CACHE
-    # an evicted curve gets the same data again
-    assert _doubling_data(validate_curve(1, 3)) == fresh[0]
+        assert _doubling_data.cache_info().currsize <= maxsize
+    # the first fresh curve was evicted: it misses, and gets equal data again
+    misses = _doubling_data.cache_info().misses
+    assert _doubling_data(validate_curve(1, 1000)) == fresh[0]
+    assert _doubling_data.cache_info().misses == misses + 1
 
 
 def test_canonical_height_torsion_and_infinity():
-    assert canonical_height(E2, ECPoint.infinity(), TOL).value.exact() == 0
+    assert canonical_height_enclosure(E2, ECPoint.infinity(), TOL) == (0, 0)
     Et = validate_curve(-1, 0)
-    assert canonical_height(Et, ECPoint.affine(0, 0), TOL).value.exact() == 0
+    assert canonical_height_enclosure(Et, ECPoint.affine(0, 0), TOL) == (0, 0)
     assert canonical_height_enclosure(Et, ECPoint.affine(1, 0), TOL) == (0, 0)
 
 
@@ -194,9 +194,9 @@ def test_parallelogram_law(curve, gen):
 
 def test_canonical_height_rejects_bad_tolerance():
     with pytest.raises(DomainError):
-        canonical_height(E2, G2, 0)
+        canonical_height_enclosure(E2, G2, 0)
     with pytest.raises(DomainError):
-        canonical_height(E2, G2, Fraction(-1, 10))
+        canonical_height_enclosure(E2, G2, Fraction(-1, 10))
 
 
 def test_canonical_height_rational_coefficient_curve():

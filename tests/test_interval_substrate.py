@@ -23,7 +23,6 @@ from ntbounds.elliptic import ECPoint, add, scalar_mul, torsion_order, validate_
 from ntbounds.heights import _doubling_data, _eval_form_mod, canonical_height_enclosure
 from ntbounds.rounding import (
     Direction,
-    GammaHalf,
     LogRat,
     Opaque,
     PiPow,
@@ -80,12 +79,6 @@ def _ref_eval(expr):
         return iv.pi ** expr.k
     if isinstance(expr, LogRat):
         return iv.log(_ref_from_fraction(expr.q))
-    if isinstance(expr, GammaHalf):
-        c, has_sqrt_pi = expr.exact_parts()
-        result = _ref_from_fraction(c)
-        if has_sqrt_pi:
-            result = result * iv.sqrt(iv.pi)
-        return result
     if isinstance(expr, Opaque):
         return iv.mpf((_ref_round(expr.lo, libmp.round_floor),
                        _ref_round(expr.hi, libmp.round_ceiling)))
@@ -206,7 +199,6 @@ _leaves = st.one_of(
     st.builds(Rat, _fractions),
     st.builds(PiPow, st.integers(-8, 8)),
     st.builds(LogRat, _positive),
-    st.builds(GammaHalf, st.integers(0, 15)),
     _opaque(),
 )
 
@@ -236,8 +228,8 @@ _FIXED = [
     log_rat(2) / 3,
     unit_ball_volume(5),
     (rat(Fraction(7, 3)) * pi_pow(2) + log_rat(Fraction(9, 7))) ** 3,
-    GammaHalf(7) * log_rat(24) - rat(2),
-    Pow(GammaHalf(9) - rat(Fraction(1, 3)), -2),
+    pi_pow(3) * log_rat(24) - rat(2),
+    Pow(log_rat(11) - rat(Fraction(1, 3)), -2),
     Opaque(Fraction(1, 3), Fraction(2, 3)) * log_rat(Fraction(5, 7)),
 ]
 

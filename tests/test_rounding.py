@@ -10,7 +10,6 @@ from ntbounds.rounding import (
     Comparison,
     Direction,
     DomainError,
-    GammaHalf,
     compare_bound,
     decimal_sig_figs,
     eval_const,
@@ -53,16 +52,6 @@ def test_log_of_nonpositive_rational_rejected():
         log_rat(Fraction(-2, 3))
 
 
-def test_gamma_half_integers_exact():
-    # Gamma(k/2+1): k=2 -> 1, k=4 -> 2, k=3 -> 3 sqrt(pi)/4
-    assert eval_const(GammaHalf(2), NE).exact() == 1
-    assert eval_const(GammaHalf(4), NE).exact() == 2
-    got = eval_const(GammaHalf(3), NE, 128).exact()
-    with mpmath.workdps(40):
-        want = Fraction(str(3 * mpmath.sqrt(mpmath.pi) / 4))
-    assert abs(got - want) < Fraction(1, 10 ** 25)
-
-
 def test_unit_ball_volumes():
     assert eval_const(unit_ball_volume(1), NE).exact() == 2
     pi_val = eval_const(pi_pow(1), NE, 128).exact()
@@ -76,7 +65,7 @@ _EXPRS = [
     log_rat(2) / 3,
     unit_ball_volume(5),
     (rat(Fraction(7, 3)) * pi_pow(2) + log_rat(Fraction(9, 7))) ** 3,
-    GammaHalf(7) * log_rat(24) - rat(2),
+    pi_pow(3) * log_rat(24) - rat(2),
 ]
 
 

@@ -84,15 +84,6 @@ def test_enumerate_monotone_in_bound():
     assert small <= large
 
 
-def test_enumerate_shards_union_exactly():
-    gamma = ambient_gamma("f1")
-    whole = [(p.key()) for p, _ in enumerate_rank1(gamma, 25, TOL)]
-    parts = []
-    for rng in ((-10, -4), (-3, 2), (3, 10)):
-        parts.extend(p.key() for p, _ in enumerate_rank1(gamma, 25, TOL, a_range=rng))
-    assert sorted(parts) == sorted(whole)
-
-
 def test_enumerate_rejects_torsion_like_generator():
     gamma = ambient_gamma("f1")
     with pytest.raises(DomainError):
@@ -209,13 +200,6 @@ def _gamma(name):
     return ambient_gamma(name)
 
 
-def _contiguous_splits(a_max, shards):
-    """[-a_max, a_max] cut into `shards` contiguous nonempty ranges."""
-    total = 2 * a_max + 1
-    cuts = [-a_max + (total * s) // shards for s in range(shards + 1)]
-    return [(lo, hi - 1) for lo, hi in zip(cuts, cuts[1:]) if hi > lo]
-
-
 @pytest.mark.parametrize("name,B", [("f1", 10), ("f2", 25), ("two_torsion", 10),
                                     ("three_torsion", 10)])
 def test_incremental_walk_matches_per_a_reference(name, B):
@@ -223,33 +207,8 @@ def test_incremental_walk_matches_per_a_reference(name, B):
     a_max = _a_max(gamma, B)
     assert a_max >= 3
     per_a = _per_a_reference(gamma, B, a_max)
-
-    def reference(lo, hi):
-        return [pe for a in range(lo, hi + 1) for pe in per_a[a]]
-
-    ranges = {
-        None: (-a_max, a_max),
-        (-3, -1): (-3, -1),             # negative lo and hi
-        (-2, 1): (-2, 1),               # crosses zero
-        (-2, -2): (-2, -2),             # single a
-        (0, 0): (0, 0),
-        (3, 3): (3, 3),
-        (-a_max - 5, a_max + 7): (-a_max, a_max),   # clipped on both sides
-        (1, a_max + 3): (1, a_max),                 # clipped above
-        (-a_max - 2, -a_max + 1): (-a_max, -a_max + 1),
-        (a_max + 1, a_max + 4): (a_max + 1, a_max),  # entirely outside: empty
-    }
-    for a_range, clipped in ranges.items():
-        got = list(enumerate_rank1(gamma, B, TOL, a_range=a_range))
-        assert got == reference(*clipped), a_range
-    for shards in range(1, 9):
-        splits = _contiguous_splits(a_max, shards)
-        assert [a for lo, hi in splits for a in range(lo, hi + 1)] == \
-            list(range(-a_max, a_max + 1))
-        walked = []
-        for rng in splits:
-            walked.extend(enumerate_rank1(gamma, B, TOL, a_range=rng))
-        assert walked == reference(-a_max, a_max), shards
+    want = [pe for a in range(-a_max, a_max + 1) for pe in per_a[a]]
+    assert list(enumerate_rank1(gamma, B, TOL)) == want
 
 
 @pytest.mark.parametrize("name", ["f1", "f2", "two_torsion"])
@@ -377,6 +336,19 @@ class _CountingEnclosure:
         self.calls += 1
         self.points.append(P)
         return canonical_height_enclosure(E, P, *args, **kwargs)
+
+
+def test_f1_search_walk_adds_pinned(monkeypatch):
+    # B = 25 walks a = 0..9 on f1: one add per point (torsion is {O}) and
+    # one step per a > 0, 10 + 9 = 19.  A walk that stepped past a = 9, or
+    # rebuilt a*g from scratch, would add more.
+    gamma = ambient_gamma("f1")  # its closure check adds too, so build it first
+    calls = []
+    real_add = search_module.add
+    monkeypatch.setattr(search_module, "add", lambda *args: calls.append(1) or real_add(*args))
+    rep = search_rational_points("f1", 1, gamma, 25, TOL)
+    assert rep.candidate_points == 19
+    assert len(calls) == 19
 
 
 def test_f1_search_certifies_one_height(monkeypatch):
