@@ -17,19 +17,16 @@ from typing import Optional, Union
 from .chow_hurwitz import family_curve_profile, family_degree_upper, hurwitz_genus
 from .rounding import (
     BoundedReal,
-    Comparison,
     ConstExpr,
     Direction,
     DomainError,
     LogRat,
-    Opaque,
     Pow,
     Prod,
     Rat,
     Sum,
-    compare_bound,
-    decimal_sig_figs,
     eval_const,
+    fraction_to_decimal,
     pi_pow,
     rat,
     unit_ball_volume,
@@ -54,17 +51,12 @@ __all__ = [
     "CLOSED_FORM_COEFF",
 ]
 
-HeightLike = Union[ConstExpr, BoundedReal, Fraction, int]
+HeightLike = Union[ConstExpr, Fraction, int]
 
 
-def _as_expr(h: HeightLike, label: str = "supplied") -> ConstExpr:
+def _as_expr(h: HeightLike) -> ConstExpr:
     """Coerce a height-like input for substitution into a bound formula."""
-    if isinstance(h, ConstExpr):
-        return h
-    if isinstance(h, BoundedReal):
-        v = h.exact()
-        return Opaque(v, v, label)
-    return rat(Fraction(h))
+    return h if isinstance(h, ConstExpr) else rat(h)
 
 
 @dataclass(frozen=True)
@@ -93,7 +85,7 @@ def constants_CN_expr(N: int, h_w: HeightLike) -> tuple[ConstExpr, ConstExpr, Co
     """
     if N < 2:
         raise DomainError("N must be >= 2")
-    hw = _as_expr(h_w, "h_W")
+    hw = _as_expr(h_w)
     inner_rational = 3 ** (N * N + N + 1) * 2 ** (2 * N * N + 3 * N - 1) * (N + 1) ** (N + 1)
     inner = Prod((Rat(Fraction(inner_rational)),
                   Pow(Prod((unit_ball_volume(N), unit_ball_volume(N - 1))), -2)))
@@ -141,7 +133,7 @@ _D_PRINTED = (
     ("d2_constant_term", Prod((_D2_PREFIX, _D2_LOGS))),
     ("d3_constant_term", _D3_LOG),
 )
-_D3_HW_COEFFICIENT_PRINTED = decimal_sig_figs(_D3_HW_COEFFICIENT, 4, Direction.UPPER)
+_D3_HW_COEFFICIENT_PRINTED = fraction_to_decimal(_D3_HW_COEFFICIENT, 4, Direction.UPPER)
 
 
 def constants_D_expr(h_w: HeightLike) -> tuple[ConstExpr, ConstExpr, ConstExpr]:
@@ -151,7 +143,7 @@ def constants_D_expr(h_w: HeightLike) -> tuple[ConstExpr, ConstExpr, ConstExpr]:
     D2(E) = 2^62 3^41 / pi^8 * (71 log2 + 4 log3 + 30 h_W(E))
     D3(E) = (9/2) h_W(E) + (21/2) log2
     """
-    hw = _as_expr(h_w, "h_W")
+    hw = _as_expr(h_w)
     d2 = Prod((_D2_PREFIX, Sum((_D2_LOGS, Prod((Rat(Fraction(30)), hw))))))
     d3 = Sum((Prod((Rat(_D3_HW_COEFFICIENT), hw)), _D3_LOG))
     return _D1, d2, d3
@@ -165,8 +157,7 @@ def constants_D(h_w: HeightLike, direction: Direction = Direction.UPPER,
 
 def constants_D_printed(precision: int = 256) -> dict:
     """The published 4-significant-figure approximations (UPPER-rounded)."""
-    out = {name: decimal_sig_figs(eval_const(expr, Direction.UPPER, precision), 4,
-                                  Direction.UPPER)
+    out = {name: eval_const(expr, Direction.UPPER, precision).decimal(4)
            for name, expr in _D_PRINTED}
     out["d3_hw_coefficient"] = _D3_HW_COEFFICIENT_PRINTED
     return out
@@ -178,8 +169,6 @@ def constants_D_printed(precision: int = 256) -> dict:
 
 
 def _echo(h: HeightLike) -> str:
-    if isinstance(h, BoundedReal):
-        return h.decimal(20)
     if isinstance(h, ConstExpr):
         return "expr"
     return str(Fraction(h))
@@ -191,7 +180,7 @@ def bound_transverse_E2(h_c: HeightLike, deg_c: int, h_w: HeightLike,
     curves in the square of a non-CM curve, all terms UPPER-rounded."""
     if deg_c < 1:
         raise DomainError("deg_c must be >= 1")
-    hc = _as_expr(h_c, "h_C")
+    hc = _as_expr(h_c)
     d1, d2, d3 = constants_D_expr(h_w)
     term_height = Prod((d1, hc, Rat(Fraction(deg_c ** 2))))
     term_degree = Prod((d2, Rat(Fraction(deg_c ** 3))))
@@ -219,7 +208,7 @@ def bound_weaktransverse_EN(N: int, h_c: HeightLike, deg_c: int, h_w: HeightLike
         raise DomainError("deg_c must be >= 1")
     if N < 3:
         raise DomainError("N must be >= 3 (use the transverse-square branch for N = 2)")
-    hc = _as_expr(h_c, "h_C")
+    hc = _as_expr(h_c)
     c1, c2, c3 = constants_CN_expr(N, h_w)
     total = Sum((
         Prod((c1, hc, Rat(Fraction(deg_c ** (N - 1))))),
@@ -335,7 +324,10 @@ class FamilyBoundReport:
 def family_final_bound(n: int, family: str = "f2",
                        precision: int = 256) -> FamilyBoundReport:
     """Compose the family invariants with the transverse-square bound and
-    compare against the published closed form coefficient * (n+1)^3.
+    compare it against the published closed form coefficient * (n+1)^3.
+
+    The comparison is exact: within when the UPPER composition is at most the
+    closed form, exceeds when the LOWER one is above it, else indeterminate.
 
     The n = 1 comparison is known to come out the other way (the composition
     exceeds the printed closed form); it is reported flagged, not failed.
@@ -343,7 +335,7 @@ def family_final_bound(n: int, family: str = "f2",
     if n < 1:
         raise DomainError("n must be >= 1")
     closed_total = CLOSED_FORM_COEFF[family] * (n + 1) ** 3
-    closed_str = decimal_sig_figs(CLOSED_FORM_COEFF[family], 4, Direction.UPPER)
+    closed_str = fraction_to_decimal(CLOSED_FORM_COEFF[family], 4, Direction.UPPER)
     if family == "f1":
         deg = family_degree_upper(n, "f1")
         return FamilyBoundReport(
@@ -363,13 +355,10 @@ def family_final_bound(n: int, family: str = "f2",
     report = bound_transverse_E2(inv.h_upper, inv.deg_upper, _F2_HW_EXPR, precision)
     composed_up = report.bound
     composed_lo = eval_const(report.total, Direction.LOWER, precision)
-    closed_lo = BoundedReal.from_fraction(closed_total, Direction.LOWER, precision)
-    closed_up = BoundedReal.from_fraction(closed_total, Direction.UPPER, precision)
-    if compare_bound(composed_up, closed_lo) is Comparison.LESS or \
-            composed_up.exact() == closed_total:
+    if composed_up.exact() <= closed_total:
         verdict, flagged = "within-closed-form", False
         notes = ()
-    elif compare_bound(composed_lo, closed_up) is Comparison.GREATER:
+    elif composed_lo.exact() > closed_total:
         verdict, flagged = "exceeds-closed-form", True
         notes = ("composition of the published intermediate bounds exceeds the "
                  "printed closed form at this n; recorded as an unverified "

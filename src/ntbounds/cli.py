@@ -45,6 +45,7 @@ from .reporting import (
     search_report_payload,
 )
 from .rounding import (
+    MIN_PRECISION,
     ConstExpr,
     Direction,
     DomainError,
@@ -160,8 +161,8 @@ def _default_precision() -> int:
             value = int(env)
         except ValueError:
             raise InputParseError(f"NTBOUNDS_PRECISION must be an integer, got {env!r}")
-        if value < 53:
-            raise InputParseError("NTBOUNDS_PRECISION must be >= 53")
+        if value < MIN_PRECISION:
+            raise InputParseError(f"NTBOUNDS_PRECISION must be >= {MIN_PRECISION}")
         return value
     return 256
 
@@ -388,8 +389,8 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "precision", None) is None:
             args.precision = _default_precision()
-        elif args.precision < 53:
-            raise InputParseError("--precision must be >= 53")
+        elif args.precision < MIN_PRECISION:
+            raise InputParseError(f"--precision must be >= {MIN_PRECISION}")
         if args.digits < 1:
             raise InputParseError("--digits must be >= 1")
         return args.func(args)

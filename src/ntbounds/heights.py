@@ -147,7 +147,8 @@ def _poly_ext_gcd_one(f: list[Fraction], g: list[Fraction]):
         s0, s1 = s1, sub_scaled(s0, q, s1)
         t0, t1 = t1, sub_scaled(t0, q, t1)
     if len(r0) != 1:
-        raise DomainError("duplication forms are not coprime (singular curve?)")
+        # EllipticCurveQ rejects singular curves, whose forms share a factor
+        raise RuntimeError("duplication forms of a nonsingular curve are not coprime")
     c = r0[0]
     return [x / c for x in s0], [x / c for x in t0]
 

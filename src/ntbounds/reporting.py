@@ -6,12 +6,10 @@ reproducibility for identical logical inputs.
 from __future__ import annotations
 
 import json
-from decimal import Decimal
-from fractions import Fraction
 from typing import Any
 
 from .bounds import BoundReport, ExponentReport, FamilyBoundReport
-from .rounding import BoundedReal, Direction, fraction_to_decimal
+from .rounding import BoundedReal, Direction, fraction_to_decimal, integer_digits
 from .search import SearchReport
 from .subgroups import CensusReport
 
@@ -53,10 +51,6 @@ def height_payload(kind: str, b: BoundedReal, tolerance: str = "",
     return out
 
 
-def _fraction_decimal(q: Fraction, digits: int = 30) -> str:
-    return fraction_to_decimal(q, digits, Direction.NEAREST) if q else "0"
-
-
 def bound_report_payload(report: BoundReport, digits: int = DEFAULT_DIGITS) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
@@ -83,8 +77,8 @@ def family_audit_payload(reports: list[FamilyBoundReport], mu_h: list[dict],
             "degree_upper": rep.deg_upper,
             "genus": rep.genus,
             "closed_form_coefficient": rep.closed_form_coefficient,
-            "closed_form_total_decimal": _fraction_decimal(
-                Fraction(rep.closed_form_total), digits),
+            "closed_form_total_decimal": fraction_to_decimal(
+                rep.closed_form_total, digits, Direction.NEAREST),
             "verdict": rep.verdict,
             "flagged": rep.flagged,
             "notes": list(rep.notes),
@@ -102,13 +96,13 @@ def family_audit_payload(reports: list[FamilyBoundReport], mu_h: list[dict],
 
 def search_report_payload(report: SearchReport, digits: int = 30) -> dict:
     """Deterministic payload only: wall-clock and rate metrics are kept on the
-    in-memory report and emitted separately (stderr / --metrics-out), and the
-    shard count is likewise excluded so shard-partitioned runs emit identical
-    bytes."""
+    in-memory report and emitted separately (stderr / --metrics-out).  The
+    shard count is excluded too: it changes no work, so every shard count
+    emits the same bytes."""
     def height_entry(h: Fraction) -> dict:
         return {
             "kind": "canonical",
-            "value_decimal": _fraction_decimal(h, digits),
+            "value_decimal": fraction_to_decimal(h, digits, Direction.NEAREST),
             "direction": "nearest",
             "precision_bits": report.precision_bits,
             "tolerance": report.tolerance,
@@ -141,14 +135,6 @@ def search_report_payload(report: SearchReport, digits: int = 30) -> dict:
     }
 
 
-def _integer_digits(n: int) -> str:
-    """The decimal digits of an int of any size.  str() refuses ints longer
-    than sys.get_int_max_str_digits() (4 300 digits by default), and the
-    census totals grow as T^(2N+1); the exact int-to-Decimal conversion has
-    no such limit."""
-    return str(Decimal(n))
-
-
 def census_payload(report: CensusReport) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
@@ -161,8 +147,9 @@ def census_payload(report: CensusReport) -> dict:
         "total_matrices": report.total_matrices,
         "degree_buckets": [[d, c] for d, c in report.degree_buckets],
         "cumulative_counts": [[d, c] for d, c in report.cumulative()],
-        "torsion_total": _integer_digits(report.torsion_total),
-        "product_bound": _integer_digits(report.product_bound),
+        # the totals grow as T^(2N+1), past the digits str() accepts
+        "torsion_total": integer_digits(report.torsion_total),
+        "product_bound": integer_digits(report.product_bound),
     }
 
 

@@ -2,14 +2,18 @@
 
 Every numeric quantity that is not an exact rational is carried either as a
 symbolic :class:`ConstExpr` (products/sums over rationals, integer powers of pi,
-logarithms of positive rationals) or as a :class:`BoundedReal`: a dyadic float
-together with the side of the exact value it is guaranteed to lie on.
+logarithms of positive rationals) or as a :class:`BoundedReal`: an exact
+dyadic rational, held as a ``Fraction``, together with the side of the exact
+value it is guaranteed to lie on.  Certified comparisons are plain Fraction
+comparisons of such a value, and :func:`fraction_to_decimal` is the one
+routine that turns an exact number into text.
 
 The interval substrate is mpmath's ``libmpi``: an interval is a raw pair
 ``(lo, hi)`` of libmp floats, and every operation takes its working precision
 as an argument (``precision + GUARD_BITS``).  Precision is never process
-state, so evaluation reads and changes no global ``mpmath`` setting.  The
-libmpi enclosures are certified; endpoints are extracted exactly.
+state: only ``mpmath.libmp`` is imported, so evaluation reads and changes no
+global ``mpmath`` context.  The libmpi enclosures are certified; endpoints
+are extracted exactly.
 
 Atoms are cached by (atom, precision).  Each Sum/Prod/Pow node remembers its
 last enclosure together with the working precision it was computed at, so a
@@ -26,11 +30,9 @@ import enum
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
-from typing import Union
 
-import mpmath
-from mpmath import mp
 from mpmath.libmp import (
     fone,
     from_int,
@@ -52,14 +54,12 @@ from mpmath.libmp import (
 
 __all__ = [
     "Direction",
-    "Comparison",
     "IndeterminateError",
     "BoundedReal",
     "ConstExpr",
     "Rat",
     "PiPow",
     "LogRat",
-    "Opaque",
     "Sum",
     "Prod",
     "Pow",
@@ -69,9 +69,8 @@ __all__ = [
     "unit_ball_volume",
     "eval_const",
     "eval_interval",
-    "compare_bound",
     "fraction_to_decimal",
-    "decimal_sig_figs",
+    "integer_digits",
     "DEFAULT_PRECISION",
     "MIN_PRECISION",
     "GUARD_BITS",
@@ -81,8 +80,6 @@ DEFAULT_PRECISION = 128
 MIN_PRECISION = 53
 # Interval work runs this many bits above the precision of the result.
 GUARD_BITS = 16
-
-RationalLike = Union[int, Fraction]
 
 
 class Direction(enum.Enum):
@@ -97,12 +94,6 @@ _ROUNDING = {
     Direction.LOWER: round_floor,
     Direction.NEAREST: round_nearest,
 }
-
-
-class Comparison(enum.Enum):
-    LESS = "less"
-    GREATER = "greater"
-    INDETERMINATE = "indeterminate"
 
 
 class DomainError(ValueError):
@@ -143,13 +134,14 @@ def iv_from_fraction(q: Fraction, wp: int):
 
 @dataclass(frozen=True)
 class BoundedReal:
-    """A dyadic float plus the side of the exact quantity it brackets.
+    """An exact dyadic rational of at most `precision` bits, plus the side of
+    the exact quantity it brackets.
 
     direction UPPER: value >= exact; LOWER: value <= exact; NEAREST: no
     guaranteed side (display/estimate only, never used for certification).
     """
 
-    value: mpmath.mpf
+    value: Fraction
     direction: Direction
     precision: int = DEFAULT_PRECISION
 
@@ -167,7 +159,7 @@ class BoundedReal:
         else:
             # the exact midpoint: an unrounded sum, then a one-bit shift
             raw = mpf_shift(mpf_add(lo, hi), -1)
-        v = mp.make_mpf(mpf_pos(raw, precision, _ROUNDING[direction]))
+        v = _raw_to_fraction(mpf_pos(raw, precision, _ROUNDING[direction]))
         return BoundedReal(v, direction, precision)
 
     @staticmethod
@@ -175,31 +167,14 @@ class BoundedReal:
                       precision: int = DEFAULT_PRECISION) -> "BoundedReal":
         q = Fraction(q)
         raw = from_rational(q.numerator, q.denominator, precision, _ROUNDING[direction])
-        return BoundedReal(mp.make_mpf(raw), direction, precision)
+        return BoundedReal(_raw_to_fraction(raw), direction, precision)
 
     def exact(self) -> Fraction:
         """The stored dyadic value, exactly."""
-        return _raw_to_fraction(self.value._mpf_)
+        return self.value
 
     def decimal(self, sig_digits: int = 40) -> str:
-        return fraction_to_decimal(self.exact(), sig_digits, self.direction)
-
-
-def compare_bound(a: BoundedReal, b: BoundedReal) -> Comparison:
-    """Certified strict comparison; indeterminate when the directed intervals overlap.
-
-    A NEAREST value carries no certified side, so it can never certify an
-    ordering (raise precision and request directed values instead).
-    """
-    a_sup = a.exact() if a.direction is Direction.UPPER else None
-    a_inf = a.exact() if a.direction is Direction.LOWER else None
-    b_sup = b.exact() if b.direction is Direction.UPPER else None
-    b_inf = b.exact() if b.direction is Direction.LOWER else None
-    if a_sup is not None and b_inf is not None and a_sup < b_inf:
-        return Comparison.LESS
-    if a_inf is not None and b_sup is not None and a_inf > b_sup:
-        return Comparison.GREATER
-    return Comparison.INDETERMINATE
+        return fraction_to_decimal(self.value, sig_digits, self.direction)
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +183,8 @@ def compare_bound(a: BoundedReal, b: BoundedReal) -> Comparison:
 
 
 class ConstExpr:
-    """Finite symbolic tree over rationals, pi^k, log(q), Gamma(k/2+1)."""
+    """Finite symbolic tree of sums, products and integer powers over
+    rationals, pi^k and log(q)."""
 
     # (wp, (lo, hi)) of a Sum/Prod/Pow node's last evaluation, set by
     # `_eval_iv`; leaves keep none.
@@ -282,22 +258,6 @@ class LogRat(ConstExpr):
         if q <= 0:
             raise DomainError(f"log of nonpositive rational {q}")
         object.__setattr__(self, "q", q)
-
-
-@dataclass(frozen=True)
-class Opaque(ConstExpr):
-    """A precomputed enclosure embedded as a leaf (e.g. a certified height).
-
-    Its width is fixed: raising evaluation precision does not tighten it.
-    """
-
-    lo: Fraction
-    hi: Fraction
-    label: str = "opaque"
-
-    def __post_init__(self):
-        if self.lo > self.hi:
-            raise DomainError("Opaque enclosure with lo > hi")
 
 
 @dataclass(frozen=True)
@@ -393,12 +353,6 @@ def _eval_rat(expr: Rat, precision: int, wp: int):
     return iv_from_fraction(expr.q, wp)
 
 
-def _eval_opaque(expr: Opaque, precision: int, wp: int):
-    lo, hi = expr.lo, expr.hi
-    return (from_rational(lo.numerator, lo.denominator, wp, round_floor),
-            from_rational(hi.numerator, hi.denominator, wp, round_ceiling))
-
-
 # Every endpoint an evaluation returns has at most wp bits, so adding it to
 # zero or multiplying it by one at wp bits is exact: sums and products start
 # from their first term, and only an empty one needs its identity.
@@ -427,7 +381,6 @@ _EVAL = {
     Rat: _eval_rat,
     PiPow: _eval_atom,
     LogRat: _eval_atom,
-    Opaque: _eval_opaque,
     Sum: _eval_sum,
     Prod: _eval_prod,
     Pow: _eval_pow,
@@ -473,8 +426,7 @@ def eval_const(expr: ConstExpr, direction: Direction = Direction.NEAREST,
                precision: int = DEFAULT_PRECISION) -> BoundedReal:
     """Evaluate a constant expression, rounded to the requested side.
 
-    Increasing precision tightens the bracket monotonically (Opaque leaves
-    excepted, whose enclosures are fixed).
+    Increasing precision tightens the bracket monotonically.
     """
     return BoundedReal.from_interval(_enclose(expr, precision), direction, precision)
 
@@ -484,15 +436,27 @@ def eval_const(expr: ConstExpr, direction: Direction = Direction.NEAREST,
 # ---------------------------------------------------------------------------
 
 
+def integer_digits(n: int) -> str:
+    """The decimal digits of an int of any size.  str() refuses ints longer
+    than sys.get_int_max_str_digits() (4 300 digits by default); the exact
+    int-to-Decimal conversion has no such limit."""
+    return str(Decimal(n))
+
+
 def _decimal_digits(q: Fraction, sig_digits: int, rounding: str) -> tuple[int, int]:
     """(digits, exp10) with digits having sig_digits decimal digits, value ~ digits*10^exp10."""
     assert q > 0
     num, den = q.numerator, q.denominator
-    # e = floor(log10(q))
-    e = len(str(num)) - len(str(den))
-    while 10 ** e * den > num:
+
+    def below(e: int) -> bool:  # q < 10^e, in integer arithmetic
+        return num * 10 ** -e < den if e < 0 else num < den * 10 ** e
+
+    # e = floor(log10(q)).  q lies in [2^(k-1), 2^(k+1)) for k the bit-length
+    # difference, so the first estimate is within about one of it.
+    e = (num.bit_length() - den.bit_length()) * 30103 // 100000
+    while below(e):
         e -= 1
-    while 10 ** (e + 1) * den <= num:
+    while not below(e + 1):
         e += 1
     shift = sig_digits - 1 - e
     if shift >= 0:
@@ -530,7 +494,7 @@ def fraction_to_decimal(q: Fraction, sig_digits: int, direction: Direction) -> s
         rounding = {Direction.UPPER: "ceil", Direction.LOWER: "floor",
                     Direction.NEAREST: "nearest"}[direction]
     digits, exp10 = _decimal_digits(abs(q), sig_digits, rounding)
-    s = str(digits)
+    s = integer_digits(digits)
     point_exp = exp10 + len(s) - 1  # exponent of the leading digit
     if -4 <= point_exp <= 20:
         if exp10 >= 0:
@@ -546,10 +510,3 @@ def fraction_to_decimal(q: Fraction, sig_digits: int, direction: Direction) -> s
     if "." in mantissa:
         mantissa = mantissa.rstrip("0").rstrip(".")
     return f"{sign}{mantissa}e{point_exp}"
-
-
-def decimal_sig_figs(x: Union[BoundedReal, Fraction], sig_digits: int,
-                     direction: Direction = Direction.UPPER) -> str:
-    """Directed significant-figure rendering of a BoundedReal or exact fraction."""
-    q = x.exact() if isinstance(x, BoundedReal) else Fraction(x)
-    return fraction_to_decimal(q, sig_digits, direction)

@@ -497,7 +497,9 @@ def torsion_count(n_power: int, t: int) -> int:
     for k, b in enumerate(_even_bernoulli(n_power)):
         total += comb(p + 1, 2 * k) * b * t ** (p + 1 - 2 * k)
     count = total / (p + 1)
-    assert count.denominator == 1
+    if count.denominator != 1:
+        raise RuntimeError(f"Faulhaber's formula gave a non-integer count for "
+                           f"N = {n_power}, T = {t}")
     return count.numerator
 
 

@@ -22,8 +22,8 @@ from ntbounds.bounds import (
 from ntbounds.rounding import (
     Direction,
     DomainError,
-    decimal_sig_figs,
     eval_const,
+    fraction_to_decimal,
     log_rat,
 )
 
@@ -56,7 +56,7 @@ def test_d_constants_against_oracle():
 
 def test_d2_with_paper_hw_prints_1074():
     _, d2, _ = constants_D(HW_F2, Direction.UPPER, 256)
-    assert decimal_sig_figs(d2, 4, Direction.UPPER) == "1.074e36"
+    assert d2.decimal(4) == "1.074e36"
 
 
 def test_c_constants_examples():
@@ -65,7 +65,7 @@ def test_c_constants_examples():
     with mpmath.workdps(50):
         want = Fraction(str(64 * mpmath.mpf(3 ** 7 * 2 ** 13 * 27) / (2 * mpmath.pi) ** 2))
     assert abs(c1.exact() - want) < want * Fraction(1, 10 ** 30)
-    assert decimal_sig_figs(c1, 3, Direction.NEAREST) == "784000000"  # 7.84e8
+    assert c1.decimal(3) == "784000000"  # 7.84e8
     # C3(E,2) with h_W = 0 is (14/3) log 2
     with mpmath.workdps(50):
         want3 = Fraction(str(mpmath.mpf(14) / 3 * mpmath.log(2)))
@@ -117,7 +117,7 @@ def test_square_bound_n1_magnitude():
     inv = family_invariants("f2", 1)
     report = bound_transverse_E2(inv.h_upper, inv.deg_upper, HW_F2)
     # pipeline evaluation lands near 8.4e39
-    assert decimal_sig_figs(report.bound, 2, Direction.NEAREST) == "8.4e39"
+    assert fraction_to_decimal(report.bound.exact(), 2, Direction.NEAREST) == "8.4e39"
 
 
 def test_bound_monotone_in_inputs():
@@ -182,6 +182,25 @@ def test_family_final_bound_flags_only_n1():
         assert rep.verdict == "within-closed-form", n
         assert not rep.flagged
         assert rep.composed_total.exact() <= rep.closed_form_total
+
+
+def test_family_verdict_compares_exactly_with_the_closed_form(monkeypatch):
+    # closed forms within 2^-300 (relative) of the composition, far inside
+    # one unit in the 256th bit: each verdict is still decided exactly
+    rep = family_final_bound(2)
+    up = rep.composed_total.exact()
+    lo = eval_const(rep.composed.total, Direction.LOWER, 256).exact()
+    assert lo < up
+    eps = Fraction(1, 2 ** 300)
+    for closed, verdict in ((up * (1 + eps), "within-closed-form"),
+                            (up, "within-closed-form"),
+                            (lo * (1 - eps), "exceeds-closed-form"),
+                            ((lo + up) / 2, "indeterminate")):
+        monkeypatch.setitem(bounds_module.CLOSED_FORM_COEFF, "f2", closed / 27)
+        got = family_final_bound(2)
+        assert got.closed_form_total == closed
+        assert got.verdict == verdict
+        assert got.flagged is (verdict != "within-closed-form")
 
 
 def test_family_final_bound_f1_verbatim():

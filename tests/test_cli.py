@@ -1,8 +1,10 @@
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from ntbounds import bounds, heights, subgroups
 from ntbounds.cli import (
     EXIT_DOMAIN,
     EXIT_INDETERMINATE,
@@ -11,7 +13,7 @@ from ntbounds.cli import (
     main,
     parse_height_expr,
 )
-from ntbounds.rounding import Direction, eval_const
+from ntbounds.rounding import Direction, eval_const, log_rat
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -300,3 +302,92 @@ def test_family_audit_f1_closed_form_only(tmp_path, capsys):
     assert entry["closed_form_coefficient"] == "8.253e38"
     assert entry["verdict"] == "closed-form-only"
     assert entry["degree_upper"] == 45
+
+
+# -- reports past the float range and the int digit limit ----------------------
+
+
+def _upper_not_below_lower(value, expr, precision):
+    """A printed UPPER value is at least the LOWER evaluation of its tree."""
+    assert value["direction"] == "upper"
+    assert value["precision_bits"] == precision
+    lower = eval_const(expr, Direction.LOWER, precision).exact()
+    assert Fraction(value["value_decimal"]) >= lower, value
+
+
+@pytest.mark.parametrize("extra,precision", [(["--digits", "4400"], 256),
+                                             (["--precision", "16000"], 16000)])
+def test_constants_print_past_the_int_digit_limit(tmp_path, extra, precision):
+    payload = json.loads(run_to_bytes(
+        tmp_path, ["constants", "--d", "--hw", "1/3log2", *extra]))
+    exprs = bounds.constants_D_expr(log_rat(2) / 3)
+    for name, expr in zip(("d1", "d2", "d3"), exprs):
+        _upper_not_below_lower(payload["values"][name], expr, precision)
+
+
+def test_bound_prints_a_value_of_thousands_of_digits(tmp_path):
+    deg = 10 ** 600
+    payload = json.loads(run_to_bytes(tmp_path, [
+        "bound", "--branch", "power", "--N", "8", "--deg-c", str(deg),
+        "--h-c", "1", "--hw", "0"]))
+    report = bounds.bound_weaktransverse_EN(8, 1, deg, 0)
+    _upper_not_below_lower(payload["bound"], report.total, 256)
+    exprs = bounds.constants_CN_expr(8, 0)
+    for name, expr in zip(("c1", "c2", "c3"), exprs):
+        _upper_not_below_lower(payload["intermediates"][name], expr, 256)
+
+
+def test_family_audit_prints_values_below_2_pow_minus_1023(tmp_path):
+    payload = json.loads(run_to_bytes(tmp_path, [
+        "family-audit", "--family", "f2", "--n", "2", "--precision", "1024"]))
+    (entry,) = payload["entries"]
+    assert entry["verdict"] == "within-closed-form"
+    inv = bounds.family_invariants("f2", 2)
+    _upper_not_below_lower(entry["mu_upper"], inv.mu_upper, 1024)
+    _upper_not_below_lower(entry["h_upper"], inv.h_upper, 1024)
+    for label, expr in inv.chain:
+        _upper_not_below_lower(entry["height_chain"][label], expr, 1024)
+    report = bounds.bound_transverse_E2(inv.h_upper, inv.deg_upper, log_rat(2) / 3, 1024)
+    _upper_not_below_lower(entry["composed_total"], report.total, 1024)
+
+
+def test_search_prints_heights_at_1010_bits(tmp_path):
+    args = ["search", "--family", "f1", "--n", "1", "--curve", "f1", "--height-bound", "25"]
+    fine = json.loads(run_to_bytes(tmp_path, [*args, "--precision", "1010"], "a.json"))
+    coarse = json.loads(run_to_bytes(tmp_path, args, "b.json"))
+    assert fine["found"] and len(fine["found"]) == len(coarse["found"])
+    tol = Fraction(fine["tolerance"])
+    for a, b in zip(fine["found"], coarse["found"]):
+        assert (a["p1"], a["p2"]) == (b["p1"], b["p2"])
+        for key in ("height1", "height2"):
+            assert a[key]["precision_bits"] == 1010
+            diff = Fraction(a[key]["value_decimal"]) - Fraction(b[key]["value_decimal"])
+            assert abs(diff) <= tol
+
+
+# -- program faults propagate ---------------------------------------------------
+
+
+def test_coprimality_failure_of_the_duplication_forms_is_a_program_fault(monkeypatch):
+    real = heights._poly_ext_gcd_one
+
+    def sharing_a_factor(f, g):  # both times x: the real routine must refuse
+        return real([Fraction(0), *f], [Fraction(0), *g])
+
+    monkeypatch.setattr(heights, "_poly_ext_gcd_one", sharing_a_factor)
+    heights._doubling_data.cache_clear()
+    try:
+        with pytest.raises(RuntimeError, match="not coprime"):
+            main(["search", "--family", "f1", "--n", "1", "--curve", "f1",
+                  "--height-bound", "6", "--precision", "300"])
+    finally:
+        heights._doubling_data.cache_clear()
+
+
+def test_non_integral_torsion_count_is_a_program_fault(monkeypatch):
+    real = subgroups._even_bernoulli
+    monkeypatch.setattr(subgroups, "_even_bernoulli",
+                        lambda n: [real(n)[0] + Fraction(1, 7), *real(n)[1:]])
+    with pytest.raises(RuntimeError, match="non-integer count"):
+        main(["census", "--ring", "z", "--N", "2", "--r", "1",
+              "--max-degree", "4", "--torsion", "1"])

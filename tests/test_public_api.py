@@ -45,3 +45,34 @@ def test_unused_import_check_sees_an_unused_name():
     assert _unused_imports("from x import a, b\nimport c.d\nprint(a)\n") == \
         ["b (line 1)", "c (line 2)"]
     assert _unused_imports("from x import a\n__all__ = ['a']\n") == []
+
+
+def _mpmath_imports(source: str) -> list[str]:
+    """Imports that reach mpmath past its raw `libmp` layer: `import mpmath`,
+    or a name such as `mp` or `iv` whose global context a module could read
+    or change."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [f"{alias.name} (line {node.lineno})" for alias in node.names
+                      if alias.name.split(".")[0] == "mpmath"]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "mpmath":
+            for alias in node.names:
+                name = f"{node.module}.{alias.name}"
+                if name != "mpmath.libmp" and not name.startswith("mpmath.libmp."):
+                    found.append(f"{name} (line {node.lineno})")
+    return found
+
+
+def test_no_module_imports_mpmath_outside_libmp():
+    for path in sorted(Path(ntbounds.__file__).parent.glob("*.py")):
+        found = _mpmath_imports(path.read_text())
+        assert not found, f"{path.name} imports {found}"
+
+
+def test_mpmath_import_check_sees_the_global_contexts():
+    assert _mpmath_imports("import mpmath\nimport mpmath.libmp\n"
+                           "from mpmath import mp, libmp\nfrom mpmath.ctx_iv import iv\n"
+                           "from mpmath.libmp import mpf_add\n") == [
+        "mpmath (line 1)", "mpmath.libmp (line 2)",
+        "mpmath.mp (line 3)", "mpmath.ctx_iv.iv (line 4)"]

@@ -7,11 +7,8 @@ from hypothesis import strategies as st
 
 from ntbounds.rounding import (
     BoundedReal,
-    Comparison,
     Direction,
     DomainError,
-    compare_bound,
-    decimal_sig_figs,
     eval_const,
     eval_interval,
     fraction_to_decimal,
@@ -91,20 +88,8 @@ def test_rational_enclosure_sound(num, den, p):
     assert lo <= q <= hi
 
 
-def test_compare_bound_rules():
-    a = BoundedReal.from_fraction(1, U)
-    b = BoundedReal.from_fraction(2, L)
-    assert compare_bound(a, b) is Comparison.LESS
-    assert compare_bound(b, a) is Comparison.GREATER
-    c = BoundedReal.from_fraction(2, U)
-    d = BoundedReal.from_fraction(1, L)
-    assert compare_bound(c, d) is Comparison.INDETERMINATE
-    # pi^8 < 9489 certified at 128 bits
-    assert compare_bound(eval_const(pi_pow(8), U, 128),
-                         BoundedReal.from_fraction(9489, L, 128)) is Comparison.LESS
-    # NEAREST never certifies
-    assert compare_bound(BoundedReal.from_fraction(1, NE),
-                         BoundedReal.from_fraction(100, L)) is Comparison.INDETERMINATE
+def test_upper_value_certifies_pi_pow_8_below_9489():
+    assert eval_const(pi_pow(8), U, 128).exact() < 9489
 
 
 def test_directed_decimal_rendering():
@@ -115,7 +100,7 @@ def test_directed_decimal_rendering():
     assert fraction_to_decimal(Fraction(3, 2), 3, NE) == "1.5"
     assert fraction_to_decimal(Fraction(0), 5, U) == "0"
     assert fraction_to_decimal(Fraction(2364, 1000) * 10 ** 34, 4, U) == "2.364e34"
-    assert decimal_sig_figs(BoundedReal.from_fraction(Fraction(3, 2), U), 6) == "1.5"
+    assert BoundedReal.from_fraction(Fraction(3, 2), U).decimal(6) == "1.5"
 
 
 @given(num=st.integers(1, 10 ** 12), den=st.integers(1, 10 ** 12),
@@ -126,6 +111,71 @@ def test_directed_decimal_brackets_value(num, den, sig):
     up = Fraction(fraction_to_decimal(q, sig, U).replace("e", "E"))
     down = Fraction(fraction_to_decimal(q, sig, L).replace("e", "E"))
     assert down <= q <= up
+
+
+def test_directed_decimal_just_below_a_power_of_ten():
+    q = Fraction(1, 10 ** 57) - Fraction(1, 10 ** 80)
+    assert fraction_to_decimal(q, 1, L) == "9e-58"
+    assert fraction_to_decimal(q, 3, L) == "9.99e-58"
+    assert fraction_to_decimal(q, 3, U) == "1e-57"
+    assert fraction_to_decimal(-q, 3, U) == "-9.99e-58"
+
+
+def _parse_decimal(text: str) -> tuple[Fraction, int, str]:
+    """(value, exponent of the leading digit, significant digits) of a
+    rendered decimal, read off the text alone."""
+    body = text.lstrip("-")
+    if "e" in body:
+        mantissa, exp = body.split("e")
+        assert "." not in mantissa or mantissa.index(".") == 1, text
+        lead = int(exp)
+    else:
+        mantissa = body
+        point = mantissa.index(".") if "." in mantissa else len(mantissa)
+        first = len(mantissa) - len(mantissa.lstrip("0."))  # first nonzero digit
+        lead = point - first - (first < point)
+    digits = mantissa.replace(".", "").lstrip("0")
+    return Fraction(text), lead, digits.rstrip("0")
+
+
+def _big_ints(max_digits: int):
+    """Positive ints of up to max_digits digits, with random leading and
+    trailing parts, so that draws past 4 300 digits stay cheap."""
+    return st.builds(lambda hi, k, lo: hi * 10 ** k + lo,
+                     st.integers(0, 10 ** 30), st.integers(0, max_digits - 31),
+                     st.integers(1, 10 ** 30))
+
+
+@st.composite
+def _render_cases(draw):
+    kind = draw(st.sampled_from(["big", "dyadic", "near-power-of-ten"]))
+    if kind == "big":
+        q = Fraction(draw(_big_ints(4500)), draw(_big_ints(4500)))
+    elif kind == "dyadic":
+        q = Fraction(draw(st.integers(1, 2 ** 1100)), 2 ** draw(st.integers(0, 3000)))
+    else:
+        delta = Fraction(draw(st.integers(-10 ** 6, 10 ** 6)),
+                         10 ** draw(st.integers(80, 120)))
+        q = Fraction(10) ** draw(st.integers(-100, 100)) * (1 + delta)
+    if q == 0:
+        q = Fraction(1)
+    return q * draw(st.sampled_from([1, -1]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_render_cases(), st.integers(1, 60), st.sampled_from([U, L, NE]))
+def test_directed_decimal_against_exact_oracle(q, sig, direction):
+    text = fraction_to_decimal(q, sig, direction)
+    x, lead, digits = _parse_decimal(text)
+    assert x != 0 and digits[0] != "0", text
+    assert Fraction(10) ** lead <= abs(x) < Fraction(10) ** (lead + 1), text
+    assert len(digits) <= sig, text
+    if direction is U:
+        assert x >= q
+    elif direction is L:
+        assert x <= q
+    unit = Fraction(10) ** (lead - sig + 1)  # one unit in the sig-th digit
+    assert abs(x - q) < unit if direction is not NE else abs(x - q) <= unit / 2
 
 
 def test_eval_interval_endpoints_enclose():
@@ -186,7 +236,7 @@ def test_from_interval_matches_rounding_the_exact_endpoints(m1, e1, m2, e2, prec
     rnd = {U: libmp.round_ceiling, L: libmp.round_floor, NE: libmp.round_nearest}[direction]
     target = {U: b, L: a, NE: (a + b) / 2}[direction]
     want = libmp.from_rational(target.numerator, target.denominator, prec, rnd)
-    assert BoundedReal.from_interval(interval, direction, prec).value._mpf_ == want
+    assert BoundedReal.from_interval(interval, direction, prec).exact() == _raw_to_fraction(want)
 
 
 def test_from_interval_rejects_infinite_endpoints():
