@@ -19,10 +19,9 @@ from functools import lru_cache
 from math import gcd
 from typing import Sequence, Union
 
-from mpmath.libmp import mpf_ge, mpf_shift, mpf_sign
-from mpmath.libmp import mpi_abs, mpi_add, mpi_div, mpi_log, mpi_mul, mpi_sub
-
 from .elliptic import ECPoint, EllipticCurveQ, torsion_order
+from .libmp import mpf_ge, mpf_shift, mpf_sign
+from .libmp import mpi_abs, mpi_add, mpi_div, mpi_log, mpi_mul, mpi_sub
 from .rounding import (
     BoundedReal,
     ConstExpr,

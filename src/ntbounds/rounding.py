@@ -11,9 +11,9 @@ routine that turns an exact number into text.
 The interval substrate is mpmath's ``libmpi``: an interval is a raw pair
 ``(lo, hi)`` of libmp floats, and every operation takes its working precision
 as an argument (``precision + GUARD_BITS``).  Precision is never process
-state: only ``mpmath.libmp`` is imported, so evaluation reads and changes no
-global ``mpmath`` context.  The libmpi enclosures are certified; endpoints
-are extracted exactly.
+state: only ``mpmath.libmp`` is loaded (see :mod:`ntbounds.libmp`), so
+evaluation reads and changes no global ``mpmath`` context.  The libmpi
+enclosures are certified; endpoints are extracted exactly.
 
 Atoms are cached by (atom, precision).  Each Sum/Prod/Pow node remembers its
 last enclosure together with the working precision it was computed at, so a
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 
-from mpmath.libmp import (
+from .libmp import (
     fone,
     from_int,
     from_rational,
@@ -476,6 +476,20 @@ def _decimal_digits(q: Fraction, sig_digits: int, rounding: str) -> tuple[int, i
     return digits, e - (sig_digits - 1)
 
 
+def _dyadic_digit_cap(q: Fraction) -> int | None:
+    """An upper bound on the significant digits of q's decimal expansion when
+    q = num/2^k is dyadic (an integer when k = 0), else None.
+
+    q = num*5^k/10^k, and num*5^k has at most bits(num) + (k + 1)*2.322 bits
+    and so at most floor(bits * 0.30103) + 1 digits; 2.322 and 0.30103 round
+    log2(5) and log10(2) up, and 2^k has k + 1 bits.
+    """
+    num, den = q.as_integer_ratio()
+    if den.bit_count() != 1:
+        return None
+    return (num.bit_length() + den.bit_length() * 2322 // 1000) * 30103 // 100000 + 1
+
+
 def fraction_to_decimal(q: Fraction, sig_digits: int, direction: Direction) -> str:
     """Decimal string with directed rounding at the last kept digit.
 
@@ -486,6 +500,11 @@ def fraction_to_decimal(q: Fraction, sig_digits: int, direction: Direction) -> s
         raise DomainError("need at least one significant digit")
     if q == 0:
         return "0"
+    # A dyadic q has a finite expansion, and both layouts strip the trailing
+    # zeros that more digits would add: cap the work at the expansion.
+    cap = _dyadic_digit_cap(q)
+    if cap is not None and sig_digits > cap:
+        sig_digits = cap
     sign = "-" if q < 0 else ""
     if q < 0:
         rounding = {Direction.UPPER: "floor", Direction.LOWER: "ceil",

@@ -8,12 +8,19 @@ candidate: a point is kept if a^2 g_hi <= B + tol/2 and dropped if
 a^2 g_lo > B + 3 tol/2, which cuts the free part off at
 |a| <= last = floor(sqrt((B + 3 tol/2)/g_lo)).  Only a point in the band
 between gets its own certified canonical height, kept if its midpoint is at
-most B + tol; the kept set is exactly that of certifying every point.  A
-GammaSpec keeps its generator's last enclosure with the (tol, precision) it
-was computed at, so repeated searches on one Gamma certify the generator
-once.  Only a = 0..last is walked: the points of -a are the negations of
-those of a.  The published bounds (~10^38) are far beyond any search; B is
-always desk-scale and explicit.
+most B + tol; the kept set is exactly that of certifying every point.
+
+A GammaSpec keeps two slots from one request to the next.  One holds its
+generator's last enclosure with the (tol, precision) it was computed at, so
+repeated searches on one Gamma certify the generator once.  The other holds
+the walk: the points a*g + T for a = 0..m, and every point of +-a in
+`ECPoint.key` order with its a, torsion index and text.  The walk depends on
+the Gamma only, not on B, tol, precision, n or the family, so a request
+extends it only past the largest cutoff any request on that Gamma has
+reached, and otherwise just filters it.  The slot holds no more points than
+the request that reached that cutoff held at its peak, and does not grow
+with the number of requests.  The published bounds (~10^38) are far beyond
+any search; B is always desk-scale and explicit.
 """
 
 from __future__ import annotations
@@ -42,16 +49,23 @@ FAMILY_IDS = ("f1", "f2")
 
 @dataclass(frozen=True)
 class GammaSpec:
-    """A rank-1 subgroup: curve, non-torsion generator, explicit torsion list."""
+    """A rank-1 subgroup: curve, non-torsion generator, explicit torsion list.
+
+    Two slots, set by the searches on it, keep work that depends on the Gamma
+    alone: the generator's last certified enclosure and the walk of the
+    multiples of g up to the largest cutoff any request has reached (see
+    `_walk_to`).  Neither is a field, so ==, hash and repr ignore them.
+    """
 
     curve: EllipticCurveQ
     generator: ECPoint
     torsion_points: tuple[ECPoint, ...] = (ECPoint.infinity(),)
 
     # ((tol, precision), (g_lo, g_hi)) of the generator's last certified
-    # enclosure, set by `_free_range_bound`.  Not a field, so ==, hash and
-    # repr ignore it.
+    # enclosure, set by `_free_range_bound`.
     _enclosure = None
+    # (rows, ordered) of the walk, set by `_walk_to`.
+    _walk = None
 
     def __post_init__(self):
         self.curve.require(self.generator)
@@ -130,47 +144,70 @@ def _height_estimator(gamma: GammaSpec, tol: Fraction, precision: int,
     return estimate
 
 
-def _walk_rank1(gamma: GammaSpec, B: Fraction, tol: Fraction, g_lo: Fraction,
-                g_hi: Fraction, estimate: Callable[[ECPoint], Fraction]
-                ) -> dict[int, list[ECPoint]]:
-    """a -> the points a*g + T, in torsion-list order, whose estimated height
-    is at most B + tol.
+# One walked point: (P, |a|, a, torsion index, str(P)), P = a*g + T.
+_WalkPoint = tuple[ECPoint, int, int, int, str]
 
-    Only |a| is walked, from a = 0 with a*g stepped by one addition of g per
-    step.  The torsion list is closed under negation and
+
+def _walk_to(gamma: GammaSpec, last: int
+             ) -> tuple[tuple[tuple[ECPoint, ...], ...], tuple[_WalkPoint, ...]]:
+    """(rows, ordered): gamma's walk, covering at least |a| <= last.
+
+    rows[a] holds the points a*g + T for a = 0..m (m >= last), in torsion-list
+    order, and ordered holds every point of +-a for |a| <= m, in
+    `ECPoint.key` order.  The walk is read from gamma's slot when it reaches
+    last, and otherwise extended from its last base point m*g, one addition
+    of g per step, and put back in the slot.
+
+    Only |a| is walked.  The torsion list is closed under negation and
     (-a)*g + T = -(a*g + (-T)), so the points of -a are negations of those of
-    a; a point and its negation share x(P), and with it their estimate.
+    a.
+    """
+    slot = gamma._walk
+    if slot is not None and len(slot[0]) > last:
+        return slot
+    E, g, torsion = gamma.curve, gamma.generator, gamma.torsion_points
+    negated = [torsion.index(negate(T)) for T in torsion]
+    rows, ordered = (list(slot[0]), list(slot[1])) if slot is not None else ([], [])
+    base = rows[-1][0] if rows else ECPoint.infinity()  # torsion[0] is O
+    for a in range(len(rows), last + 1):
+        if a:
+            base = add(E, base, g)
+        points = tuple(add(E, base, T) for T in torsion)
+        rows.append(points)
+        ordered.extend((P, a, a, t, str(P)) for t, P in enumerate(points))
+        if a:
+            for t, j in enumerate(negated):
+                P = negate(points[j])
+                ordered.append((P, a, -a, t, str(P)))
+    ordered.sort(key=lambda w: w[0].key())
+    slot = (tuple(rows), tuple(ordered))
+    # One attribute store of one tuple: a reader in another thread sees the
+    # old slot or the new one, never a mix.
+    object.__setattr__(gamma, "_walk", slot)
+    return slot
+
+
+def _kept_points(gamma: GammaSpec, B: Fraction, tol: Fraction, precision: int
+                 ) -> tuple[list[_WalkPoint], Callable[[ECPoint], Fraction]]:
+    """(the walked points whose estimated height is at most B + tol, in
+    `ECPoint.key` order; the height estimator that decided them).
 
     h-hat(a*g + T) = a^2 h-hat(g) lies in [a^2 g_lo, a^2 g_hi], and a point's
     own estimate lies within tol/2 of it: a^2 g_hi <= B + tol/2 keeps the
     point and a^2 g_lo > B + 3 tol/2 drops it.  As cutoffs on |a|, the first
-    keeps |a| <= sure and the second drops |a| > last, so the walk stops at
-    last.  Only in the band between does `estimate` certify the point's own
-    height.
+    keeps |a| <= sure and the second drops |a| > last.  Only in the band
+    between does `estimate` certify the point's own height; a point and its
+    negation share x(P), and with it their estimate.
     """
-    E, g, torsion = gamma.curve, gamma.generator, gamma.torsion_points
-    sure = _floor_sqrt_fraction((B + tol / 2) / g_hi)
-    last = _floor_sqrt_fraction((B + 3 * tol / 2) / g_lo)
-    negated = [torsion.index(negate(T)) for T in torsion]
-    kept = {}
-    base = ECPoint.infinity()
-    for a in range(last + 1):
-        if a:
-            base = add(E, base, g)
-        points = [add(E, base, T) for T in torsion]
-        keep = [a <= sure or estimate(P) <= B + tol for P in points]
-        kept[a] = [P for P, k in zip(points, keep) if k]
-        if a:
-            kept[-a] = [negate(points[j]) for j in negated if keep[j]]
-    return kept
-
-
-def _kept_points(gamma: GammaSpec, B: Fraction, tol: Fraction, precision: int
-                 ) -> tuple[dict[int, list[ECPoint]], Callable[[ECPoint], Fraction]]:
-    """(the walk's a -> kept points, the height estimator it used)."""
     g_lo, g_hi = _free_range_bound(gamma, B, tol, precision)
     estimate = _height_estimator(gamma, tol, precision, g_lo, g_hi)
-    return _walk_rank1(gamma, B, tol, g_lo, g_hi, estimate), estimate
+    sure = _floor_sqrt_fraction((B + tol / 2) / g_hi)
+    last = _floor_sqrt_fraction((B + 3 * tol / 2) / g_lo)
+    bound = B + tol
+    _, ordered = _walk_to(gamma, last)
+    kept = [w for w in ordered
+            if w[1] <= sure or (w[1] <= last and estimate(w[0]) <= bound)]
+    return kept, estimate
 
 
 def enumerate_rank1(gamma: GammaSpec, height_bound, tol,
@@ -181,9 +218,9 @@ def enumerate_rank1(gamma: GammaSpec, height_bound, tol,
     """
     kept, estimate = _kept_points(gamma, _as_fraction(height_bound), _as_fraction(tol),
                                   precision)
-    for a in sorted(kept):
-        for P in kept[a]:
-            yield P, estimate(P)
+    kept.sort(key=lambda w: (w[2], w[3]))
+    for w in kept:
+        yield w[0], estimate(w[0])
 
 
 def _check_family(family: str, n: int) -> None:
@@ -193,9 +230,15 @@ def _check_family(family: str, n: int) -> None:
         raise DomainError("n must be >= 1")
 
 
-def _family_rhs(family: str, n: int, x: Fraction) -> Fraction:
-    """The y that the family equation asks of p2, given x = x(p1)."""
-    return x ** n if family == "f1" else x ** n + 1
+def _family_rhs(family: str, n: int, x: Fraction) -> tuple[int, int]:
+    """(numerator, denominator) of the y that the family equation asks of p2,
+    given x = x(p1).
+
+    x = num/den in lowest terms with den > 0, so x^n = num^n/den^n and
+    x^n + 1 = (num^n + den^n)/den^n are in lowest terms too.
+    """
+    top, bottom = x.numerator ** n, x.denominator ** n
+    return (top, bottom) if family == "f1" else (top + bottom, bottom)
 
 
 @dataclass(frozen=True)
@@ -226,7 +269,7 @@ def search_rational_points(family: str, n: int, gamma: GammaSpec, height_bound,
                            tol, shards: int = 1,
                            precision: int = 256) -> SearchReport:
     """Exhaustive-below-B search: enumerate Gamma x Gamma and filter by the
-    family equation.  One walk over a = 0..last covers the whole free range;
+    family equation.  The walk kept on gamma covers the whole free range;
     `shards` is validated and echoed in the report, and changes neither the
     work nor the result."""
     if shards < 1:
@@ -235,25 +278,24 @@ def search_rational_points(family: str, n: int, gamma: GammaSpec, height_bound,
     B = _as_fraction(height_bound)
     tol_f = _as_fraction(tol)
     t0 = time.perf_counter()
-    kept, estimate = _kept_points(gamma, B, tol_f, precision)
-    points = sorted((P for row in kept.values() for P in row), key=ECPoint.key)
+    points, estimate = _kept_points(gamma, B, tol_f, precision)
 
     # Every pair is decided: a pair with a point at infinity lies on the
     # boundary of the affine chart and is listed, never equation-tested; an
     # affine p1 matches exactly the affine p2 whose y is the family's rhs.
     # Points and each by_y bucket are in key order, so found is too.
-    at_infinity = [P for P in points if P.is_infinity]
-    by_y: dict[Fraction, list[ECPoint]] = {}
-    for P in points:
+    at_infinity = [text for P, _, _, _, text in points if P.is_infinity]
+    by_y: dict[tuple[int, int], list[ECPoint]] = {}
+    for P, _, _, _, _ in points:
         if not P.is_infinity:
-            by_y.setdefault(P.y, []).append(P)
+            by_y.setdefault((P.y.numerator, P.y.denominator), []).append(P)
     found = []
     closure = []
-    for p1 in points:
+    for p1, _, _, _, text1 in points:
         if p1.is_infinity:
-            closure.extend(f"{p1} x {p2}" for p2 in points)
+            closure.extend(f"{text1} x {w[4]}" for w in points)
             continue
-        closure.extend(f"{p1} x {p2}" for p2 in at_infinity)
+        closure.extend(f"{text1} x {text2}" for text2 in at_infinity)
         for p2 in by_y.get(_family_rhs(family, n, p1.x), ()):
             found.append(FoundPoint(p1, p2, estimate(p1), estimate(p2)))
     closure.sort()

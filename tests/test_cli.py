@@ -156,6 +156,52 @@ def test_preset_searches_reuse_one_validated_gamma(tmp_path, capsys, monkeypatch
     assert checks.count(gamma.generator) == 2
 
 
+def _perfbench_workloads():
+    """perfbench/workloads.py, executed from its source text so that no
+    bytecode cache is written beside it."""
+    import sys
+    import types
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    module = types.ModuleType("perfbench_workloads_for_tests")
+    module.__file__ = str(path)
+    sys.modules[module.__name__] = module  # its dataclasses look their module up
+    try:
+        exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
+    finally:
+        del sys.modules[module.__name__]
+    return module
+
+
+def test_search_bytes_do_not_depend_on_request_order(monkeypatch, capsys):
+    # The benchmark's search decks 0-3 at seed 11, forward on fresh preset
+    # Gammas and then in reverse on other fresh ones: the walk each Gamma
+    # keeps must not change a byte of any report.
+    import ntbounds.cli as cli_module
+    from ntbounds.presets import PRESET_NAMES, ambient_gamma
+    workloads = _perfbench_workloads()
+    argvs = [req.argv for index in range(4) for req in workloads.deck("search", 11, index)]
+    assert len(set(argvs)) > 9
+
+    def run_all(order):
+        monkeypatch.setattr(cli_module, "_PRESET_GAMMAS",
+                            {name: ambient_gamma(name) for name in PRESET_NAMES})
+        out = {}
+        for argv in order:
+            assert main(list(argv)) == 0, argv
+            out[argv] = capsys.readouterr().out.encode()
+        return out
+
+    forward = run_all(argvs)
+    backward = run_all(argvs[::-1])
+    assert forward == backward
+
+
+def test_digits_past_a_dyadic_expansion_print_the_same_bytes(tmp_path):
+    args = ["constants", "--d", "--hw", "1/3log2"]
+    assert run_to_bytes(tmp_path, [*args, "--digits", "100000"]) == \
+        run_to_bytes(tmp_path, [*args, "--digits", "25000"])
+
+
 # -- exit codes -----------------------------------------------------------------
 
 

@@ -1,7 +1,12 @@
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import ntbounds
 
@@ -76,3 +81,33 @@ def test_mpmath_import_check_sees_the_global_contexts():
                            "from mpmath.libmp import mpf_add\n") == [
         "mpmath (line 1)", "mpmath.libmp (line 2)",
         "mpmath.mp (line 3)", "mpmath.ctx_iv.iv (line 4)"]
+
+
+def test_cli_import_loads_libmp_without_mpmath():
+    # mpmath/__init__ builds every mpmath context; only its libmp layer is used
+    src = str(Path(ntbounds.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys, ntbounds.cli; "
+            "print('mpmath' in sys.modules, 'ntbounds.libmp' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.split() == ["False", "True"]
+
+
+def test_libmp_loader_agrees_with_mpmath_libmp():
+    from mpmath import libmp as reference
+
+    from ntbounds import libmp
+    assert libmp.mpi_log.__module__ == f"{libmp._PACKAGE}.libmpi"  # a copy of its own
+    x = reference.from_rational(7, 3, 200, reference.round_floor)
+    assert libmp.from_rational(7, 3, 200, libmp.round_floor) == x
+    two = (reference.from_int(2), reference.from_int(2))
+    assert libmp.mpi_log(two, 300) == reference.mpi_log(two, 300)
+
+
+def test_libmp_loader_fails_with_import_error_without_mpmath(monkeypatch):
+    from ntbounds import libmp
+    monkeypatch.setattr(libmp.importlib.util, "find_spec", lambda name: None)
+    with pytest.raises(ImportError):
+        libmp._load()

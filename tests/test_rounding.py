@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ntbounds import rounding
 from ntbounds.rounding import (
     BoundedReal,
     Direction,
@@ -176,6 +177,54 @@ def test_directed_decimal_against_exact_oracle(q, sig, direction):
         assert x <= q
     unit = Fraction(10) ** (lead - sig + 1)  # one unit in the sig-th digit
     assert abs(x - q) < unit if direction is not NE else abs(x - q) <= unit / 2
+
+
+def _expansion(q: Fraction) -> str:
+    """The digits of a dyadic q's exact decimal expansion, trailing zeros of
+    an integer included: q = num * 5^k / 10^k."""
+    k = q.denominator.bit_length() - 1
+    return str(abs(q.numerator) * 5 ** k)
+
+
+@st.composite
+def _dyadic_cases(draw):
+    num = draw(st.integers(1, 2 ** 300)) * 10 ** draw(st.integers(0, 40))
+    q = Fraction(num, 2 ** draw(st.integers(0, 400)))
+    return q * draw(st.sampled_from([1, -1]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_dyadic_cases(), st.integers(0, 60), st.sampled_from([U, L, NE]))
+def test_capped_dyadic_rendering_equals_uncapped(q, extra, direction):
+    # from a few digits short of the expansion to well past it
+    sig = max(1, len(_expansion(q).rstrip("0")) - 3 + extra)
+    capped = fraction_to_decimal(q, sig, direction)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rounding, "_dyadic_digit_cap", lambda q: None)
+        assert capped == fraction_to_decimal(q, sig, direction)
+
+
+def test_decimal_digits_never_sees_more_than_the_expansion(monkeypatch):
+    seen = []
+    real = rounding._decimal_digits
+
+    def spy(q, sig_digits, how):
+        seen.append((q, sig_digits))
+        return real(q, sig_digits, how)
+
+    monkeypatch.setattr(rounding, "_decimal_digits", spy)
+    cases = [Fraction(3, 2 ** 500), Fraction(-(2 ** 999 + 1), 2 ** 7), Fraction(10 ** 60),
+             Fraction(7), eval_const(log_rat(2) / 3, U, 128).exact()]
+    for q in cases:
+        for direction in (U, L, NE):
+            fraction_to_decimal(q, 100_000, direction)
+    assert len(seen) == 3 * len(cases)
+    for q, sig in seen:
+        assert len(_expansion(q).rstrip("0")) <= sig <= len(_expansion(q)) + 2, q
+    # a non-dyadic value has no finite expansion, and gets every digit asked
+    seen.clear()
+    fraction_to_decimal(Fraction(1, 3), 5_000, U)
+    assert seen == [(Fraction(1, 3), 5_000)]
 
 
 def test_eval_interval_endpoints_enclose():

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -307,6 +308,14 @@ def test_pair_lookup_matches_quadratic_scan(name, B):
     assert hits > 0
 
 
+@settings(max_examples=200, deadline=None)
+@given(x=st.fractions(max_denominator=10 ** 30).filter(lambda x: abs(x) < 10 ** 30),
+       family=st.sampled_from(["f1", "f2"]), n=st.integers(min_value=1, max_value=7))
+def test_family_rhs_is_the_lowest_terms_pair_of_the_equation(x, family, n):
+    y = x ** n + _FAMILY_SHIFT[family]
+    assert search_module._family_rhs(family, n, x) == (y.numerator, y.denominator)
+
+
 def test_search_rejects_unknown_family_and_bad_n():
     gamma = ambient_gamma("f1")
     with pytest.raises(DomainError):
@@ -393,6 +402,7 @@ def test_filled_slot_leaves_equality_hash_and_repr_alone():
     gamma, fresh = ambient_gamma("f2"), ambient_gamma("f2")
     search_rational_points("f2", 1, gamma, 10, TOL)
     assert gamma._enclosure is not None and fresh._enclosure is None
+    assert gamma._walk is not None and fresh._walk is None
     assert gamma == fresh
     assert hash(gamma) == hash(fresh)
     assert repr(gamma) == repr(fresh)
@@ -411,3 +421,89 @@ def test_search_point_set_matches_per_a_reference(name, B):
                  if c.startswith("O x "))
     assert got == want
     assert rep.candidate_points == len(want)
+
+
+# -- the walk kept on a Gamma ----------------------------------------------
+
+
+_WALK_BOUNDS = {"f1": (0, 3, 10, 25), "f2": (0, 10, 25, 40),
+                "two_torsion": (0, 4, 12), "three_torsion": (0, 4, 12)}
+
+
+@pytest.mark.parametrize("name", sorted(_WALK_BOUNDS))
+@pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+def test_kept_walk_matches_fresh_gammas_in_any_request_order(name, order):
+    bounds = sorted(_WALK_BOUNDS[name])
+    if order == "descending":
+        bounds.reverse()
+    elif order == "shuffled":
+        random.Random(f"{name} walk").shuffle(bounds)
+        bounds += bounds[:2]  # a bound seen before, after others
+    gamma = _gamma(name)
+    for B in bounds:
+        for family, n in (("f1", 1), ("f2", 2)):
+            rep = search_rational_points(family, n, gamma, B, TOL)
+            assert rep == search_rational_points(family, n, _gamma(name), B, TOL), (B, family)
+        a_max = _a_max(gamma, B)
+        per_a = _per_a_reference(gamma, B, a_max)
+        want = [pe for a in range(-a_max, a_max + 1) for pe in per_a[a]]
+        assert list(enumerate_rank1(gamma, B, TOL)) == want, B
+
+
+def _count_adds_and_enclosures(monkeypatch):
+    adds = []
+    real_add = search_module.add
+    monkeypatch.setattr(search_module, "add", lambda *args: adds.append(1) or real_add(*args))
+    counter = _CountingEnclosure()
+    monkeypatch.setattr(search_module, "canonical_height_enclosure", counter)
+    return adds, counter
+
+
+def test_search_at_equal_or_smaller_bound_walks_and_certifies_nothing(monkeypatch):
+    gamma = ambient_gamma("f1")
+    adds, counter = _count_adds_and_enclosures(monkeypatch)
+    first = search_rational_points("f1", 1, gamma, 25, TOL)
+    assert (len(adds), counter.calls) == (19, 1)
+    adds.clear()
+    counter.calls = 0
+    for family, n, B in (("f1", 1, 25), ("f2", 3, 25), ("f1", 2, 10), ("f1", 1, 0)):
+        search_rational_points(family, n, gamma, B, TOL)
+    assert (len(adds), counter.calls) == (0, 0)
+    assert search_rational_points("f1", 1, gamma, 25, TOL) == first
+
+
+def test_raising_the_bound_walks_only_the_new_rows(monkeypatch):
+    gamma = ambient_gamma("f1")
+    search_rational_points("f1", 1, gamma, 25, TOL)
+    rows, _ = gamma._walk
+    assert len(rows) == 10  # a = 0..9
+    adds, _ = _count_adds_and_enclosures(monkeypatch)
+    rep = search_rational_points("f1", 1, gamma, 56, TOL)
+    rows, ordered = gamma._walk
+    assert len(rows) == 15  # a = 10..14 are new
+    assert len(adds) == 2 * 5  # one step and one torsion add per new row
+    assert rep.candidate_points == len(ordered) == 29
+
+
+def test_walk_keeps_its_longest_reach():
+    gamma = ambient_gamma("f1")
+    search_rational_points("f1", 1, gamma, 150, TOL)
+    reached = gamma._walk
+    assert len(reached[0]) == 25  # last = 24 at B = 150
+    rep = search_rational_points("f1", 1, gamma, 25, TOL)
+    assert gamma._walk is reached
+    assert rep == search_rational_points("f1", 1, ambient_gamma("f1"), 25, TOL)
+
+
+def test_walk_slot_is_ordered_and_complete():
+    gamma = _three_torsion_gamma()
+    search_rational_points("f1", 1, gamma, 12, TOL)
+    rows, ordered = gamma._walk
+    E, g = gamma.curve, gamma.generator
+    assert [w[0].key() for w in ordered] == sorted(w[0].key() for w in ordered)
+    assert len(ordered) == len(gamma.torsion_points) * (2 * len(rows) - 1)
+    for P, abs_a, a, t, text in ordered:
+        assert abs_a == abs(a) < len(rows) and text == str(P)
+        assert P == add(E, scalar_mul(E, a, g), gamma.torsion_points[t])
+        if a >= 0:
+            assert rows[a][t] == P
