@@ -13,14 +13,16 @@ most B + tol; the kept set is exactly that of certifying every point.
 A GammaSpec keeps two slots from one request to the next.  One holds its
 generator's last enclosure with the (tol, precision) it was computed at, so
 repeated searches on one Gamma certify the generator once.  The other holds
-the walk: the points a*g + T for a = 0..m, and every point of +-a in
-`ECPoint.key` order with its a, torsion index and text.  The walk depends on
+the walk: every point a*g + T for |a| <= m, |a| ascending, each with its a,
+torsion index, text and place in `ECPoint.key` order.  The walk depends on
 the Gamma only, not on B, tol, precision, n or the family, so a request
 extends it only past the largest cutoff any request on that Gamma has
-reached, and otherwise just filters it.  The slot holds no more points than
-the request that reached that cutoff held at its peak, and does not grow
-with the number of requests.  The published bounds (~10^38) are far beyond
-any search; B is always desk-scale and explicit.
+reached, and otherwise filters its prefix |a| <= last and puts the kept
+points in key order by their places, so a request reads no more of the walk
+than its own cutoff covers.  The slot holds no more points than the request
+that reached that cutoff held at its peak, and does not grow with the
+number of requests.  The published bounds (~10^38) are far beyond any
+search; B is always desk-scale and explicit.
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ class GammaSpec:
     # ((tol, precision), (g_lo, g_hi)) of the generator's last certified
     # enclosure, set by `_free_range_bound`.
     _enclosure = None
-    # (rows, ordered) of the walk, set by `_walk_to`.
+    # (walk, rank) of the multiples of g, set by `_walk_to`.
     _walk = None
 
     def __post_init__(self):
@@ -144,43 +146,49 @@ def _height_estimator(gamma: GammaSpec, tol: Fraction, precision: int,
     return estimate
 
 
-# One walked point: (P, |a|, a, torsion index, str(P)), P = a*g + T.
-_WalkPoint = tuple[ECPoint, int, int, int, str]
+# One walked point: (P, a, torsion index, str(P)), P = a*g + T.
+_WalkPoint = tuple[ECPoint, int, int, str]
 
 
 def _walk_to(gamma: GammaSpec, last: int
-             ) -> tuple[tuple[tuple[ECPoint, ...], ...], tuple[_WalkPoint, ...]]:
-    """(rows, ordered): gamma's walk, covering at least |a| <= last.
+             ) -> tuple[tuple[_WalkPoint, ...], tuple[int, ...]]:
+    """(walk, rank): gamma's walk, covering at least |a| <= last.
 
-    rows[a] holds the points a*g + T for a = 0..m (m >= last), in torsion-list
-    order, and ordered holds every point of +-a for |a| <= m, in
-    `ECPoint.key` order.  The walk is read from gamma's slot when it reaches
-    last, and otherwise extended from its last base point m*g, one addition
-    of g per step, and put back in the slot.
+    walk holds every point of +-a for |a| <= m (m >= last), |a| ascending:
+    the row of a = 0, then for each a = 1..m the row of a and the row of -a,
+    each in torsion-list order.  So |a| <= k is the prefix of length
+    T (2k + 1), T the torsion count.  rank[i] is walk[i]'s place in
+    `ECPoint.key` order over the whole walk.  The walk is read from gamma's
+    slot when it reaches last, and otherwise extended from its last base
+    point m*g, one addition of g per step, ranked once more and put back in
+    the slot.
 
     Only |a| is walked.  The torsion list is closed under negation and
     (-a)*g + T = -(a*g + (-T)), so the points of -a are negations of those of
     a.
     """
+    torsion = gamma.torsion_points
     slot = gamma._walk
-    if slot is not None and len(slot[0]) > last:
+    if slot is not None and len(slot[0]) >= len(torsion) * (2 * last + 1):
         return slot
-    E, g, torsion = gamma.curve, gamma.generator, gamma.torsion_points
+    E, g = gamma.curve, gamma.generator
     negated = [torsion.index(negate(T)) for T in torsion]
-    rows, ordered = (list(slot[0]), list(slot[1])) if slot is not None else ([], [])
-    base = rows[-1][0] if rows else ECPoint.infinity()  # torsion[0] is O
-    for a in range(len(rows), last + 1):
+    walk = list(slot[0]) if slot is not None else []
+    # torsion[0] is O, so the row of a starts with a*g
+    base = walk[-2 * len(torsion)][0] if len(walk) > len(torsion) else ECPoint.infinity()
+    for a in range((len(walk) // len(torsion) + 1) // 2, last + 1):
         if a:
             base = add(E, base, g)
         points = tuple(add(E, base, T) for T in torsion)
-        rows.append(points)
-        ordered.extend((P, a, a, t, str(P)) for t, P in enumerate(points))
+        walk.extend((P, a, t, str(P)) for t, P in enumerate(points))
         if a:
             for t, j in enumerate(negated):
                 P = negate(points[j])
-                ordered.append((P, a, -a, t, str(P)))
-    ordered.sort(key=lambda w: w[0].key())
-    slot = (tuple(rows), tuple(ordered))
+                walk.append((P, -a, t, str(P)))
+    rank = [0] * len(walk)
+    for place, i in enumerate(sorted(range(len(walk)), key=lambda i: walk[i][0].key())):
+        rank[i] = place
+    slot = (tuple(walk), tuple(rank))
     # One attribute store of one tuple: a reader in another thread sees the
     # old slot or the new one, never a mix.
     object.__setattr__(gamma, "_walk", slot)
@@ -195,19 +203,24 @@ def _kept_points(gamma: GammaSpec, B: Fraction, tol: Fraction, precision: int
     h-hat(a*g + T) = a^2 h-hat(g) lies in [a^2 g_lo, a^2 g_hi], and a point's
     own estimate lies within tol/2 of it: a^2 g_hi <= B + tol/2 keeps the
     point and a^2 g_lo > B + 3 tol/2 drops it.  As cutoffs on |a|, the first
-    keeps |a| <= sure and the second drops |a| > last.  Only in the band
-    between does `estimate` certify the point's own height; a point and its
-    negation share x(P), and with it their estimate.
+    keeps |a| <= sure and the second drops |a| > last, and both are prefixes
+    of the walk.  Only in the band between does `estimate` certify the
+    point's own height; a point and its negation share x(P), and with it
+    their estimate.  Only the prefix |a| <= last is read, however far the
+    walk reaches.
     """
     g_lo, g_hi = _free_range_bound(gamma, B, tol, precision)
     estimate = _height_estimator(gamma, tol, precision, g_lo, g_hi)
     sure = _floor_sqrt_fraction((B + tol / 2) / g_hi)
     last = _floor_sqrt_fraction((B + 3 * tol / 2) / g_lo)
     bound = B + tol
-    _, ordered = _walk_to(gamma, last)
-    kept = [w for w in ordered
-            if w[1] <= sure or (w[1] <= last and estimate(w[0]) <= bound)]
-    return kept, estimate
+    walk, rank = _walk_to(gamma, last)
+    count = len(gamma.torsion_points)
+    n_sure, n_last = count * (2 * sure + 1), count * (2 * last + 1)
+    kept = list(range(n_sure))
+    kept.extend(i for i in range(n_sure, n_last) if estimate(walk[i][0]) <= bound)
+    kept.sort(key=rank.__getitem__)
+    return [walk[i] for i in kept], estimate
 
 
 def enumerate_rank1(gamma: GammaSpec, height_bound, tol,
@@ -218,7 +231,7 @@ def enumerate_rank1(gamma: GammaSpec, height_bound, tol,
     """
     kept, estimate = _kept_points(gamma, _as_fraction(height_bound), _as_fraction(tol),
                                   precision)
-    kept.sort(key=lambda w: (w[2], w[3]))
+    kept.sort(key=lambda w: (w[1], w[2]))
     for w in kept:
         yield w[0], estimate(w[0])
 
@@ -284,16 +297,16 @@ def search_rational_points(family: str, n: int, gamma: GammaSpec, height_bound,
     # boundary of the affine chart and is listed, never equation-tested; an
     # affine p1 matches exactly the affine p2 whose y is the family's rhs.
     # Points and each by_y bucket are in key order, so found is too.
-    at_infinity = [text for P, _, _, _, text in points if P.is_infinity]
+    at_infinity = [text for P, _, _, text in points if P.is_infinity]
     by_y: dict[tuple[int, int], list[ECPoint]] = {}
-    for P, _, _, _, _ in points:
+    for P, _, _, _ in points:
         if not P.is_infinity:
             by_y.setdefault((P.y.numerator, P.y.denominator), []).append(P)
     found = []
     closure = []
-    for p1, _, _, _, text1 in points:
+    for p1, _, _, text1 in points:
         if p1.is_infinity:
-            closure.extend(f"{text1} x {w[4]}" for w in points)
+            closure.extend(f"{text1} x {w[3]}" for w in points)
             continue
         closure.extend(f"{text1} x {text2}" for text2 in at_infinity)
         for p2 in by_y.get(_family_rhs(family, n, p1.x), ()):

@@ -259,33 +259,19 @@ def _candidate_rows(ring: EndRing, n: int, bound: int) -> list[tuple[Element, ..
     per_coord = sorted(((e, ring.norm(e)) for e in ring.elements_of_norm_at_most(bound)),
                        key=lambda pair: pair[1])
     out = []
-    # depth first over the coordinates with one prefix, extended and cut back
-    # in place, rather than one Python frame or one prefix tuple per node;
-    # left[j] is the budget after prefix[:j], nxt[j] the next choice at depth j
-    prefix: list[Element] = []
-    left = [bound]
-    nxt = [0]
-    while nxt:
-        depth, i = len(prefix), nxt[-1]
-        if depth < n - 1 and i < len(per_coord) and per_coord[i][1] <= left[-1]:
-            nxt[-1] = i + 1
-            e, ne = per_coord[i]
-            prefix.append(e)
-            left.append(left[-1] - ne)
-            nxt.append(0)
+    # depth first over the coordinates, with a stack of (prefix, budget left)
+    # rather than one Python frame per coordinate
+    stack: list[tuple[tuple[Element, ...], int]] = [((), bound)]
+    while stack:
+        prefix, budget = stack.pop()
+        if len(prefix) == n:
+            if budget < bound and ring.canon_row(prefix) == prefix:  # nonzero row
+                out.append((bound - budget, prefix))
             continue
-        if depth == n - 1:  # the last coordinate: each choice that fits ends a row
-            head, used = tuple(prefix), bound - left[-1]
-            for e, ne in per_coord:
-                if ne > left[-1]:
-                    break
-                row = head + (e,)
-                if used + ne and ring.canon_row(row) == row:  # a nonzero row
-                    out.append((used + ne, row))
-        nxt.pop()
-        left.pop()
-        if prefix:
-            prefix.pop()
+        for e, ne in per_coord:
+            if ne > budget:
+                break
+            stack.append((prefix + (e,), budget - ne))
     out.sort()
     return [row for _, row in out]
 

@@ -464,46 +464,77 @@ def test_search_at_equal_or_smaller_bound_walks_and_certifies_nothing(monkeypatc
     adds, counter = _count_adds_and_enclosures(monkeypatch)
     first = search_rational_points("f1", 1, gamma, 25, TOL)
     assert (len(adds), counter.calls) == (19, 1)
+    slot = gamma._walk
     adds.clear()
     counter.calls = 0
     for family, n, B in (("f1", 1, 25), ("f2", 3, 25), ("f1", 2, 10), ("f1", 1, 0)):
         search_rational_points(family, n, gamma, B, TOL)
     assert (len(adds), counter.calls) == (0, 0)
     assert search_rational_points("f1", 1, gamma, 25, TOL) == first
+    assert gamma._walk is slot  # read, not ranked again
+
+
+def _reach(gamma):
+    """The largest |a| that gamma's kept walk covers."""
+    walk, _ = gamma._walk
+    return (len(walk) // len(gamma.torsion_points) - 1) // 2
 
 
 def test_raising_the_bound_walks_only_the_new_rows(monkeypatch):
     gamma = ambient_gamma("f1")
     search_rational_points("f1", 1, gamma, 25, TOL)
-    rows, _ = gamma._walk
-    assert len(rows) == 10  # a = 0..9
+    assert _reach(gamma) == 9
     adds, _ = _count_adds_and_enclosures(monkeypatch)
     rep = search_rational_points("f1", 1, gamma, 56, TOL)
-    rows, ordered = gamma._walk
-    assert len(rows) == 15  # a = 10..14 are new
+    assert _reach(gamma) == 14  # a = 10..14 are new
     assert len(adds) == 2 * 5  # one step and one torsion add per new row
-    assert rep.candidate_points == len(ordered) == 29
+    assert rep.candidate_points == len(gamma._walk[0]) == 29
 
 
 def test_walk_keeps_its_longest_reach():
     gamma = ambient_gamma("f1")
     search_rational_points("f1", 1, gamma, 150, TOL)
     reached = gamma._walk
-    assert len(reached[0]) == 25  # last = 24 at B = 150
+    assert _reach(gamma) == 24  # last = 24 at B = 150
     rep = search_rational_points("f1", 1, gamma, 25, TOL)
     assert gamma._walk is reached
     assert rep == search_rational_points("f1", 1, ambient_gamma("f1"), 25, TOL)
 
 
+class _Unread:
+    """A walk entry that no request may read."""
+
+    def __getitem__(self, index):
+        raise AssertionError("read a walked point past the request's cutoff")
+
+
+@pytest.mark.parametrize("name", ["f1", "three_torsion"])
+def test_request_reads_only_its_own_prefix_of_the_walk(name):
+    gamma = _gamma(name)
+    search_rational_points("f1", 1, gamma, 150, TOL)
+    walk, rank = gamma._walk
+    B = 12
+    prefix = len(gamma.torsion_points) * (2 * _a_max(gamma, B) + 1)
+    assert prefix < len(walk)
+    object.__setattr__(gamma, "_walk",
+                       (walk[:prefix] + (_Unread(),) * (len(walk) - prefix), rank))
+    rep = search_rational_points("f2", 2, gamma, B, TOL)
+    assert rep == search_rational_points("f2", 2, _gamma(name), B, TOL)
+
+
 def test_walk_slot_is_ordered_and_complete():
     gamma = _three_torsion_gamma()
     search_rational_points("f1", 1, gamma, 12, TOL)
-    rows, ordered = gamma._walk
-    E, g = gamma.curve, gamma.generator
-    assert [w[0].key() for w in ordered] == sorted(w[0].key() for w in ordered)
-    assert len(ordered) == len(gamma.torsion_points) * (2 * len(rows) - 1)
-    for P, abs_a, a, t, text in ordered:
-        assert abs_a == abs(a) < len(rows) and text == str(P)
-        assert P == add(E, scalar_mul(E, a, g), gamma.torsion_points[t])
-        if a >= 0:
-            assert rows[a][t] == P
+    walk, rank = gamma._walk
+    E, g, torsion = gamma.curve, gamma.generator, gamma.torsion_points
+    m = _reach(gamma)
+    assert len(walk) == len(torsion) * (2 * m + 1)
+    assert sorted(rank) == list(range(len(walk)))
+    by_rank = sorted(range(len(walk)), key=rank.__getitem__)
+    assert [walk[i][0].key() for i in by_rank] == sorted(w[0].key() for w in walk)
+    rows = [(0, t) for t in range(len(torsion))]
+    rows += [(s * a, t) for a in range(1, m + 1) for s in (1, -1) for t in range(len(torsion))]
+    assert [(w[1], w[2]) for w in walk] == rows
+    for P, a, t, text in walk:
+        assert text == str(P)
+        assert P == add(E, scalar_mul(E, a, g), torsion[t])

@@ -341,40 +341,6 @@ def test_row_count_matches_candidate_rows(ring, n, bound):
         _candidate_rows(ring, n, bound))
 
 
-def _candidate_rows_reference(ring, n, bound):
-    """The candidate rows from a stack of (prefix tuple, budget left) pairs:
-    every node copies its prefix, so this is cubic in n."""
-    per_coord = sorted(((e, ring.norm(e)) for e in ring.elements_of_norm_at_most(bound)),
-                       key=lambda pair: pair[1])
-    out = []
-    stack = [((), bound)]
-    while stack:
-        prefix, budget = stack.pop()
-        if len(prefix) == n:
-            if budget < bound and ring.canon_row(prefix) == prefix:
-                out.append((bound - budget, prefix))
-            continue
-        for e, ne in per_coord:
-            if ne > budget:
-                break
-            stack.append((prefix + (e,), budget - ne))
-    out.sort()
-    return [row for _, row in out]
-
-
-# Z up to N = 4 and bound 30.  The CM rings have two real dimensions per
-# coordinate, so their row counts grow like bound^N twice as fast (3.5 and
-# 6.4 million vectors at N = 4, bound 30): N = 3 and 4 stop at smaller bounds.
-@pytest.mark.parametrize("ring,n,max_bound", [
-    (Z, 1, 30), (Z, 2, 30), (Z, 3, 30), (Z, 4, 30),
-    (G, 1, 30), (G, 2, 30), (G, 3, 12), (G, 4, 6),
-    (W, 1, 30), (W, 2, 30), (W, 3, 12), (W, 4, 6),
-])
-def test_candidate_rows_match_prefix_copying_reference(ring, n, max_bound):
-    for bound in range(max_bound + 1):
-        assert _candidate_rows(ring, n, bound) == _candidate_rows_reference(ring, n, bound), bound
-
-
 def test_resource_guard_refuses_before_building_rows(monkeypatch):
     from ntbounds import subgroups
 
