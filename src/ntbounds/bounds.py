@@ -395,9 +395,6 @@ class ExponentReport:
     params: dict
     entries: tuple[ExponentEntry, ...]
 
-    def by_quantity(self, quantity: str) -> tuple[ExponentEntry, ...]:
-        return tuple(e for e in self.entries if e.quantity == quantity)
-
 
 def _require(cond: bool, violated: str):
     if not cond:

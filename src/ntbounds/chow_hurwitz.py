@@ -53,14 +53,6 @@ class ChowClass:
         object.__setattr__(self, "coefficients",
                            {k: v for k, v in cleaned.items() if v})
 
-    def __add__(self, other: "ChowClass") -> "ChowClass":
-        if self.ambient != other.ambient:
-            raise DomainError("ambient mismatch")
-        coeffs = dict(self.coefficients)
-        for k, v in other.coefficients.items():
-            coeffs[k] = coeffs.get(k, 0) + v
-        return ChowClass(self.ambient, coeffs)
-
     def __mul__(self, other: "ChowClass") -> "ChowClass":
         if self.ambient != other.ambient:
             raise DomainError("ambient mismatch")

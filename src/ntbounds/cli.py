@@ -90,23 +90,26 @@ def parse_height_expr(text: str) -> ConstExpr:
     """Decimal-free height expressions: sums of rationals and rational
     multiples of logarithms, e.g. '0', '1/3log2', 'log(2)/3 + 1/2'."""
     terms = []
-    for piece in text.split("+"):
-        piece = piece.strip()
-        if not piece:
-            raise InputParseError(f"empty term in height expression {text!r}")
-        if _RAT_RE.match(piece):
-            terms.append(Rat(Fraction(piece)))
-            continue
-        m = _TERM_RE.match(piece)
-        if not m:
-            raise InputParseError(
-                f"cannot parse height term {piece!r}; use forms like '1/3log2', "
-                f"'log(2)/3', or a plain rational 'p/q'")
-        coeff = Fraction(m.group("coeff")) if m.group("coeff") else Fraction(1)
-        if m.group("div"):
-            coeff /= int(m.group("div"))
-        arg = Fraction(m.group("parg") or m.group("iarg"))
-        terms.append(Prod((Rat(coeff), LogRat(arg))))
+    try:
+        for piece in text.split("+"):
+            piece = piece.strip()
+            if not piece:
+                raise InputParseError(f"empty term in height expression {text!r}")
+            if _RAT_RE.match(piece):
+                terms.append(Rat(Fraction(piece)))
+                continue
+            m = _TERM_RE.match(piece)
+            if not m:
+                raise InputParseError(
+                    f"cannot parse height term {piece!r}; use forms like '1/3log2', "
+                    f"'log(2)/3', or a plain rational 'p/q'")
+            coeff = Fraction(m.group("coeff")) if m.group("coeff") else Fraction(1)
+            if m.group("div"):
+                coeff /= int(m.group("div"))
+            arg = Fraction(m.group("parg") or m.group("iarg"))
+            terms.append(Prod((Rat(coeff), LogRat(arg))))
+    except ZeroDivisionError as exc:
+        raise InputParseError(f"zero denominator in height expression {text!r}") from exc
     return terms[0] if len(terms) == 1 else Sum(tuple(terms))
 
 
@@ -129,7 +132,7 @@ def _load_curve(spec: str):
                               f"({', '.join(PRESET_NAMES)})")
     try:
         text = path.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputParseError(f"cannot read curve file {spec!r}: {exc}") from exc
     try:
         return curve_from_json(text)
@@ -293,7 +296,9 @@ def _cmd_exponents(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing does not mutate it."""
     parser = argparse.ArgumentParser(
         prog="ntbounds",
         description="Explicit Neron-Tate height bounds for curves in powers of "
@@ -376,12 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_exponents)
 
     return parser
-
-
-@functools.lru_cache(maxsize=None)
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built once per process: parsing does not mutate it."""
-    return build_parser()
 
 
 def main(argv=None) -> int:

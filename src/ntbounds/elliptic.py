@@ -34,7 +34,6 @@ __all__ = [
     "torsion_order",
     "weierstrass_height_expr",
     "curve_from_json",
-    "curve_to_json",
     "MAZUR_ORDERS",
 ]
 
@@ -277,6 +276,8 @@ def weierstrass_height_expr(E: EllipticCurveQ) -> ConstExpr:
 
 
 def _fraction_from_string(s: str) -> Fraction:
+    if not isinstance(s, str):
+        raise DomainError(f"rationals must be fraction strings, got {s!r}")
     s = s.strip()
     if "." in s or "e" in s.lower():
         raise DomainError(f"rationals must be decimal-free fraction strings, got {s!r}")
@@ -287,31 +288,23 @@ def curve_from_json(text: str) -> tuple[EllipticCurveQ, ECPoint, int, int]:
     """Parse a curve spec file: curve, generator, rank, torsion order."""
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an int past the digit limit
         raise DomainError(f"curve file is not valid JSON: {exc}") from exc
     try:
         a = _fraction_from_string(data["a"])
         b = _fraction_from_string(data["b"])
-        gx, gy = data["generator"]
-        rank = int(data.get("rank", 1))
-        torsion = int(data.get("torsion_order", 1))
-    except (KeyError, TypeError, ValueError) as exc:
+        if not isinstance(data["generator"], list):
+            raise DomainError(f"generator must be a JSON list, got {data['generator']!r}")
+        gx, gy = (_fraction_from_string(c) for c in data["generator"])
+        rank = data.get("rank", 1)
+        torsion = data.get("torsion_order", 1)
+        if type(rank) is not int or type(torsion) is not int:
+            raise DomainError(f"rank and torsion_order must be JSON integers, "
+                              f"got {rank!r} and {torsion!r}")
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise DomainError(f"malformed curve file: {exc}") from exc
     E = validate_curve(a, b)
-    g = ECPoint.affine(_fraction_from_string(gx), _fraction_from_string(gy))
+    g = ECPoint.affine(gx, gy)
     E.require(g)
     return E, g, rank, torsion
 
-
-def curve_to_json(E: EllipticCurveQ, generator: ECPoint, rank: int = 1,
-                  torsion: int = 1) -> str:
-    if generator.is_infinity:
-        raise DomainError("generator must be affine")
-    payload = {
-        "a": str(E.a),
-        "b": str(E.b),
-        "generator": [str(generator.x), str(generator.y)],
-        "rank": rank,
-        "torsion_order": torsion,
-    }
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"

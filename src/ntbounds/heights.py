@@ -1,5 +1,5 @@
-"""Weil and modified h2 height expressions, Neron-Tate canonical height
-enclosures, bound combinators.
+"""Weil and modified h2 height expressions, and Neron-Tate canonical height
+enclosures.
 
 The canonical height is the duplication limit of x-coordinate Weil heights,
 h-hat(P) = lim 4^-n h(x(2^n P)).  It is computed through the telescoping
@@ -17,13 +17,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from typing import Sequence, Union
+from typing import Sequence
 
 from .elliptic import ECPoint, EllipticCurveQ, torsion_order
 from .libmp import mpf_ge, mpf_shift, mpf_sign
 from .libmp import mpi_abs, mpi_add, mpi_div, mpi_log, mpi_mul, mpi_sub
 from .rounding import (
-    BoundedReal,
     ConstExpr,
     Direction,
     DomainError,
@@ -34,7 +33,6 @@ from .rounding import (
     Rat,
     _raw_to_fraction,
     eval_const,
-    eval_interval,
     iv_from_int,
     rat,
 )
@@ -44,9 +42,6 @@ __all__ = [
     "weil_height_expr",
     "modified_height_h2_expr",
     "canonical_height_enclosure",
-    "zhang_sandwich",
-    "h_upper_from_mu",
-    "arithmetic_bezout_upper",
 ]
 
 
@@ -61,10 +56,6 @@ class ProjPointQ:
 
     def __post_init__(self):
         object.__setattr__(self, "coords", _clear_coords(self.coords))
-
-    @property
-    def dim_ambient(self) -> int:
-        return len(self.coords) - 1
 
 
 def _clear_coords(raw: Sequence) -> tuple[int, ...]:
@@ -310,60 +301,3 @@ def _eval_form_mod(coeffs: tuple[int, ...], a: int, b: int, modulus: int) -> int
             acc = (acc + c * pa[deg - i] * pb[i]) % modulus
     return acc % modulus
 
-
-# ---------------------------------------------------------------------------
-# Bound combinators
-# ---------------------------------------------------------------------------
-
-
-HeightLike = Union[BoundedReal, ConstExpr, Fraction, int]
-
-
-def _as_enclosure(h: HeightLike, precision: int) -> tuple[Fraction, Fraction]:
-    if isinstance(h, BoundedReal):
-        v = h.exact()
-        return v, v
-    if isinstance(h, ConstExpr):
-        return eval_interval(h, precision)
-    q = Fraction(h)
-    return q, q
-
-
-def zhang_sandwich(h_value: HeightLike, deg: int, dim: int,
-                   precision: int = 128) -> tuple[BoundedReal, BoundedReal]:
-    """Bracket for the essential minimum: h/((dim+1) deg) <= mu <= h/deg.
-
-    Both endpoints substitute the supplied height value; pass an UPPER height
-    to make the returned mu upper bound sound.
-    """
-    if deg < 1:
-        raise DomainError("degree must be >= 1")
-    if dim < 0:
-        raise DomainError("dimension must be >= 0")
-    lo, hi = _as_enclosure(h_value, precision)
-    mu_lower = BoundedReal.from_fraction(lo / (deg * (dim + 1)), Direction.LOWER, precision)
-    mu_upper = BoundedReal.from_fraction(hi / deg, Direction.UPPER, precision)
-    return mu_lower, mu_upper
-
-
-def h_upper_from_mu(mu_upper: HeightLike, deg: int, dim: int,
-                    precision: int = 128) -> BoundedReal:
-    """Zhang reversed: h(X) <= (dim X + 1) * deg X * mu(X)."""
-    if deg < 1:
-        raise DomainError("degree must be >= 1")
-    _, hi = _as_enclosure(mu_upper, precision)
-    return BoundedReal.from_fraction((dim + 1) * deg * hi, Direction.UPPER, precision)
-
-
-def arithmetic_bezout_upper(deg_v: int, h_v: HeightLike, deg_w: int, h_w: HeightLike,
-                            c: HeightLike, precision: int = 128) -> BoundedReal:
-    """Upper bound deg V * h(W) + deg W * h(V) + c * deg V * deg W, UPPER-rounded."""
-    if deg_v < 1 or deg_w < 1:
-        raise DomainError("degrees must be >= 1")
-    _, hv = _as_enclosure(h_v, precision)
-    _, hw = _as_enclosure(h_w, precision)
-    _, cc = _as_enclosure(c, precision)
-    if hv < 0 or hw < 0:
-        raise DomainError("heights must be >= 0")
-    total = deg_v * hw + deg_w * hv + cc * deg_v * deg_w
-    return BoundedReal.from_fraction(total, Direction.UPPER, precision)

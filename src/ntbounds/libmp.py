@@ -23,7 +23,6 @@ from pathlib import Path
 __all__ = [
     "fone",
     "from_int",
-    "from_rational",
     "fzero",
     "mpf_add",
     "mpf_ge",

@@ -1,5 +1,5 @@
-"""Built-in data: the two ambient curves with their rank-1 generators, the
-family identifiers, and the ramification-profile preset.
+"""Built-in data: the two ambient curves with their rank-1 generators and
+the family identifiers.
 
 f1: curves cut by x1^n = y2       in E x E,  E: y^2 = x^3 + x - 1, g = (1, 1)
 f2: curves cut by x1^n + 1 = y2   in E x E,  E: y^2 = x^3 - x - 2, g = (2, 2)
@@ -10,16 +10,13 @@ non-torsion are verified here.
 
 from __future__ import annotations
 
-from .chow_hurwitz import family_curve_profile
-from .elliptic import ECPoint, EllipticCurveQ, curve_to_json, validate_curve
+from .elliptic import ECPoint, EllipticCurveQ, validate_curve
 from .rounding import DomainError
 from .search import GammaSpec
 
 __all__ = [
     "ambient_curve",
     "ambient_gamma",
-    "preset_curve_json",
-    "family_curve_profile",
     "PRESET_NAMES",
 ]
 
@@ -37,8 +34,3 @@ def ambient_curve(family: str) -> tuple[EllipticCurveQ, ECPoint]:
 def ambient_gamma(family: str) -> GammaSpec:
     curve, gen = ambient_curve(family)
     return GammaSpec(curve, gen)
-
-
-def preset_curve_json(family: str) -> str:
-    curve, gen = ambient_curve(family)
-    return curve_to_json(curve, gen, rank=1, torsion=1)

@@ -43,6 +43,7 @@ def bounded_real_payload(b: BoundedReal, digits: int = DEFAULT_DIGITS) -> dict:
     }
 
 
+# Kept while perfbench/tracing.py TARGETS names it; it goes with ROADMAP item 1.
 def height_payload(kind: str, b: BoundedReal, tolerance: str = "",
                    digits: int = DEFAULT_DIGITS) -> dict:
     out = bounded_real_payload(b, digits)

@@ -36,7 +36,6 @@ from fractions import Fraction
 from .libmp import (
     fone,
     from_int,
-    from_rational,
     fzero,
     mpf_add,
     mpf_pi,
@@ -64,7 +63,6 @@ __all__ = [
     "Prod",
     "Pow",
     "rat",
-    "log_rat",
     "pi_pow",
     "unit_ball_volume",
     "eval_const",
@@ -161,13 +159,6 @@ class BoundedReal:
             raw = mpf_shift(mpf_add(lo, hi), -1)
         v = _raw_to_fraction(mpf_pos(raw, precision, _ROUNDING[direction]))
         return BoundedReal(v, direction, precision)
-
-    @staticmethod
-    def from_fraction(q, direction: Direction = Direction.NEAREST,
-                      precision: int = DEFAULT_PRECISION) -> "BoundedReal":
-        q = Fraction(q)
-        raw = from_rational(q.numerator, q.denominator, precision, _ROUNDING[direction])
-        return BoundedReal(_raw_to_fraction(raw), direction, precision)
 
     def exact(self) -> Fraction:
         """The stored dyadic value, exactly."""
@@ -284,10 +275,6 @@ class Pow(ConstExpr):
 
 def rat(x) -> Rat:
     return Rat(Fraction(x))
-
-
-def log_rat(q) -> LogRat:
-    return LogRat(Fraction(q))
 
 
 def pi_pow(k: int) -> ConstExpr:

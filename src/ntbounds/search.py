@@ -223,6 +223,7 @@ def _kept_points(gamma: GammaSpec, B: Fraction, tol: Fraction, precision: int
     return [walk[i] for i in kept], estimate
 
 
+# Kept while perfbench/tracing.py TARGETS names it; it goes with ROADMAP item 1.
 def enumerate_rank1(gamma: GammaSpec, height_bound, tol,
                     precision: int = 256) -> Iterator[tuple[ECPoint, Fraction]]:
     """Yield (point, certified h-hat midpoint) for points a*g + T of canonical

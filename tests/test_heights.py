@@ -3,21 +3,16 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from ntbounds.elliptic import ECPoint, add, negate, scalar_mul, validate_curve
 from ntbounds.heights import (
     ProjPointQ,
-    arithmetic_bezout_upper,
     canonical_height_enclosure,
-    h_upper_from_mu,
     modified_height_h2_expr,
     weil_height_expr,
-    zhang_sandwich,
     _doubling_data,
 )
-from ntbounds.rounding import Direction, DomainError, eval_const, eval_interval
+from ntbounds.rounding import Direction, DomainError, eval_const
 
 TOL = Fraction(1, 10 ** 10)
 
@@ -207,43 +202,3 @@ def test_canonical_height_rational_coefficient_curve():
     lo2, hi2 = canonical_height_enclosure(E, scalar_mul(E, 2, P), TOL)
     assert abs((lo2 + hi2) / 2 - 4 * (lo + hi) / 2) <= 2 * TOL
 
-
-# -- combinators -----------------------------------------------------------
-
-
-def test_zhang_substitution():
-    mu_lo, mu_hi = zhang_sandwich(6, 3, 1)
-    assert mu_lo.exact() == 1 and mu_hi.exact() == 2
-    mu_lo, mu_hi = zhang_sandwich(0, 3, 1)
-    assert mu_lo.exact() == 0 and mu_hi.exact() == 0
-
-
-def test_zhang_reversed():
-    from ntbounds.rounding import LogRat, Prod, Rat, Sum
-    mu = Sum((LogRat(Fraction(18)),
-              Prod((Rat(Fraction(3, 2)), LogRat(Fraction(24))))))
-    hi = h_upper_from_mu(mu, 18, 1)
-    want_lo, want_hi = eval_interval(Sum((Prod((Rat(Fraction(36)), mu)),)), 128)
-    assert want_lo <= hi.exact()
-    assert hi.exact() >= want_hi - Fraction(1, 10 ** 20)
-
-
-def test_bezout_substitution():
-    assert arithmetic_bezout_upper(1, 0, 1, 0, 0).exact() == 0
-    assert arithmetic_bezout_upper(2, 1, 3, 0, 1).exact() == 9
-    # with h(W) = 0 the bound collapses to deg W * (h(V) + c deg V)
-    assert arithmetic_bezout_upper(9, 5, 4, 0, 2).exact() == 4 * (5 + 2 * 9)
-
-
-def test_bezout_rejects_bad_inputs():
-    with pytest.raises(DomainError):
-        arithmetic_bezout_upper(0, 1, 1, 1, 0)
-    with pytest.raises(DomainError):
-        arithmetic_bezout_upper(1, -1, 1, 1, 0)
-
-
-@given(hv=st.integers(0, 50), deg=st.integers(1, 40), dim=st.integers(0, 4))
-@settings(max_examples=60)
-def test_zhang_bracket_ordering(hv, deg, dim):
-    mu_lo, mu_hi = zhang_sandwich(hv, deg, dim)
-    assert mu_lo.exact() <= mu_hi.exact()

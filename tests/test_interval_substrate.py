@@ -31,7 +31,6 @@ from ntbounds.rounding import (
     Sum,
     eval_const,
     eval_interval,
-    log_rat,
     pi_pow,
     rat,
     unit_ball_volume,
@@ -210,12 +209,12 @@ _FIXED = [
     Prod(()),
     pi_pow(8),
     pi_pow(-3),
-    log_rat(2) / 3,
+    LogRat(2) / 3,
     unit_ball_volume(5),
-    (rat(Fraction(7, 3)) * pi_pow(2) + log_rat(Fraction(9, 7))) ** 3,
-    pi_pow(3) * log_rat(24) - rat(2),
-    Pow(log_rat(11) - rat(Fraction(1, 3)), -2),
-    rat(Fraction(-2, 3)) * log_rat(Fraction(5, 7)),
+    (rat(Fraction(7, 3)) * pi_pow(2) + LogRat(Fraction(9, 7))) ** 3,
+    pi_pow(3) * LogRat(24) - rat(2),
+    Pow(LogRat(11) - rat(Fraction(1, 3)), -2),
+    rat(Fraction(-2, 3)) * LogRat(Fraction(5, 7)),
 ]
 
 

@@ -2,6 +2,7 @@ import ast
 import importlib
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -100,8 +101,8 @@ def test_libmp_loader_agrees_with_mpmath_libmp():
 
     from ntbounds import libmp
     assert libmp.mpi_log.__module__ == f"{libmp._PACKAGE}.libmpi"  # a copy of its own
-    x = reference.from_rational(7, 3, 200, reference.round_floor)
-    assert libmp.from_rational(7, 3, 200, libmp.round_floor) == x
+    x = reference.from_int(7 ** 100, 200, reference.round_floor)
+    assert libmp.from_int(7 ** 100, 200, libmp.round_floor) == x
     two = (reference.from_int(2), reference.from_int(2))
     assert libmp.mpi_log(two, 300) == reference.mpi_log(two, 300)
 
@@ -111,3 +112,77 @@ def test_libmp_loader_fails_with_import_error_without_mpmath(monkeypatch):
     monkeypatch.setattr(libmp.importlib.util, "find_spec", lambda name: None)
     with pytest.raises(ImportError):
         libmp._load()
+
+
+_PACKAGE_DIR = Path(ntbounds.__file__).parent
+_REPO = _PACKAGE_DIR.parent.parent
+# eval_interval is the tests' only view of an unrounded enclosure: the
+# library rounds every enclosure it hands out through eval_const.
+_SURFACE_EXCEPTIONS = {"rounding.eval_interval"}
+
+
+def _surface_references(tree: ast.Module) -> list[tuple[str | None, str]]:
+    """(enclosing top-level def or class, name) for every Name, Attribute and
+    ImportFrom alias of a module, leaving out its __all__ list."""
+    found = []
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in stmt.targets):
+            continue
+        owner = stmt.name if isinstance(
+            stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) else None
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name):
+                found.append((owner, node.id))
+            elif isinstance(node, ast.Attribute):
+                found.append((owner, node.attr))
+            elif isinstance(node, ast.ImportFrom):
+                found += [(owner, alias.name) for alias in node.names]
+    return found
+
+
+def _unreferenced_surface(package_dir: Path, repo: Path) -> list[str]:
+    """module.name for each name in a module's __all__ that no other code
+    reaches: no reference in the package outside the name's own definition,
+    and no word in the benchmark, the scripts or the acceptance criteria."""
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in sorted(package_dir.glob("*.py"))}
+    refs = {stem: _surface_references(tree) for stem, tree in trees.items()}
+    outside = " ".join(path.read_text() for path in [
+        *sorted((repo / "perfbench").glob("*.py")),
+        *sorted((repo / "scripts").glob("*.py")),
+        repo / "tests" / "test_acceptance.py"])
+    dead = []
+    for stem, tree in trees.items():
+        exported = next((ast.literal_eval(stmt.value) for stmt in tree.body
+                         if isinstance(stmt, ast.Assign) and any(
+                             isinstance(t, ast.Name) and t.id == "__all__"
+                             for t in stmt.targets)), [])
+        for name in exported:
+            used = any(ref == name and not (where == stem and owner == name)
+                       for where, module_refs in refs.items()
+                       for owner, ref in module_refs)
+            if not used and not re.search(rf"\b{re.escape(name)}\b", outside):
+                dead.append(f"{stem}.{name}")
+    return [name for name in dead if name not in _SURFACE_EXCEPTIONS]
+
+
+def test_every_public_name_is_reached_outside_its_own_tests():
+    assert _unreferenced_surface(_PACKAGE_DIR, _REPO) == []
+
+
+def test_public_surface_check_sees_a_name_only_its_definition_reaches(tmp_path):
+    package = tmp_path / "src" / "pkg"
+    package.mkdir(parents=True)
+    (package / "a.py").write_text(
+        "__all__ = ['used', 'dead', 'named']\n"
+        "def used():\n    return 1\n"
+        "def dead():\n    return dead()\n"
+        "def named():\n    return 2\n")
+    (package / "b.py").write_text("from .a import used\n")
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text("TARGETS = ['a.named']\n")
+    (tmp_path / "scripts").mkdir()
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_acceptance.py").write_text("")
+    assert _unreferenced_surface(package, tmp_path) == ["a.dead"]
