@@ -569,6 +569,8 @@ def exponents(theorem: str, case: str = "", N: Optional[int] = None,
     cases = THEOREM_IDS[theorem]
     if cases and case not in cases:
         raise DomainError(f"{theorem} requires a case from {cases}, got {case!r}")
+    if case and not cases:
+        raise DomainError(f"{theorem} takes no case, got {case!r}")
     if theorem == "rc1-anomalous":
         if N is None or dim_v is None:
             raise DomainError("rc1-anomalous requires N and dim_v")

@@ -33,7 +33,7 @@ from .elliptic import (
     curve_from_json,
     weierstrass_height_expr,
 )
-from .presets import PRESET_NAMES, ambient_curve, ambient_gamma
+from .presets import PRESET_NAMES, ambient_gamma
 from .reporting import (
     SCHEMA_VERSION,
     bound_report_payload,
@@ -122,10 +122,9 @@ def _parse_fraction(text: str, what: str) -> Fraction:
 
 def _load_curve(spec: str):
     """A path to a curve JSON file, or a preset name (f1/f2, preset:f1, ...)."""
-    name = spec.removeprefix("preset:")
-    if name in PRESET_NAMES:
-        curve, gen = ambient_curve(name)
-        return curve, gen, 1, 1
+    gamma = _PRESET_GAMMAS.get(spec.removeprefix("preset:"))
+    if gamma is not None:
+        return gamma.curve, gamma.generator, 1, 1
     path = Path(spec)
     if not path.exists():
         raise InputParseError(f"curve file {spec!r} does not exist and is not a preset "
@@ -314,14 +313,18 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="write the canonical JSON report here "
                                      "(default: stdout)")
 
+    def hw_source(p):
+        group = p.add_mutually_exclusive_group()
+        group.add_argument("--hw", help="h_W(E) as a decimal-free expression, e.g. '1/3log2'")
+        group.add_argument("--curve", help="curve file or preset (f1/f2) to compute h_W from")
+
     p = sub.add_parser("constants", help="evaluate the explicit bound constants")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--d", action="store_true",
                        help="the transverse-in-E^2 constant set")
     group.add_argument("--cn", type=int, metavar="N",
                        help="the weak-transverse power constant set for E^N")
-    p.add_argument("--hw", help="h_W(E) as a decimal-free expression, e.g. '1/3log2'")
-    p.add_argument("--curve", help="curve file or preset (f1/f2) to compute h_W from")
+    hw_source(p)
     common(p)
     p.set_defaults(func=_cmd_constants)
 
@@ -331,8 +334,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--deg-c", type=int, required=True, help="degree of the curve")
     p.add_argument("--h-c", required=True,
                    help="normalized height of the curve (decimal-free expression)")
-    p.add_argument("--hw", help="h_W(E) expression")
-    p.add_argument("--curve", help="curve file or preset to compute h_W from")
+    hw_source(p)
     common(p)
     p.set_defaults(func=_cmd_bound)
 

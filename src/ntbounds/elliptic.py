@@ -20,6 +20,7 @@ from .rounding import (
     Rat,
     Sum,
     rat,
+    rational_digits,
 )
 
 __all__ = [
@@ -81,7 +82,7 @@ class ECPoint:
     def __str__(self) -> str:
         if self.is_infinity:
             return "O"
-        return f"({self.x}, {self.y})"
+        return f"({rational_digits(self.x)}, {rational_digits(self.y)})"
 
 
 INFINITY = ECPoint.infinity()

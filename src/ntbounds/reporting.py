@@ -9,7 +9,8 @@ import json
 from typing import Any
 
 from .bounds import BoundReport, ExponentReport, FamilyBoundReport
-from .rounding import BoundedReal, Direction, fraction_to_decimal, integer_digits
+from .rounding import (BoundedReal, Direction, fraction_to_decimal, integer_digits,
+                       rational_digits)
 from .search import SearchReport
 from .subgroups import CensusReport
 
@@ -112,8 +113,8 @@ def search_report_payload(report: SearchReport, digits: int = 30) -> dict:
     found = []
     for f in report.found:
         found.append({
-            "p1": [str(f.p1.x), str(f.p1.y)],
-            "p2": [str(f.p2.x), str(f.p2.y)],
+            "p1": [rational_digits(f.p1.x), rational_digits(f.p1.y)],
+            "p2": [rational_digits(f.p2.x), rational_digits(f.p2.y)],
             "height1": height_entry(f.height1),
             "height2": height_entry(f.height2),
         })

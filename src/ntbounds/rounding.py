@@ -69,6 +69,7 @@ __all__ = [
     "eval_interval",
     "fraction_to_decimal",
     "integer_digits",
+    "rational_digits",
     "DEFAULT_PRECISION",
     "MIN_PRECISION",
     "GUARD_BITS",
@@ -428,6 +429,12 @@ def integer_digits(n: int) -> str:
     than sys.get_int_max_str_digits() (4 300 digits by default); the exact
     int-to-Decimal conversion has no such limit."""
     return str(Decimal(n))
+
+
+def rational_digits(q: Fraction) -> str:
+    """str(q) for a Fraction of any size: 'p', or 'p/q' in lowest terms."""
+    p = integer_digits(q.numerator)
+    return p if q.denominator == 1 else f"{p}/{integer_digits(q.denominator)}"
 
 
 def _decimal_digits(q: Fraction, sig_digits: int, rounding: str) -> tuple[int, int]:

@@ -1,4 +1,5 @@
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -335,6 +336,33 @@ def test_parser_is_reused_across_calls(tmp_path, capsys):
     assert first == again
 
 
+@pytest.mark.parametrize("argv", [
+    ["exponents", "--theorem", "census-structure", "--N", "3", "--r", "2", "--case", "foo"],
+    ["exponents", "--theorem", "low-rank-height", "--N", "5", "--t", "1",
+     "--case", "anything"],
+    ["exponents", "--theorem", "transverse-rank-height", "--N", "5", "--t", "1",
+     "--case", "point"],
+], ids=["census-structure", "low-rank-height", "transverse-rank-height"])
+def test_case_on_a_theorem_without_cases_is_a_domain_error(capsys, argv):
+    assert main(argv) == EXIT_DOMAIN
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "takes no case" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["constants", "--d"],
+    ["bound", "--branch", "square", "--deg-c", "18", "--h-c", "log(18)"],
+], ids=["constants", "bound"])
+def test_hw_and_curve_together_are_a_parse_error(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--hw", "0", "--curve", str(tmp_path / "nonexistent.json")])
+    assert exc.value.code == EXIT_PARSE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "not allowed with" in err
+
+
 def test_exit_code_resource_guard(capsys):
     code = main(["census", "--ring", "z", "--N", "3", "--r", "2",
                  "--max-degree", "50", "--torsion", "2", "--ceiling", "10"])
@@ -353,6 +381,29 @@ def test_census_prints_totals_past_the_int_digit_limit(tmp_path, n, digits):
     assert payload["total_matrices"] == n
     assert payload["product_bound"] == str(n) + "0" * (digits * (2 * n + 1))
     assert Decimal(payload["torsion_total"]) == torsion_count(n, t)
+
+
+def test_report_paths_print_at_the_lowest_int_digit_limit(tmp_path, capsys, monkeypatch):
+    # At 640 digits, the least str() may be limited to, a report path that
+    # renders a large int with str() fails at once.  Fresh preset Gammas make
+    # the searches walk and render every point, coordinates of 1 200+ digits.
+    import ntbounds.cli as cli_module
+    from ntbounds.presets import PRESET_NAMES, ambient_gamma
+    monkeypatch.setattr(cli_module, "_PRESET_GAMMAS",
+                        {name: ambient_gamma(name) for name in PRESET_NAMES})
+    argvs = [
+        ["search", "--family", "f1", "--n", "1", "--curve", "f1", "--height-bound", "2000"],
+        ["search", "--family", "f2", "--n", "1", "--curve", "f2", "--height-bound", "2000"],
+        ["census", "--N", "4", "--r", "2", "--max-degree", "3", "--torsion", "1" + "0" * 80],
+        ["family-audit", "--family", "f2", "--n", "7"],
+    ]
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        codes = [main([*argv, "--out", str(tmp_path / "report.json")]) for argv in argvs]
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert codes == [0, 0, 0, 0]
 
 
 @pytest.mark.parametrize("args", [
