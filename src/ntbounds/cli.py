@@ -110,6 +110,10 @@ def parse_height_expr(text: str) -> ConstExpr:
             terms.append(Prod((Rat(coeff), LogRat(arg))))
     except ZeroDivisionError as exc:
         raise InputParseError(f"zero denominator in height expression {text!r}") from exc
+    except (InputParseError, DomainError):
+        raise
+    except ValueError as exc:  # Fraction() refuses ints past the str() digit limit
+        raise InputParseError(f"cannot parse height expression: {exc}") from exc
     return terms[0] if len(terms) == 1 else Sum(tuple(terms))
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional
 
 from .rounding import (
@@ -209,34 +210,13 @@ def torsion_order(E: EllipticCurveQ, P: ECPoint) -> Optional[int]:
 # ---------------------------------------------------------------------------
 
 
-def _factorize(n: int) -> dict[int, int]:
-    """Prime factorization by trial division (denominators stay desk-scale)."""
-    n = abs(n)
-    out: dict[int, int] = {}
-    for p in (2, 3, 5):
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-    f = 7
-    increments = (4, 2, 4, 2, 4, 6, 2, 6)
-    i = 0
-    while f * f <= n:
-        if n % f == 0:
-            out[f] = out.get(f, 0) + 1
-            n //= f
-        else:
-            f += increments[i]
-            i = (i + 1) % 8
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
 def weierstrass_height_expr(E: EllipticCurveQ) -> ConstExpr:
     """h_W(E) as an exact expression: the Weil height of (1 : A^(1/2) : B^(1/3)).
 
-    Per place, the contribution is log max(1, |A|_v^(1/2), |B|_v^(1/3)).  The
-    finite part is read off the prime factorizations of the denominators; the
+    Per place, the contribution is log max(1, |A|_v^(1/2), |B|_v^(1/3)).  At a
+    prime p dividing den(A) to the v and den(B) to the w that is
+    max(v/2, w/3) log p = (1/6) log p^max(3v, 2w), so the finite places sum to
+    (1/6) log lcm(den(A)^3, den(B)^2), and no denominator is factored.  The
     archimedean max is decided exactly by comparing |A|^3 with |B|^2.
     """
     A, B = E.a, E.b
@@ -258,11 +238,9 @@ def weierstrass_height_expr(E: EllipticCurveQ) -> ConstExpr:
         terms.append(Prod((Rat(coeff), LogRat(arg))))
 
     # Finite places: only denominator primes contribute.
-    primes_a = _factorize(A.denominator)
-    primes_b = _factorize(B.denominator)
-    for p in sorted(set(primes_a) | set(primes_b)):
-        e = max(Fraction(primes_a.get(p, 0), 2), Fraction(primes_b.get(p, 0), 3))
-        terms.append(Prod((Rat(e), LogRat(Fraction(p)))))
+    den = lcm(A.denominator ** 3, B.denominator ** 2)
+    if den > 1:
+        terms.append(Prod((Rat(Fraction(1, 6)), LogRat(Fraction(den)))))
 
     if not terms:
         return rat(0)

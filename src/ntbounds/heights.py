@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 from typing import Sequence
 
 from .elliptic import ECPoint, EllipticCurveQ, torsion_order
@@ -62,13 +62,9 @@ def _clear_coords(raw: Sequence) -> tuple[int, ...]:
     fracs = [Fraction(c) for c in raw]
     if not fracs or all(c == 0 for c in fracs):
         raise DomainError("projective point needs a nonzero coordinate")
-    lcm = 1
-    for c in fracs:
-        lcm = lcm * c.denominator // gcd(lcm, c.denominator)
-    ints = [int(c * lcm) for c in fracs]
-    g = 0
-    for c in ints:
-        g = gcd(g, abs(c))
+    scale = lcm(*(c.denominator for c in fracs))
+    ints = [int(c * scale) for c in fracs]
+    g = gcd(*ints)
     ints = [c // g for c in ints]
     lead = next(c for c in ints if c != 0)
     if lead < 0:
@@ -144,11 +140,7 @@ def _poly_ext_gcd_one(f: list[Fraction], g: list[Fraction]):
 
 
 def _lcm_denoms(polys: Sequence[Sequence[Fraction]]) -> int:
-    m = 1
-    for poly in polys:
-        for c in poly:
-            m = m * c.denominator // gcd(m, c.denominator)
-    return m
+    return lcm(*(c.denominator for poly in polys for c in poly))
 
 
 @dataclass(frozen=True)
@@ -189,11 +181,10 @@ def _doubling_data(E: EllipticCurveQ) -> _DoublingData:
     m2 = _lcm_denoms([ut, vt])
     k2 = sum(abs(c * m2) for c in ut) + sum(abs(c * m2) for c in vt)
 
-    m1i, m2i = int(m1), int(m2)
-    cap = m1i * m2i // gcd(m1i, m2i)
+    cap = lcm(m1, m2)
 
     rho_up = Fraction(max(sum(abs(c) for c in fi), sum(abs(c) for c in gi)))
-    rho_down = Fraction(cap) * max(Fraction(int(k1), m1i), Fraction(int(k2), m2i))
+    rho_down = Fraction(cap) * max(Fraction(int(k1), m1), Fraction(int(k2), m2))
     delta_arg = max(rho_up, rho_down, Fraction(1))
     return _DoublingData(fi, gi, cap, delta_arg)
 

@@ -6,7 +6,9 @@ logarithms of positive rationals) or as a :class:`BoundedReal`: an exact
 dyadic rational, held as a ``Fraction``, together with the side of the exact
 value it is guaranteed to lie on.  Certified comparisons are plain Fraction
 comparisons of such a value, and :func:`fraction_to_decimal` is the one
-routine that turns an exact number into text.
+routine that turns an exact number into text: one correctly rounded
+``decimal`` division in a context of its own, so the thread's decimal
+context is never read or changed either.
 
 The interval substrate is mpmath's ``libmpi``: an interval is a raw pair
 ``(lo, hi)`` of libmp floats, and every operation takes its working precision
@@ -30,7 +32,8 @@ import enum
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
-from decimal import Decimal
+from decimal import (MAX_EMAX, MIN_EMIN, ROUND_CEILING, ROUND_FLOOR, ROUND_HALF_UP,
+                     Context, Decimal)
 from fractions import Fraction
 
 from .libmp import (
@@ -92,6 +95,12 @@ _ROUNDING = {
     Direction.UPPER: round_ceiling,
     Direction.LOWER: round_floor,
     Direction.NEAREST: round_nearest,
+}
+# The decimal rounding mode of each direction's last kept digit.
+_DECIMAL_ROUNDING = {
+    Direction.UPPER: ROUND_CEILING,
+    Direction.LOWER: ROUND_FLOOR,
+    Direction.NEAREST: ROUND_HALF_UP,
 }
 
 
@@ -437,39 +446,6 @@ def rational_digits(q: Fraction) -> str:
     return p if q.denominator == 1 else f"{p}/{integer_digits(q.denominator)}"
 
 
-def _decimal_digits(q: Fraction, sig_digits: int, rounding: str) -> tuple[int, int]:
-    """(digits, exp10) with digits having sig_digits decimal digits, value ~ digits*10^exp10."""
-    assert q > 0
-    num, den = q.numerator, q.denominator
-
-    def below(e: int) -> bool:  # q < 10^e, in integer arithmetic
-        return num * 10 ** -e < den if e < 0 else num < den * 10 ** e
-
-    # e = floor(log10(q)).  q lies in [2^(k-1), 2^(k+1)) for k the bit-length
-    # difference, so the first estimate is within about one of it.
-    e = (num.bit_length() - den.bit_length()) * 30103 // 100000
-    while below(e):
-        e -= 1
-    while not below(e + 1):
-        e += 1
-    shift = sig_digits - 1 - e
-    if shift >= 0:
-        scaled_num, scaled_den = num * 10 ** shift, den
-    else:
-        scaled_num, scaled_den = num, den * 10 ** (-shift)
-    digits, rem = divmod(scaled_num, scaled_den)
-    if rem:
-        if rounding == "ceil":
-            digits += 1
-        elif rounding == "nearest":
-            if 2 * rem >= scaled_den:
-                digits += 1
-    if digits == 10 ** sig_digits:
-        digits //= 10
-        e += 1
-    return digits, e - (sig_digits - 1)
-
-
 def _dyadic_digit_cap(q: Fraction) -> int | None:
     """An upper bound on the significant digits of q's decimal expansion when
     q = num/2^k is dyadic (an integer when k = 0), else None.
@@ -487,8 +463,9 @@ def _dyadic_digit_cap(q: Fraction) -> int | None:
 def fraction_to_decimal(q: Fraction, sig_digits: int, direction: Direction) -> str:
     """Decimal string with directed rounding at the last kept digit.
 
-    UPPER never understates, LOWER never overstates.  Layout: plain decimal
-    for moderate magnitudes, else normalized scientific notation.
+    UPPER never understates, LOWER never overstates, NEAREST rounds ties away
+    from zero.  Layout: plain decimal for moderate magnitudes, else normalized
+    scientific notation; trailing zeros after the point are dropped.
     """
     if sig_digits < 1:
         raise DomainError("need at least one significant digit")
@@ -499,27 +476,9 @@ def fraction_to_decimal(q: Fraction, sig_digits: int, direction: Direction) -> s
     cap = _dyadic_digit_cap(q)
     if cap is not None and sig_digits > cap:
         sig_digits = cap
-    sign = "-" if q < 0 else ""
-    if q < 0:
-        rounding = {Direction.UPPER: "floor", Direction.LOWER: "ceil",
-                    Direction.NEAREST: "nearest"}[direction]
-    else:
-        rounding = {Direction.UPPER: "ceil", Direction.LOWER: "floor",
-                    Direction.NEAREST: "nearest"}[direction]
-    digits, exp10 = _decimal_digits(abs(q), sig_digits, rounding)
-    s = integer_digits(digits)
-    point_exp = exp10 + len(s) - 1  # exponent of the leading digit
-    if -4 <= point_exp <= 20:
-        if exp10 >= 0:
-            text = s + "0" * exp10
-        elif -exp10 < len(s):
-            text = s[:exp10] + "." + s[exp10:]
-        else:
-            text = "0." + "0" * (-exp10 - len(s)) + s
-        if "." in text:
-            text = text.rstrip("0").rstrip(".")
-        return sign + text
-    mantissa = s[0] + ("." + s[1:] if len(s) > 1 else "")
-    if "." in mantissa:
-        mantissa = mantissa.rstrip("0").rstrip(".")
-    return f"{sign}{mantissa}e{point_exp}"
+    ctx = Context(prec=sig_digits, rounding=_DECIMAL_ROUNDING[direction],
+                  Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[])
+    d = ctx.divide(Decimal(q.numerator), Decimal(q.denominator)).normalize(ctx)
+    if -4 <= d.adjusted() <= 20:
+        return format(d, "f")
+    return format(d, "e").replace("e+", "e")

@@ -256,6 +256,9 @@ def test_malformed_curve_file_is_a_parse_error(tmp_path, capsys, command, conten
     ["constants", "--d", "--hw", "log(1/0)"],
     ["bound", "--branch", "square", "--deg-c", "1", "--h-c", "1/0"],
     ["bound", "--branch", "power", "--N", "3", "--deg-c", "1", "--h-c", "1", "--hw", "log2/0"],
+    # numbers past the str() digit limit are refused too, not a traceback
+    ["constants", "--d", "--hw", "7" * 4400],
+    ["bound", "--branch", "square", "--deg-c", "1", "--h-c", f"log({'7' * 4400})"],
 ])
 def test_zero_denominator_in_a_height_expression_is_a_parse_error(capsys, argv):
     assert main(argv) == EXIT_PARSE

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ntbounds.elliptic import (
@@ -153,6 +153,49 @@ def test_weierstrass_height_denominators():
     with mpmath.workdps(50):
         want = Fraction(str(mpmath.log(2) + mpmath.log(mpmath.mpf(9) / 8) / 3))
     assert abs(got - want) < Fraction(1, 10 ** 25)
+
+
+def _valuation(n: int, p: int) -> int:
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+_SMALL_DENOMINATORS = st.builds(
+    lambda e2, e3, e5, e7: 2 ** e2 * 3 ** e3 * 5 ** e5 * 7 ** e7,
+    *[st.integers(0, 4)] * 4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(-10 ** 6, 10 ** 6), _SMALL_DENOMINATORS,
+       st.integers(-10 ** 6, 10 ** 6), _SMALL_DENOMINATORS)
+def test_weierstrass_height_finite_part_is_the_per_prime_sum(na, da, nb, db):
+    A, B = Fraction(na, da), Fraction(nb, db)
+    assume(4 * A ** 3 + 27 * B ** 2 != 0)
+    got = eval_const(weierstrass_height_expr(validate_curve(A, B)), Direction.NEAREST, 320).exact()
+    with mpmath.workdps(120):
+        # archimedean max(0, log|A|/2, log|B|/3), then max(v/2, w/3) log p per prime
+        want = max(0, *(mpmath.log(abs(mpmath.mpf(c.numerator) / c.denominator)) / k
+                        for c, k in ((A, 2), (B, 3)) if c))
+        for p in (2, 3, 5, 7):
+            e = max(Fraction(_valuation(A.denominator, p), 2),
+                    Fraction(_valuation(B.denominator, p), 3))
+            want += mpmath.mpf(e.numerator) / e.denominator * mpmath.log(p)
+        want = Fraction(str(want))
+    assert abs(got - want) < Fraction(1, 10 ** 60)
+
+
+def test_weierstrass_height_of_a_large_prime_denominator():
+    # den(A) = 10^18 + 3 is prime: h_W = (1/2) log(10^18 + 3) at that prime,
+    # and the archimedean place contributes nothing (|A|, |B| <= 1)
+    p = 10 ** 18 + 3
+    E = validate_curve(Fraction(-31, p), 1)
+    got = eval_const(weierstrass_height_expr(E), Direction.NEAREST, 256).exact()
+    with mpmath.workdps(90):
+        want = Fraction(str(mpmath.log(p) / 2))
+    assert abs(got - want) < Fraction(1, 10 ** 60)
 
 
 def test_curve_json_roundtrip():

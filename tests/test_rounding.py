@@ -1,3 +1,4 @@
+import decimal
 from fractions import Fraction
 
 import mpmath
@@ -121,6 +122,40 @@ def test_directed_decimal_just_below_a_power_of_ten():
     assert fraction_to_decimal(-q, 3, U) == "-9.99e-58"
 
 
+_LAYOUT_CASES = [
+    (Fraction(1, 10 ** 5), 3, U, "1e-5"),
+    (Fraction(1, 10 ** 4), 3, U, "0.0001"),
+    (Fraction(10 ** 20), 3, U, "100000000000000000000"),
+    (Fraction(10 ** 21), 3, U, "1e21"),
+    (Fraction(999999, 10 ** 10), 3, U, "0.0001"),
+    (Fraction(999999, 10 ** 10), 3, L, "9.99e-5"),
+    (Fraction(10 ** 21 - 1), 3, U, "1e21"),
+    (Fraction(10 ** 21 - 1), 3, L, "999000000000000000000"),
+    (Fraction(-(10 ** 21 - 1)), 3, U, "-999000000000000000000"),
+    (Fraction(-(10 ** 21 - 1)), 3, L, "-1e21"),
+    (Fraction(5, 2), 1, NE, "3"),
+    (Fraction(-5, 2), 1, NE, "-3"),
+    (Fraction(7, 200), 1, NE, "0.04"),
+]
+
+
+@pytest.mark.parametrize("q,sig,direction,text", _LAYOUT_CASES)
+def test_directed_decimal_layout_at_thresholds_and_ties(q, sig, direction, text):
+    # plain layout for leading-digit exponents -4..20, scientific outside;
+    # NEAREST rounds a tie away from zero
+    assert fraction_to_decimal(q, sig, direction) == text
+
+
+def test_rendering_ignores_the_thread_decimal_context():
+    with decimal.localcontext() as ctx:
+        ctx.prec = 2
+        ctx.rounding = decimal.ROUND_DOWN
+        ctx.traps[decimal.Inexact] = True
+        inside = [fraction_to_decimal(q, sig, d) for q, sig, d, _ in _LAYOUT_CASES]
+        inside.append(fraction_to_decimal(Fraction(1, 3), 40, U))
+    assert inside == [text for *_, text in _LAYOUT_CASES] + ["0." + "3" * 39 + "4"]
+
+
 def _parse_decimal(text: str) -> tuple[Fraction, int, str]:
     """(value, exponent of the leading digit, significant digits) of a
     rendered decimal, read off the text alone."""
@@ -204,26 +239,27 @@ def test_capped_dyadic_rendering_equals_uncapped(q, extra, direction):
 
 
 def test_decimal_digits_never_sees_more_than_the_expansion(monkeypatch):
+    # the precision each rendering's decimal context is built with
     seen = []
-    real = rounding._decimal_digits
+    real = rounding.Context
 
-    def spy(q, sig_digits, how):
-        seen.append((q, sig_digits))
-        return real(q, sig_digits, how)
+    def spy(*, prec, **kwargs):
+        seen.append(prec)
+        return real(prec=prec, **kwargs)
 
-    monkeypatch.setattr(rounding, "_decimal_digits", spy)
+    monkeypatch.setattr(rounding, "Context", spy)
     cases = [Fraction(3, 2 ** 500), Fraction(-(2 ** 999 + 1), 2 ** 7), Fraction(10 ** 60),
              Fraction(7), eval_const(LogRat(2) / 3, U, 128).exact()]
     for q in cases:
         for direction in (U, L, NE):
+            seen.clear()
             fraction_to_decimal(q, 100_000, direction)
-    assert len(seen) == 3 * len(cases)
-    for q, sig in seen:
-        assert len(_expansion(q).rstrip("0")) <= sig <= len(_expansion(q)) + 2, q
+            assert len(seen) == 1
+            assert len(_expansion(q).rstrip("0")) <= seen[0] <= len(_expansion(q)) + 2, q
     # a non-dyadic value has no finite expansion, and gets every digit asked
     seen.clear()
     fraction_to_decimal(Fraction(1, 3), 5_000, U)
-    assert seen == [(Fraction(1, 3), 5_000)]
+    assert seen == [5_000]
 
 
 def test_eval_interval_endpoints_enclose():
