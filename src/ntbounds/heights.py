@@ -8,7 +8,9 @@ normalized size of the duplication forms (certified interval arithmetic on the
 projective pair, no large integers) and d_m is the exact integer cancellation,
 recovered from residues modulo a power of the curve's gcd cap.  The tail after
 n steps is bounded by delta/3 * 4^-n with delta a proven per-curve constant, so
-the returned enclosure is certified to the requested tolerance.
+the returned enclosure is certified to the requested tolerance.  The cap and
+delta come from the Bezout identities of the duplication forms, which the
+classical duplication identities give in closed form.
 """
 
 from __future__ import annotations
@@ -93,56 +95,6 @@ def modified_height_h2_expr(P: ProjPointQ) -> ConstExpr:
 # ---------------------------------------------------------------------------
 
 
-def _poly_trim(c: list[Fraction]) -> list[Fraction]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _poly_divmod(f: list[Fraction], g: list[Fraction]):
-    f = list(f)
-    q = [Fraction(0)] * max(0, len(f) - len(g) + 1)
-    inv_lead = 1 / g[-1]
-    for k in range(len(f) - len(g), -1, -1):
-        coef = f[k + len(g) - 1] * inv_lead
-        q[k] = coef
-        if coef:
-            for j, gj in enumerate(g):
-                f[k + j] -= coef * gj
-    return q, _poly_trim(f)
-
-
-def _poly_ext_gcd_one(f: list[Fraction], g: list[Fraction]):
-    """(u, v) with u*f + v*g = 1 for coprime f, g over Q; ascending coefficients."""
-    r0, r1 = _poly_trim(list(f)), _poly_trim(list(g))
-    s0, s1 = [Fraction(1)], []
-    t0, t1 = [], [Fraction(1)]
-
-    def sub_scaled(a, q, b):
-        # a - q*b
-        out = list(a) + [Fraction(0)] * max(0, len(q) + len(b) - 1 - len(a))
-        for i, qi in enumerate(q):
-            if qi:
-                for j, bj in enumerate(b):
-                    out[i + j] -= qi * bj
-        return _poly_trim(out)
-
-    while r1:
-        q, r = _poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, sub_scaled(s0, q, s1)
-        t0, t1 = t1, sub_scaled(t0, q, t1)
-    if len(r0) != 1:
-        # EllipticCurveQ rejects singular curves, whose forms share a factor
-        raise RuntimeError("duplication forms of a nonsingular curve are not coprime")
-    c = r0[0]
-    return [x / c for x in s0], [x / c for x in t0]
-
-
-def _lcm_denoms(polys: Sequence[Sequence[Fraction]]) -> int:
-    return lcm(*(c.denominator for poly in polys for c in poly))
-
-
 @dataclass(frozen=True)
 class _DoublingData:
     # F, G homogeneous quartics with integer coefficients, indexed by B-degree:
@@ -163,28 +115,32 @@ def _doubling_data(E: EllipticCurveQ) -> _DoublingData:
     # and G = 4 A^3 B + 4a A B^3 + 4b B^4, scaled to integers.
     fh = [Fraction(1), Fraction(0), -2 * a, -8 * b, a * a]
     gh = [Fraction(0), Fraction(4), Fraction(0), 4 * a, 4 * b]
-    scale = _lcm_denoms([fh, gh])
+    scale = lcm(*(c.denominator for c in fh + gh))
     fi = tuple(int(c * scale) for c in fh)
     gi = tuple(int(c * scale) for c in gh)
 
-    # Bezout identities: U*F + V*G = m1 * B^7 (from the x-chart) and
-    # Utilde*F + Vtilde*G = m2 * A^7 (from the chart at infinity).
-    f_x = [Fraction(c) for c in reversed(fi)]
-    g_x = [Fraction(c) for c in reversed(gi)]
-    u, v = _poly_ext_gcd_one(f_x, g_x)
-    m1 = _lcm_denoms([u, v])
-    k1 = sum(abs(c * m1) for c in u) + sum(abs(c * m1) for c in v)
-
-    f_t = [Fraction(c) for c in fi]
-    g_t = [Fraction(c) for c in gi]
-    ut, vt = _poly_ext_gcd_one(f_t, g_t)
-    m2 = _lcm_denoms([ut, vt])
-    k2 = sum(abs(c * m2) for c in ut) + sum(abs(c * m2) for c in vt)
-
-    cap = lcm(m1, m2)
+    # Bezout identities U*F + V*G = m1 * B^7 (from the x-chart) and
+    # Utilde*F + Vtilde*G = m2 * A^7 (from the chart at infinity).  With
+    # D = 4a^3 + 27b^2 != 0, the classical duplication identities (Silverman,
+    # AEC ch. VIII) give them in closed form:
+    #   (12x^2 + 16a) F(x,1) - (3x^3 - 5ax - 27b) G(x,1) = 4D * scale, and
+    #   Ut(t) F(1,t) + Vt(t) G(1,t) = 4D * scale with the t-chart pair below.
+    # In each pair U has lower degree than G and V than F, so these are the
+    # unique pairs; m1, m2 are their common denominators over 4D * scale.
+    a3, b2 = a * a * a, b * b
+    four_d = 4 * (4 * a3 + 27 * b2)
+    x_pair = (16 * a, 0, 12, 27 * b, 5 * a, 0, -3)
+    t_pair = (four_d, -4 * a * a * b, 4 * a * (3 * a3 + 22 * b2), 12 * b * (a3 + 8 * b2),
+              a * a * b, a * (5 * a3 + 32 * b2), 2 * b * (13 * a3 + 96 * b2),
+              -3 * a * a * (a3 + 8 * b2))
+    cap, norm = 1, Fraction(0)
+    for pair in (x_pair, t_pair):
+        coeffs = [Fraction(c) / (four_d * scale) for c in pair]
+        cap = lcm(cap, *(c.denominator for c in coeffs))
+        norm = max(norm, sum(abs(c) for c in coeffs))
 
     rho_up = Fraction(max(sum(abs(c) for c in fi), sum(abs(c) for c in gi)))
-    rho_down = Fraction(cap) * max(Fraction(int(k1), m1), Fraction(int(k2), m2))
+    rho_down = cap * norm
     delta_arg = max(rho_up, rho_down, Fraction(1))
     return _DoublingData(fi, gi, cap, delta_arg)
 
@@ -280,15 +236,6 @@ def canonical_height_enclosure(E: EllipticCurveQ, P: ECPoint, tol,
 
 
 def _eval_form_mod(coeffs: tuple[int, ...], a: int, b: int, modulus: int) -> int:
-    acc = 0
-    pa = [1, a % modulus]
-    pb = [1, b % modulus]
-    for _ in range(3):
-        pa.append(pa[-1] * pa[1] % modulus)
-        pb.append(pb[-1] * pb[1] % modulus)
     deg = len(coeffs) - 1
-    for i, c in enumerate(coeffs):
-        if c:
-            acc = (acc + c * pa[deg - i] * pb[i]) % modulus
-    return acc % modulus
-
+    return sum(c * pow(a, deg - i, modulus) * pow(b, i, modulus)
+               for i, c in enumerate(coeffs) if c) % modulus

@@ -26,18 +26,11 @@ class EndRing:
     # -- basic arithmetic ----------------------------------------------------
 
     @property
-    def zero(self) -> Element:
-        return (0, 0)
-
-    @property
     def one(self) -> Element:
         return (1, 0)
 
     def is_zero(self, x: Element) -> bool:
         return x == (0, 0)
-
-    def add(self, x: Element, y: Element) -> Element:
-        return (x[0] + y[0], x[1] + y[1])
 
     def sub(self, x: Element, y: Element) -> Element:
         return (x[0] - y[0], x[1] - y[1])

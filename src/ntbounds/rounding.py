@@ -191,43 +191,6 @@ class ConstExpr:
     # `_eval_iv`; leaves keep none.
     _enclosure = None
 
-    def __add__(self, other):
-        return Sum((self, _coerce(other)))
-
-    def __radd__(self, other):
-        return Sum((_coerce(other), self))
-
-    def __sub__(self, other):
-        return Sum((self, Prod((Rat(Fraction(-1)), _coerce(other)))))
-
-    def __rsub__(self, other):
-        return Sum((_coerce(other), Prod((Rat(Fraction(-1)), self))))
-
-    def __neg__(self):
-        return Prod((Rat(Fraction(-1)), self))
-
-    def __mul__(self, other):
-        return Prod((self, _coerce(other)))
-
-    def __rmul__(self, other):
-        return Prod((_coerce(other), self))
-
-    def __truediv__(self, other):
-        other = _coerce(other)
-        if isinstance(other, Rat):
-            if other.q == 0:
-                raise ZeroDivisionError("division of ConstExpr by zero")
-            return Prod((self, Rat(1 / other.q)))
-        return Prod((self, Pow(other, -1)))
-
-    def __rtruediv__(self, other):
-        return Prod((_coerce(other), Pow(self, -1)))
-
-    def __pow__(self, k: int):
-        if not isinstance(k, int):
-            raise TypeError("ConstExpr powers must be integers")
-        return Pow(self, k)
-
 
 def _coerce(x) -> ConstExpr:
     if isinstance(x, ConstExpr):

@@ -78,15 +78,6 @@ class SubgroupMatrix:
     def n(self) -> int:
         return len(self.entries[0])
 
-    @staticmethod
-    def from_ints(ring: EndRing, rows) -> "SubgroupMatrix":
-        """Rows of ints (Z) or (a, b) pairs."""
-        conv = []
-        for row in rows:
-            conv.append(tuple(
-                (e, 0) if isinstance(e, int) else (int(e[0]), int(e[1])) for e in row))
-        return SubgroupMatrix(ring, tuple(conv))
-
 
 def _full_rank_subsets(ring: EndRing, rows, r: int, dmax: int | None = None,
                        box: int | None = None):

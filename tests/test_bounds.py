@@ -24,10 +24,12 @@ from ntbounds.rounding import (
     DomainError,
     eval_const,
     LogRat,
+    Prod,
+    Rat,
     fraction_to_decimal,
 )
 
-HW_F2 = LogRat(2) / 3
+HW_F2 = Prod((LogRat(2), Rat(Fraction(1, 3))))
 
 
 def test_printed_decimal_approximations():
@@ -314,7 +316,7 @@ _fresh_logs = itertools.count(10 ** 6 + 1)
 
 def _fresh_height():
     """A height expression with a log argument no other request has used."""
-    return LogRat(Fraction(next(_fresh_logs), 7)) / 3
+    return Prod((LogRat(Fraction(next(_fresh_logs), 7)), Rat(Fraction(1, 3))))
 
 
 @pytest.fixture

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from ntbounds import bounds, heights, subgroups
+from ntbounds import bounds, subgroups
 from ntbounds.cli import (
     EXIT_DOMAIN,
     EXIT_INDETERMINATE,
@@ -14,7 +14,7 @@ from ntbounds.cli import (
     main,
     parse_height_expr,
 )
-from ntbounds.rounding import Direction, LogRat, eval_const
+from ntbounds.rounding import Direction, LogRat, Prod, Rat, eval_const
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -461,7 +461,7 @@ def _upper_not_below_lower(value, expr, precision):
 def test_constants_print_past_the_int_digit_limit(tmp_path, extra, precision):
     payload = json.loads(run_to_bytes(
         tmp_path, ["constants", "--d", "--hw", "1/3log2", *extra]))
-    exprs = bounds.constants_D_expr(LogRat(2) / 3)
+    exprs = bounds.constants_D_expr(Prod((LogRat(2), Rat(Fraction(1, 3)))))
     for name, expr in zip(("d1", "d2", "d3"), exprs):
         _upper_not_below_lower(payload["values"][name], expr, precision)
 
@@ -488,7 +488,8 @@ def test_family_audit_prints_values_below_2_pow_minus_1023(tmp_path):
     _upper_not_below_lower(entry["h_upper"], inv.h_upper, 1024)
     for label, expr in inv.chain:
         _upper_not_below_lower(entry["height_chain"][label], expr, 1024)
-    report = bounds.bound_transverse_E2(inv.h_upper, inv.deg_upper, LogRat(2) / 3, 1024)
+    report = bounds.bound_transverse_E2(inv.h_upper, inv.deg_upper,
+                                        Prod((LogRat(2), Rat(Fraction(1, 3)))), 1024)
     _upper_not_below_lower(entry["composed_total"], report.total, 1024)
 
 
@@ -507,22 +508,6 @@ def test_search_prints_heights_at_1010_bits(tmp_path):
 
 
 # -- program faults propagate ---------------------------------------------------
-
-
-def test_coprimality_failure_of_the_duplication_forms_is_a_program_fault(monkeypatch):
-    real = heights._poly_ext_gcd_one
-
-    def sharing_a_factor(f, g):  # both times x: the real routine must refuse
-        return real([Fraction(0), *f], [Fraction(0), *g])
-
-    monkeypatch.setattr(heights, "_poly_ext_gcd_one", sharing_a_factor)
-    heights._doubling_data.cache_clear()
-    try:
-        with pytest.raises(RuntimeError, match="not coprime"):
-            main(["search", "--family", "f1", "--n", "1", "--curve", "f1",
-                  "--height-bound", "6", "--precision", "300"])
-    finally:
-        heights._doubling_data.cache_clear()
 
 
 def test_non_integral_torsion_count_is_a_program_fault(monkeypatch):

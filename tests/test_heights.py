@@ -1,8 +1,11 @@
 import math
 import random
 from fractions import Fraction
+from itertools import zip_longest
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ntbounds.elliptic import ECPoint, add, negate, scalar_mul, validate_curve
 from ntbounds.heights import (
@@ -10,6 +13,7 @@ from ntbounds.heights import (
     canonical_height_enclosure,
     modified_height_h2_expr,
     weil_height_expr,
+    _DoublingData,
     _doubling_data,
 )
 from ntbounds.rounding import Direction, DomainError, eval_const
@@ -89,6 +93,54 @@ def test_gcd_cap_divides_duplication_gcd():
                 continue
             d = math.gcd(abs(f), abs(g))
             assert d >= 1 and dd.gcd_cap % d == 0
+
+
+def test_doubling_data_is_pinned():
+    # the values a polynomial extended Euclid over Q gives for these curves
+    assert _doubling_data(E1) == _DoublingData(
+        (1, 0, -2, 8, 1), (0, 4, 0, 4, -4), 124, Fraction(619))
+    assert _doubling_data(E2) == _DoublingData(
+        (1, 0, 2, 16, 1), (0, 4, 0, -4, -8), 416, Fraction(3210))
+    assert _doubling_data(validate_curve(Fraction(-5, 6), Fraction(7, 9))) == _DoublingData(
+        (36, 0, 60, -224, 25), (0, 144, 0, -120, 112), 15697152, Fraction(1853403))
+
+
+def _poly_mul(p, q):
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, x in enumerate(p):
+        for j, y in enumerate(q):
+            out[i + j] += x * y
+    return out
+
+
+def _bezout_lhs(u, f, v, g):
+    """Ascending coefficients of u*f + v*g."""
+    return [x + y for x, y in zip_longest(_poly_mul(u, f), _poly_mul(v, g), fillvalue=0)]
+
+
+_curve_coeffs = st.one_of(st.just(Fraction(0)),
+                          st.fractions(min_value=-50, max_value=50, max_denominator=12))
+
+
+@given(a=_curve_coeffs, b=_curve_coeffs)
+@settings(max_examples=200, deadline=None)
+def test_duplication_identities_hold_exactly(a, b):
+    D = 4 * a ** 3 + 27 * b ** 2
+    assume(D != 0)
+    dd = _doubling_data(validate_curve(a, b))
+    scale = dd.f_coeffs[0]  # F = scale * (A^4 - ...)
+    constant = [4 * D * scale]
+    # x-chart, ascending in x = A/B: B-degree order reversed
+    u, v = [16 * a, 0, 12], [27 * b, 5 * a, 0, -3]
+    lhs = _bezout_lhs(u, dd.f_coeffs[::-1], v, dd.g_coeffs[::-1])
+    assert lhs == constant + [0] * (len(lhs) - 1)
+    # t-chart, ascending in t = B/A: B-degree order
+    ut = [4 * D, -4 * a * a * b, 4 * a * (3 * a ** 3 + 22 * b * b),
+          12 * b * (a ** 3 + 8 * b * b)]
+    vt = [a * a * b, a * (5 * a ** 3 + 32 * b * b), 2 * b * (13 * a ** 3 + 96 * b * b),
+          -3 * a * a * (a ** 3 + 8 * b * b)]
+    lhs = _bezout_lhs(ut, dd.f_coeffs, vt, dd.g_coeffs)
+    assert lhs == constant + [0] * (len(lhs) - 1)
 
 
 def test_duplication_step_bound_holds():

@@ -209,12 +209,12 @@ _FIXED = [
     Prod(()),
     pi_pow(8),
     pi_pow(-3),
-    LogRat(2) / 3,
+    Prod((LogRat(2), Rat(Fraction(1, 3)))),
     unit_ball_volume(5),
-    (rat(Fraction(7, 3)) * pi_pow(2) + LogRat(Fraction(9, 7))) ** 3,
-    pi_pow(3) * LogRat(24) - rat(2),
-    Pow(LogRat(11) - rat(Fraction(1, 3)), -2),
-    rat(Fraction(-2, 3)) * LogRat(Fraction(5, 7)),
+    Pow(Sum((Prod((rat(Fraction(7, 3)), pi_pow(2))), LogRat(Fraction(9, 7)))), 3),
+    Sum((Prod((pi_pow(3), LogRat(24))), Prod((Rat(Fraction(-1)), rat(2))))),
+    Pow(Sum((LogRat(11), Prod((Rat(Fraction(-1)), rat(Fraction(1, 3)))))), -2),
+    Prod((rat(Fraction(-2, 3)), LogRat(Fraction(5, 7)))),
 ]
 
 

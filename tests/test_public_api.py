@@ -141,6 +141,20 @@ def _surface_references(tree: ast.Module) -> list[tuple[str | None, str]]:
     return found
 
 
+def _exported(tree: ast.Module) -> list[str]:
+    return next((ast.literal_eval(stmt.value) for stmt in tree.body
+                 if isinstance(stmt, ast.Assign) and any(
+                     isinstance(t, ast.Name) and t.id == "__all__" for t in stmt.targets)), [])
+
+
+def _outside_text(repo: Path) -> str:
+    """The benchmark, the scripts and the acceptance criteria, as one text."""
+    return " ".join(path.read_text() for path in [
+        *sorted((repo / "perfbench").glob("*.py")),
+        *sorted((repo / "scripts").glob("*.py")),
+        repo / "tests" / "test_acceptance.py"])
+
+
 def _unreferenced_surface(package_dir: Path, repo: Path) -> list[str]:
     """module.name for each name in a module's __all__ that no other code
     reaches: no reference in the package outside the name's own definition,
@@ -148,17 +162,10 @@ def _unreferenced_surface(package_dir: Path, repo: Path) -> list[str]:
     trees = {path.stem: ast.parse(path.read_text())
              for path in sorted(package_dir.glob("*.py"))}
     refs = {stem: _surface_references(tree) for stem, tree in trees.items()}
-    outside = " ".join(path.read_text() for path in [
-        *sorted((repo / "perfbench").glob("*.py")),
-        *sorted((repo / "scripts").glob("*.py")),
-        repo / "tests" / "test_acceptance.py"])
+    outside = _outside_text(repo)
     dead = []
     for stem, tree in trees.items():
-        exported = next((ast.literal_eval(stmt.value) for stmt in tree.body
-                         if isinstance(stmt, ast.Assign) and any(
-                             isinstance(t, ast.Name) and t.id == "__all__"
-                             for t in stmt.targets)), [])
-        for name in exported:
+        for name in _exported(tree):
             used = any(ref == name and not (where == stem and owner == name)
                        for where, module_refs in refs.items()
                        for owner, ref in module_refs)
@@ -167,8 +174,44 @@ def _unreferenced_surface(package_dir: Path, repo: Path) -> list[str]:
     return [name for name in dead if name not in _SURFACE_EXCEPTIONS]
 
 
+def _unreferenced_methods(package_dir: Path, repo: Path) -> list[str]:
+    """Class.method for each method or property of a class in a module's
+    __all__ that no other code reaches: no attribute of that name in the
+    package outside the method's own body, and no word in the benchmark, the
+    scripts or the acceptance criteria.
+
+    Dunders are reached through syntax (`+`, `==`, `len`), not by name, so
+    they are not checked. A method named like one of another type is masked
+    by it: `EndRing.add` would look reached through any `set.add`. Neither is
+    within reach of a name check."""
+    trees = [ast.parse(path.read_text()) for path in sorted(package_dir.glob("*.py"))]
+    attributes = [node for tree in trees for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)]
+    outside = _outside_text(repo)
+    dead = []
+    for tree in trees:
+        exported = set(_exported(tree))
+        for cls in tree.body:
+            if not (isinstance(cls, ast.ClassDef) and cls.name in exported):
+                continue
+            for method in cls.body:
+                if not isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)) or (
+                        method.name.startswith("__") and method.name.endswith("__")):
+                    continue
+                own = {id(node) for node in ast.walk(method)}
+                used = any(node.attr == method.name and id(node) not in own
+                           for node in attributes)
+                if not used and not re.search(rf"\b{re.escape(method.name)}\b", outside):
+                    dead.append(f"{cls.name}.{method.name}")
+    return dead
+
+
 def test_every_public_name_is_reached_outside_its_own_tests():
     assert _unreferenced_surface(_PACKAGE_DIR, _REPO) == []
+
+
+def test_every_public_method_is_reached_outside_its_own_tests():
+    assert _unreferenced_methods(_PACKAGE_DIR, _REPO) == []
 
 
 def test_public_surface_check_sees_a_name_only_its_definition_reaches(tmp_path):
@@ -186,3 +229,25 @@ def test_public_surface_check_sees_a_name_only_its_definition_reaches(tmp_path):
     (tmp_path / "tests").mkdir()
     (tmp_path / "tests" / "test_acceptance.py").write_text("")
     assert _unreferenced_surface(package, tmp_path) == ["a.dead"]
+
+
+def test_method_check_sees_a_method_only_its_own_body_reaches(tmp_path):
+    package = tmp_path / "src" / "pkg"
+    package.mkdir(parents=True)
+    (package / "a.py").write_text(
+        "__all__ = ['Public']\n"
+        "class Public:\n"
+        "    def __len__(self):\n        return 0\n"
+        "    def used(self):\n        return self.named()\n"
+        "    def dead(self):\n        return self.dead()\n"
+        "    @property\n    def flag(self):\n        return 1\n"
+        "    def named(self):\n        return 2\n"
+        "class Private:\n"
+        "    def hidden(self):\n        return 3\n")
+    (package / "b.py").write_text("def f(p):\n    return p.used()\n")
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text("FLAGS = ['flag']\n")
+    (tmp_path / "scripts").mkdir()
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_acceptance.py").write_text("")
+    assert _unreferenced_methods(package, tmp_path) == ["Public.dead"]

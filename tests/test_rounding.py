@@ -12,6 +12,10 @@ from ntbounds.rounding import (
     Direction,
     DomainError,
     LogRat,
+    Pow,
+    Prod,
+    Rat,
+    Sum,
     eval_const,
     eval_interval,
     fraction_to_decimal,
@@ -36,7 +40,7 @@ def test_dyadic_rational_is_exact_in_both_directions():
 
 
 def test_log_rational_matches_oracle():
-    got = eval_const(LogRat(2) / 3, NE, 128).exact()
+    got = eval_const(Prod((LogRat(2), Rat(Fraction(1, 3)))), NE, 128).exact()
     with mpmath.workdps(60):
         want = Fraction(str(mpmath.log(2) / 3))
     assert abs(got - want) < Fraction(1, 10 ** 30)
@@ -61,10 +65,10 @@ def test_unit_ball_volumes():
 
 _EXPRS = [
     pi_pow(8),
-    LogRat(2) / 3,
+    Prod((LogRat(2), Rat(Fraction(1, 3)))),
     unit_ball_volume(5),
-    (rat(Fraction(7, 3)) * pi_pow(2) + LogRat(Fraction(9, 7))) ** 3,
-    pi_pow(3) * LogRat(24) - rat(2),
+    Pow(Sum((Prod((rat(Fraction(7, 3)), pi_pow(2))), LogRat(Fraction(9, 7)))), 3),
+    Sum((Prod((pi_pow(3), LogRat(24))), Prod((Rat(Fraction(-1)), rat(2))))),
 ]
 
 
@@ -249,7 +253,7 @@ def test_decimal_digits_never_sees_more_than_the_expansion(monkeypatch):
 
     monkeypatch.setattr(rounding, "Context", spy)
     cases = [Fraction(3, 2 ** 500), Fraction(-(2 ** 999 + 1), 2 ** 7), Fraction(10 ** 60),
-             Fraction(7), eval_const(LogRat(2) / 3, U, 128).exact()]
+             Fraction(7), eval_const(Prod((LogRat(2), Rat(Fraction(1, 3)))), U, 128).exact()]
     for q in cases:
         for direction in (U, L, NE):
             seen.clear()
