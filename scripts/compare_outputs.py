@@ -5,17 +5,20 @@ Runs the argv of the first K decks of a perfbench workload through
 ``ntbounds.cli.main`` of each given source tree, each tree in its own process,
 and prints per tree the request count and a sha256 over every request's exit
 code and stdout.  The decks come from this checkout's
-``perfbench/workloads.py``, which is only read.  Exits 1 when the hashes
-differ.
+``perfbench/workloads.py``, which is only read.  With ``--argv-file FILE`` the
+requests are instead the argv lists of FILE, a JSON list of lists of strings,
+and the workload is not given.  Exits 1 when the hashes differ.
 
     python3 scripts/compare_outputs.py query-mix --decks 300 ../parent .
     python3 scripts/compare_outputs.py search --decks 6 --seed 11 ../parent .
+    python3 scripts/compare_outputs.py --argv-file shapes.json ../parent .
 """
 
 import argparse
 import hashlib
 import importlib.util
 import io
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -54,39 +57,54 @@ def run_request(main, argv) -> tuple[int, bytes]:
     return code, out.buffer.getvalue()
 
 
-def digest(tree: str, workload: str, decks: int, seed: int) -> tuple[int, str]:
-    """(request count, sha256 hex) of the decks run through `tree`'s CLI."""
-    main = tree_main(tree)
+def requests(workload: str | None, decks: int, seed: int, argv_file: str | None):
+    """The argv of each request: FILE's lists, or the decks' requests."""
+    if argv_file is not None:
+        return json.loads(Path(argv_file).read_text())
     workloads = _workloads()
+    return [req.argv for index in range(decks) for req in workloads.deck(workload, seed, index)]
+
+
+def digest(tree: str, argvs) -> tuple[int, str]:
+    """(request count, sha256 hex) of the argvs run through `tree`'s CLI."""
+    main = tree_main(tree)
     h = hashlib.sha256()
-    count = 0
-    for index in range(decks):
-        for req in workloads.deck(workload, seed, index):
-            code, blob = run_request(main, req.argv)
-            h.update(b"%d %d\n" % (code, len(blob)))
-            h.update(blob)
-            count += 1
-    return count, h.hexdigest()
+    for argv in argvs:
+        code, blob = run_request(main, argv)
+        h.update(b"%d %d\n" % (code, len(blob)))
+        h.update(blob)
+    return len(argvs), h.hexdigest()
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("workload", choices=("query-mix", "search", "census"))
-    parser.add_argument("trees", nargs="+", help="source trees (each holds src/ntbounds)")
-    parser.add_argument("--decks", type=int, required=True)
+    parser.add_argument("trees", nargs="+", metavar="[workload] tree",
+                        help="a workload (query-mix, search or census), then the "
+                             "source trees (each holds src/ntbounds); with "
+                             "--argv-file, the trees only")
+    parser.add_argument("--decks", type=int)
     parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--argv-file", help="JSON list of argv lists to run instead of decks")
     parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
-    args = parser.parse_args(argv)
+    args = parser.parse_intermixed_args(argv)
+    workload, trees = None, args.trees
+    if args.argv_file is None:
+        workload, *trees = trees
+        if workload not in ("query-mix", "search", "census") or not trees or args.decks is None:
+            parser.error("give a workload, --decks and the trees, or --argv-file and the trees")
     if args.worker:
-        count, hexdigest = digest(args.trees[0], args.workload, args.decks, args.seed)
+        count, hexdigest = digest(trees[0], requests(
+            workload, args.decks, args.seed, args.argv_file))
         print(count, hexdigest)
         return 0
+    if args.argv_file is None:
+        source = [workload, "--decks", str(args.decks), "--seed", str(args.seed)]
+    else:
+        source = ["--argv-file", str(Path(args.argv_file).resolve())]
     seen = set()
-    for tree in args.trees:
-        result = subprocess.run(
-            [sys.executable, __file__, args.workload, tree, "--decks", str(args.decks),
-             "--seed", str(args.seed), "--worker"],
-            capture_output=True, text=True)
+    for tree in trees:
+        result = subprocess.run([sys.executable, __file__, *source, tree, "--worker"],
+                                capture_output=True, text=True)
         if result.returncode:
             sys.stderr.write(result.stderr)
             return 2

@@ -6,6 +6,7 @@ reproducibility for identical logical inputs.
 from __future__ import annotations
 
 import json
+import sys
 from typing import Any
 
 from .bounds import BoundReport, ExponentReport, FamilyBoundReport
@@ -31,9 +32,19 @@ DEFAULT_DIGITS = 40
 
 
 def canonical_dumps(payload: Any) -> bytes:
-    """Deterministic bytes: sorted keys, no whitespace surprises, newline end."""
-    return (json.dumps(payload, sort_keys=True, separators=(",", ":"),
-                       ensure_ascii=True) + "\n").encode("ascii")
+    """Deterministic bytes: sorted keys, no whitespace surprises, newline end.
+
+    json prints ints with str(), which refuses more digits than
+    sys.get_int_max_str_digits() (4 300 by default); a report's ints are
+    bounded by its own input, so the limit is lifted while they print (the
+    CLI runs one request at a time, on one thread)."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        text = json.dumps(payload, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    return (text + "\n").encode("ascii")
 
 
 def bounded_real_payload(b: BoundedReal, digits: int = DEFAULT_DIGITS) -> dict:

@@ -25,14 +25,20 @@ them are bases of each module with reduced form f.  So R_N(f) / |Aut(f)|
 counts each module exactly once.  At r = 1, on every ring, f = (d) and
 Aut(f) is the unit group; at r = 2 over Z, f runs over the Gauss-reduced
 binary forms, whose automorphism groups have order 2, 4, 8 or 12 (Conway and
-Sloane, SPLAG, ch. 15).  At r >= 3 the census walks.
+Sloane, SPLAG, ch. 15).  Over Z the count at rank r follows from the count at
+rank N - r: a rank-r module has index k in its saturation, a primitive module
+of degree D / k^2, and a primitive module of Z^N has the degree of its
+orthogonal complement (W. M. Schmidt, Duke Math. J. 1968).  So the census
+counts at rank min(r, N - r) whenever that is at most 2, and walks only at
+N >= 6 with 3 <= r <= N - 3.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, isqrt
+from functools import lru_cache
+from math import comb, factorial, gcd, isqrt, lcm
 
 from .rings import Element, EndRing
 from .rounding import DomainError
@@ -454,6 +460,69 @@ def _rank_two_forms(counts: list[list[int]], n: int, dmax: int) -> dict[tuple, i
     return reps
 
 
+def _counted_buckets(ring: EndRing, counts: list[list[int]], n: int, s: int,
+                     dmax: int) -> dict[int, int]:
+    """degree -> number of rank-s row modules of ring^n of degree <= dmax,
+    for s <= 2 (s = 2 over Z only), one R_N(f) / |Aut(f)| per reduced Gram
+    form f (see `census`); `counts` are `_norm_counts` with bound >= dmax.
+    The zero module (s = 0) has the empty Gram matrix, of determinant 1."""
+    if s == 0:
+        return {1: 1}
+    if s == 1:
+        units = len(ring.units())
+        return {d: _classes_of_form(counts[n][d], units, (d,))
+                for d in range(1, dmax + 1) if counts[n][d]}
+    buckets: dict[int, int] = {}
+    for (a, b, c), reps in _rank_two_forms(counts, n, dmax).items():
+        d = a * c - b * b
+        buckets[d] = buckets.get(d, 0) + _classes_of_form(
+            reps, _binary_aut_order(a, b, c), (a, b, c))
+    return buckets
+
+
+def _index_counts(r: int, top: int) -> list[int]:
+    """[a_r(0), ..., a_r(top)], a_r(k) the number of sublattices of index k
+    in Z^r (a_r(0) = 0).  Their Dirichlet series is zeta(s) zeta(s - 1) ...
+    zeta(s - r + 1) (L. Solomon, Adv. Math. 1977), so a_r is a_(r-1)
+    convolved with k -> k^(r-1), from a_0 = [k = 1]."""
+    a = [int(k == 1) for k in range(top + 1)]
+    for j in range(1, r + 1):
+        b = [0] * (top + 1)
+        for d in range(1, top + 1):
+            w = d ** (j - 1)
+            for m in range(1, top // d + 1):
+                b[d * m] += w * a[m]
+        a = b
+    return a
+
+
+def _complement_buckets(counted: dict[int, int], s: int, r: int,
+                        dmax: int) -> dict[int, int]:
+    """degree -> number of rank-r row modules of Z^N, from `counted`, the
+    same for rank s = N - r.
+
+    A rank-r module L of degree D has index k in its saturation (L tensor Q)
+    cap Z^N, which is primitive of degree D / k^2, and each primitive module
+    has a_r(k) submodules of index k (`_index_counts`).  So census_r(D) =
+    sum_{k^2 | D} a_r(k) prim_r(D / k^2), and the same at rank s.  A
+    primitive module and its orthogonal complement in the unimodular Z^N
+    have the same degree, so prim_r = prim_s: invert the sum at rank s, then
+    apply it at rank r."""
+    top = isqrt(dmax)
+    a_s, a_r = _index_counts(s, top), _index_counts(r, top)
+    prim: dict[int, int] = {}
+    for d in sorted(counted):
+        p = counted[d] - sum(a_s[k] * prim.get(d // (k * k), 0)
+                             for k in range(2, isqrt(d) + 1) if d % (k * k) == 0)
+        if p:
+            prim[d] = p
+    buckets: dict[int, int] = {}
+    for d, p in prim.items():
+        for k in range(1, isqrt(dmax // d) + 1):
+            buckets[d * k * k] = buckets.get(d * k * k, 0) + a_r[k] * p
+    return buckets
+
+
 # ---------------------------------------------------------------------------
 # Torsion counting and the census
 # ---------------------------------------------------------------------------
@@ -474,25 +543,43 @@ def _even_bernoulli(n: int) -> list[Fraction]:
         for k in range(1, n + 1)]
 
 
+@lru_cache(maxsize=16)
+def _faulhaber(n_power: int) -> tuple[tuple[int, ...], int]:
+    """Faulhaber's coefficients for sum_{i<=T} i^(2N) as ints c_0..c_N over
+    one denominator L: the sum is (L/2 T^(2N) + T sum_k c_k T^(2(N-k))) / L,
+    with c_k / L = C(2N+1, 2k) B_2k / (2N+1).  Only the small denominators of
+    the B_2k meet an lcm, and one gcd then makes L least (and even)."""
+    p = 2 * n_power
+    bernoulli = _even_bernoulli(n_power)
+    scale = lcm(*(b.denominator for b in bernoulli))
+    coeffs = [comb(p + 1, 2 * k) * b.numerator * (scale // b.denominator)
+              for k, b in enumerate(bernoulli)]
+    den = (p + 1) * scale
+    g = gcd(den // 2, *coeffs)
+    return tuple(c // g for c in coeffs), den // g
+
+
 def torsion_count(n_power: int, t: int) -> int:
     """Exact sum_{i=1}^{T} i^(2N): points of order dividing i number i^(2N).
 
     Faulhaber's formula with p = 2N,
     sum_{i<=T} i^p = (1/(p+1)) sum_{j=0}^{p} C(p+1, j) B+_j T^(p+1-j),
-    where B+_1 = +1/2 and the other odd B_j vanish, so the work grows with N
-    (the Bernoulli numbers take O(N^2) integer steps) but not with T.
+    where B+_1 = +1/2 and the other odd B_j vanish.  The coefficients are
+    ints over one common denominator, built once per N (`_faulhaber`, an LRU
+    of 16 powers; the Bernoulli numbers take O(N^2) integer steps), and the
+    sum is evaluated by Horner's rule in T^2: N + 1 steps, whatever T.
     """
     if n_power < 1 or t < 1:
         raise DomainError("need N >= 1 and T >= 1")
-    p = 2 * n_power
-    total = Fraction(t ** p * (p + 1), 2)  # j = 1
-    for k, b in enumerate(_even_bernoulli(n_power)):
-        total += comb(p + 1, 2 * k) * b * t ** (p + 1 - 2 * k)
-    count = total / (p + 1)
-    if count.denominator != 1:
+    coeffs, den = _faulhaber(n_power)
+    u, acc = t * t, 0
+    for c in coeffs:
+        acc = acc * u + c
+    count, rest = divmod(den // 2 * t ** (2 * n_power) + t * acc, den)
+    if rest:
         raise RuntimeError(f"Faulhaber's formula gave a non-integer count for "
                            f"N = {n_power}, T = {t}")
-    return count.numerator
+    return count
 
 
 @dataclass(frozen=True)
@@ -521,40 +608,41 @@ def census(ring: EndRing, n: int, r: int, dmax: int, t: int,
     counts, and the product-form bound (module count) * T^(2N+1).
 
     The modules are counted, not listed, wherever their reduced Gram forms
-    are known.  Each rank-r row module L has exactly one reduced Gram matrix
-    f, and its degree is det f.  The r-tuples of vectors whose Gram matrix is
-    f number R_N(f) (Siegel's representation number of f by N copies of the
-    norm form), and each module with reduced form f has exactly |Aut(f)| of
-    them among its bases, so it is counted exactly once by R_N(f) / |Aut(f)|.
+    are known (`_counted_buckets`).  Each rank-r row module L has exactly one
+    reduced Gram matrix f, and its degree is det f.  The r-tuples of vectors
+    whose Gram matrix is f number R_N(f) (Siegel's representation number of f
+    by N copies of the norm form), and each module with reduced form f has
+    exactly |Aut(f)| of them among its bases, so it is counted exactly once
+    by R_N(f) / |Aut(f)|.
       * r = 1, every ring: f = (d), Aut(f) is the unit group, and R_N(d) is
         the number of vectors of norm d (`_norm_counts`).
       * r = 2, over Z: f runs over the Gauss-reduced forms (a, b, c),
         0 <= 2b <= a <= c, of degree ac - b^2 <= dmax (`_rank_two_forms`),
         with |Aut(f)| from `_binary_aut_order`: 2, or 4 when exactly one of
         b = 0, 2b = a, a = c holds, 8 for (a, 0, a), 12 for (a, a/2, a).
-      * r >= 3 walks the candidate bases (`_walk_classes`) and reads each
-        class's degree off the walk.
+      * N - r < r, over Z: the count at rank s = N - r gives the count at
+        rank r (`_complement_buckets`); r = N is s = 0.
+    So over Z every shape with min(r, N - r) <= 2 is counted.  Only N >= 6
+    with 3 <= r <= N - 3 walks the candidate bases (`_walk_classes`) and
+    reads each class's degree off the walk; the default ceiling refuses
+    every such shape.
     The checks run in the order of `enumerate_matrices`, the torsion count
     first, so that N < 1 or T < 1 is refused before any other work; the
     resource guard refuses exactly the inputs whose walk it would refuse."""
     torsion_total = torsion_count(n, t)
     counts = _checked_norm_counts(ring, n, r, dmax, ceiling)
+    s = min(r, n - r) if ring.kind == "z" else r
     buckets: dict[int, int] = {}
     if not counts:  # dmax < 1: no module has so small a degree
         pass
-    elif r == 1:
-        units = len(ring.units())
-        for d in range(1, dmax + 1):
-            if counts[n][d]:
-                buckets[d] = _classes_of_form(counts[n][d], units, (d,))
-    elif r == 2:
-        for (a, b, c), reps in _rank_two_forms(counts, n, dmax).items():
-            d = a * c - b * b
-            buckets[d] = buckets.get(d, 0) + _classes_of_form(
-                reps, _binary_aut_order(a, b, c), (a, b, c))
-    else:
+    elif s > 2:
         for d, _ in _walk_classes(ring, n, r, dmax):
             buckets[d] = buckets.get(d, 0) + 1
+    elif s == r:
+        buckets = _counted_buckets(ring, counts, n, r, dmax)
+    else:
+        buckets = _complement_buckets(_counted_buckets(ring, counts, n, s, dmax),
+                                      s, r, dmax)
     total = sum(buckets.values())
     return CensusReport(
         ring=ring.kind,

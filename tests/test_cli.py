@@ -70,6 +70,9 @@ GOLDEN_COMMANDS = {
                           "--height-bound", "25", "--tol", "1e-10"],
     "census_z_2_1.json": ["census", "--ring", "z", "--N", "2", "--r", "1",
                           "--max-degree", "40", "--torsion", "10"],
+    "census_z_4_3_6.json": ["census", "--ring", "z", "--N", "4", "--r", "3",
+                            "--max-degree", "6", "--torsion", "7",
+                            "--ceiling", "100000000000"],
     "exponents_point_count.json": ["exponents", "--theorem", "point-count",
                                    "--case", "weak-transverse-rank1", "--N", "3"],
     "bound_square.json": ["bound", "--branch", "square", "--deg-c", "18",
@@ -372,6 +375,21 @@ def test_exit_code_resource_guard(capsys):
     assert code == EXIT_RESOURCE
 
 
+# The shapes with r >= 3 that the default ceiling refuses at the least Dmax,
+# with the row combinations the guard counts for each.
+@pytest.mark.parametrize("n,r,dmax,work", [
+    (3, 3, 4, 8718875), (4, 3, 2, 43486080), (4, 4, 1, 431955983801655),
+    (5, 3, 1, 26979680), (6, 3, 1, 761005420)])
+def test_census_refusals_at_the_default_ceiling(capsys, n, r, dmax, work):
+    code = main(["census", "--ring", "z", "--N", str(n), "--r", str(r),
+                 "--max-degree", str(dmax), "--torsion", "1"])
+    captured = capsys.readouterr()
+    assert code == EXIT_RESOURCE and captured.out == ""
+    assert captured.err == (
+        f"ntbounds: resource guard: enumeration would scan {work} row combinations "
+        f"(> ceiling 5000000); lower Dmax or raise the ceiling explicitly\n")
+
+
 @pytest.mark.parametrize("n,digits", [(2, 1000), (600, 4)])
 def test_census_prints_totals_past_the_int_digit_limit(tmp_path, n, digits):
     # T^(2N+1) has more digits than str() converts by default (4 300)
@@ -399,6 +417,8 @@ def test_report_paths_print_at_the_lowest_int_digit_limit(tmp_path, capsys, monk
         ["search", "--family", "f2", "--n", "1", "--curve", "f2", "--height-bound", "2000"],
         ["census", "--N", "4", "--r", "2", "--max-degree", "3", "--torsion", "1" + "0" * 80],
         ["family-audit", "--family", "f2", "--n", "7"],
+        # degree_upper = 9(n + 1) = 9 * 10^640 is a JSON int of 641 digits
+        ["family-audit", "--family", "f1", "--n", "9" * 640],
     ]
     saved = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(640)
@@ -406,7 +426,7 @@ def test_report_paths_print_at_the_lowest_int_digit_limit(tmp_path, capsys, monk
         codes = [main([*argv, "--out", str(tmp_path / "report.json")]) for argv in argvs]
     finally:
         sys.set_int_max_str_digits(saved)
-    assert codes == [0, 0, 0, 0]
+    assert codes == [0, 0, 0, 0, 0]
 
 
 @pytest.mark.parametrize("args", [
@@ -514,6 +534,10 @@ def test_non_integral_torsion_count_is_a_program_fault(monkeypatch):
     real = subgroups._even_bernoulli
     monkeypatch.setattr(subgroups, "_even_bernoulli",
                         lambda n: [real(n)[0] + Fraction(1, 7), *real(n)[1:]])
-    with pytest.raises(RuntimeError, match="non-integer count"):
-        main(["census", "--ring", "z", "--N", "2", "--r", "1",
-              "--max-degree", "4", "--torsion", "1"])
+    subgroups._faulhaber.cache_clear()  # rebuild N = 2 from the bad B_0
+    try:
+        with pytest.raises(RuntimeError, match="non-integer count"):
+            main(["census", "--ring", "z", "--N", "2", "--r", "1",
+                  "--max-degree", "4", "--torsion", "1"])
+    finally:
+        subgroups._faulhaber.cache_clear()  # and keep it from later tests

@@ -311,12 +311,14 @@ def _sublattice_count(k, index):
                for d in range(1, index + 1) if index % d == 0)
 
 
+# N = 4 and 5 are far past the walk (about 211 s at N = 4, Dmax = 9)
 @pytest.mark.parametrize("n,max_index,counts", [
-    (2, 6, [1, 3, 4, 7, 6, 12]), (3, 4, [1, 7, 13, 35])])
+    (2, 6, [1, 3, 4, 7, 6, 12]), (3, 4, [1, 7, 13, 35]), (4, 3, [1, 15, 40]),
+    (5, 2, [1, 31])])
 def test_full_rank_counts_match_sublattice_counts(n, max_index, counts):
     # at r = N the Gram determinant is the squared index of the sublattice
     assert [_sublattice_count(n, i) for i in range(1, max_index + 1)] == counts
-    rep = census(Z, n, n, max_index ** 2, 1, ceiling=10 ** 12)
+    rep = census(Z, n, n, max_index ** 2, 1, ceiling=10 ** 80)
     assert rep.degree_buckets == tuple((i * i, c) for i, c in enumerate(counts, 1))
 
 
@@ -392,13 +394,48 @@ def test_torsion_count_examples():
 
 
 def test_torsion_count_oracle_and_bound():
-    for n in range(1, 9):
-        for t in (1, 2, 3, 7, 10, 64, 100, 1000):
+    for n in range(1, 13):
+        for t in (1, 2, 3, 7, 10, 64, 97, 100, 200, 1000):
             direct = 0
             for i in range(1, t + 1):
                 direct += i ** (2 * n)
             assert torsion_count(n, t) == direct
             assert torsion_count(n, t) <= t ** (2 * n + 1)
+
+
+def test_torsion_coefficient_cache_is_capped_and_evicts():
+    from ntbounds.subgroups import _faulhaber
+    cap = _faulhaber.cache_info().maxsize
+    assert cap == 16
+    _faulhaber.cache_clear()
+    try:
+        for n in range(1, cap + 2):
+            torsion_count(n, 3)
+        assert _faulhaber.cache_info().currsize == cap
+        misses = _faulhaber.cache_info().misses
+        torsion_count(cap + 1, 5)  # the newest power is kept
+        assert _faulhaber.cache_info().misses == misses
+        torsion_count(1, 5)  # the oldest was evicted
+        assert _faulhaber.cache_info().misses == misses + 1
+    finally:
+        _faulhaber.cache_clear()
+
+
+def test_torsion_count_builds_bernoulli_numbers_once_per_power(monkeypatch):
+    from ntbounds import subgroups
+    built = []
+    real = subgroups._even_bernoulli
+
+    def counted(n):
+        built.append(n)
+        return real(n)
+
+    monkeypatch.setattr(subgroups, "_even_bernoulli", counted)
+    subgroups._faulhaber.cache_clear()
+    for t in (1, 2, 97, 10 ** 9):
+        for n in (6, 7):
+            torsion_count(n, t)
+    assert built == [6, 7]
 
 
 def test_torsion_count_work_does_not_grow_with_t():
@@ -447,11 +484,14 @@ def test_census_unit_degree_only():
     assert only.entries == (((1, 0), (0, 0)), ((0, 0), (1, 0)))
 
 
-@pytest.mark.parametrize("n,r", [(n, r) for n in (1, 2, 3, 4) for r in range(1, min(n, 3) + 1)])
+# every rank at N <= 5 (the walk takes about 40 s at N = 5, r = 4), and the
+# walk's own shape N = 6, r = 3
+@pytest.mark.parametrize("n,r", [(n, r) for n in (1, 2, 3, 4) for r in range(1, min(n, 3) + 1)]
+                         + [(4, 4), (5, 1), (5, 2), (5, 3), (5, 4), (5, 5), (6, 3)])
 def test_census_degree_one_classes_are_coordinate_subspaces(n, r):
     # Gram determinant 1 leaves one minor of norm 1: the span is a coordinate
     # subspace, and the module is all of it
-    rep = census(Z, n, r, 1, 2)
+    rep = census(Z, n, r, 1, 2, ceiling=10 ** 80)
     assert rep.degree_buckets == ((1, comb(n, r)),)
 
 
@@ -495,8 +535,10 @@ def test_census_work_pinned(monkeypatch, n, r, dmax, forms, products):
     assert (len(form_calls), len(product_calls)) == (forms, products)
 
 
+# the deck's shapes, and every Z shape with r >= 3 the default ceiling admits
 @pytest.mark.parametrize("ring,n,r,dmax", [
-    (Z, 2, 1, 200), (Z, 3, 1, 100), (Z, 2, 2, 100), (Z, 4, 2, 5), (W, 2, 1, 25)])
+    (Z, 2, 1, 200), (Z, 3, 1, 100), (Z, 2, 2, 100), (Z, 4, 2, 5), (W, 2, 1, 25),
+    (Z, 3, 3, 1), (Z, 3, 3, 2), (Z, 3, 3, 3), (Z, 4, 3, 1)])
 def test_census_counts_rank_at_most_two_without_walking(monkeypatch, ring, n, r, dmax):
     from ntbounds import subgroups
     calls = []
@@ -508,7 +550,7 @@ def test_census_counts_rank_at_most_two_without_walking(monkeypatch, ring, n, r,
         monkeypatch.setattr(subgroups, name, wrapper)
 
     for name in ("hermite_normal_form", "degree_estimate", "_candidate_rows",
-                 "_full_rank_subsets", "enumerate_matrices"):
+                 "_full_rank_subsets", "enumerate_matrices", "_walk_classes"):
         counted(name, getattr(subgroups, name))
     assert census(ring, n, r, dmax, 1).total_matrices > 0
     assert calls == []
@@ -517,15 +559,15 @@ def test_census_counts_rank_at_most_two_without_walking(monkeypatch, ring, n, r,
 def _reference_buckets(ring, n, r, dmax):
     """Degree buckets of the listed classes, each degree recomputed."""
     buckets = {}
-    for m in enumerate_matrices(ring, n, r, dmax, ceiling=10 ** 9):
+    for m in enumerate_matrices(ring, n, r, dmax, ceiling=10 ** 15):
         d = degree_estimate(m)
         buckets[d] = buckets.get(d, 0) + 1
     return tuple(sorted(buckets.items()))
 
 
 # the census deck's shapes, Z at r = 1 for N <= 5, Z at r = 2 for N = 2..5
-# (N = 3, Dmax = 3 holds the hexagonal form on the edge of the r = 2 box), and
-# the CM rings at r = 1 for N <= 4
+# (N = 3, Dmax = 3 holds the hexagonal form on the edge of the r = 2 box), the
+# CM rings at r = 1 for N <= 4, and Z at r >= 3, counted at rank N - r
 @pytest.mark.parametrize("ring,n,r,dmax", [
     (Z, 2, 1, 200), (Z, 3, 1, 100), (Z, 4, 1, 30), (Z, 2, 2, 100), (Z, 3, 2, 20),
     (Z, 4, 2, 5), (Z, 3, 3, 1), (G, 2, 1, 25), (G, 3, 1, 5), (W, 2, 1, 25), (W, 3, 1, 5),
@@ -533,9 +575,10 @@ def _reference_buckets(ring, n, r, dmax):
     (Z, 2, 2, 7), (Z, 2, 2, 48), (Z, 2, 2, 150), (Z, 3, 2, 3), (Z, 3, 2, 12),
     (Z, 3, 2, 30), (Z, 4, 2, 2), (Z, 4, 2, 8), (Z, 5, 2, 2), (Z, 5, 2, 4),
     (G, 1, 1, 40), (G, 4, 1, 3), (W, 1, 1, 40), (W, 4, 1, 3),
+    (Z, 3, 3, 16), (Z, 4, 3, 1), (Z, 4, 3, 3), (Z, 4, 3, 6), (Z, 5, 3, 2),
 ])
 def test_census_counts_match_listed_classes(ring, n, r, dmax):
-    rep = census(ring, n, r, dmax, 1, ceiling=10 ** 9)
+    rep = census(ring, n, r, dmax, 1, ceiling=10 ** 15)
     assert rep.degree_buckets == _reference_buckets(ring, n, r, dmax)
     assert rep.total_matrices == sum(c for _, c in rep.degree_buckets)
 
