@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
 
 from .chow_hurwitz import family_curve_profile, family_degree_upper, hurwitz_genus
 from .rounding import (
@@ -51,14 +51,6 @@ __all__ = [
     "CLOSED_FORM_COEFF",
 ]
 
-HeightLike = Union[ConstExpr, Fraction, int]
-
-
-def _as_expr(h: HeightLike) -> ConstExpr:
-    """Coerce a height-like input for substitution into a bound formula."""
-    return h if isinstance(h, ConstExpr) else rat(h)
-
-
 @dataclass(frozen=True)
 class BoundReport:
     theorem: str
@@ -75,7 +67,7 @@ class BoundReport:
 # ---------------------------------------------------------------------------
 
 
-def constants_CN_expr(N: int, h_w: HeightLike) -> tuple[ConstExpr, ConstExpr, ConstExpr]:
+def constants_CN_expr(N: int, h_w: ConstExpr) -> tuple[ConstExpr, ConstExpr, ConstExpr]:
     """The three constants of the weak-transverse power bound, N >= 2.
 
     C1(N) = (N!)^N N^(3N-2) (3^(N^2+N+1) 2^(2N^2+3N-1) (N+1)^(N+1) / (w_N w_(N-1))^2)^(N-1)
@@ -85,7 +77,6 @@ def constants_CN_expr(N: int, h_w: HeightLike) -> tuple[ConstExpr, ConstExpr, Co
     """
     if N < 2:
         raise DomainError("N must be >= 2")
-    hw = _as_expr(h_w)
     inner_rational = 3 ** (N * N + N + 1) * 2 ** (2 * N * N + 3 * N - 1) * (N + 1) ** (N + 1)
     inner = Prod((Rat(Fraction(inner_rational)),
                   Pow(Prod((unit_ball_volume(N), unit_ball_volume(N - 1))), -2)))
@@ -94,17 +85,17 @@ def constants_CN_expr(N: int, h_w: HeightLike) -> tuple[ConstExpr, ConstExpr, Co
         Prod((Rat(Fraction(3 ** N, 2)), LogRat(Fraction(2)))),
         Prod((Rat(Fraction(12 * N)), LogRat(Fraction(2)))),
         Prod((Rat(Fraction(N)), LogRat(Fraction(3)))),
-        Prod((Rat(Fraction(6 * N)), hw)),
+        Prod((Rat(Fraction(6 * N)), h_w)),
     ))
     c2 = Prod((c1, bracket))
     c3 = Sum((
         Prod((Rat(Fraction(7 * N * N, 6)), LogRat(Fraction(2)))),
-        Prod((Rat(Fraction(N * N, 2)), hw)),
+        Prod((Rat(Fraction(N * N, 2)), h_w)),
     ))
     return c1, c2, c3
 
 
-def constants_CN(N: int, h_w: HeightLike, direction: Direction = Direction.UPPER,
+def constants_CN(N: int, h_w: ConstExpr, direction: Direction = Direction.UPPER,
                  precision: int = 256) -> tuple[BoundedReal, BoundedReal, BoundedReal]:
     c1, c2, c3 = constants_CN_expr(N, h_w)
     return tuple(eval_const(c, direction, precision) for c in (c1, c2, c3))
@@ -136,20 +127,19 @@ _D_PRINTED = (
 _D3_HW_COEFFICIENT_PRINTED = fraction_to_decimal(_D3_HW_COEFFICIENT, 4, Direction.UPPER)
 
 
-def constants_D_expr(h_w: HeightLike) -> tuple[ConstExpr, ConstExpr, ConstExpr]:
+def constants_D_expr(h_w: ConstExpr) -> tuple[ConstExpr, ConstExpr, ConstExpr]:
     """The transverse-in-E^2 constants.
 
     D1 = 2^64 3^40 / pi^8
     D2(E) = 2^62 3^41 / pi^8 * (71 log2 + 4 log3 + 30 h_W(E))
     D3(E) = (9/2) h_W(E) + (21/2) log2
     """
-    hw = _as_expr(h_w)
-    d2 = Prod((_D2_PREFIX, Sum((_D2_LOGS, Prod((Rat(Fraction(30)), hw))))))
-    d3 = Sum((Prod((Rat(_D3_HW_COEFFICIENT), hw)), _D3_LOG))
+    d2 = Prod((_D2_PREFIX, Sum((_D2_LOGS, Prod((Rat(Fraction(30)), h_w))))))
+    d3 = Sum((Prod((Rat(_D3_HW_COEFFICIENT), h_w)), _D3_LOG))
     return _D1, d2, d3
 
 
-def constants_D(h_w: HeightLike, direction: Direction = Direction.UPPER,
+def constants_D(h_w: ConstExpr, direction: Direction = Direction.UPPER,
                 precision: int = 256) -> tuple[BoundedReal, BoundedReal, BoundedReal]:
     d1, d2, d3 = constants_D_expr(h_w)
     return tuple(eval_const(d, direction, precision) for d in (d1, d2, d3))
@@ -168,21 +158,14 @@ def constants_D_printed(precision: int = 256) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _echo(h: HeightLike) -> str:
-    if isinstance(h, ConstExpr):
-        return "expr"
-    return str(Fraction(h))
-
-
-def bound_transverse_E2(h_c: HeightLike, deg_c: int, h_w: HeightLike,
+def bound_transverse_E2(h_c: ConstExpr, deg_c: int, h_w: ConstExpr,
                         precision: int = 256) -> BoundReport:
     """Height bound D1 h(C) (deg C)^2 + D2(E) (deg C)^3 + D3(E) for transverse
     curves in the square of a non-CM curve, all terms UPPER-rounded."""
     if deg_c < 1:
         raise DomainError("deg_c must be >= 1")
-    hc = _as_expr(h_c)
     d1, d2, d3 = constants_D_expr(h_w)
-    term_height = Prod((d1, hc, Rat(Fraction(deg_c ** 2))))
+    term_height = Prod((d1, h_c, Rat(Fraction(deg_c ** 2))))
     term_degree = Prod((d2, Rat(Fraction(deg_c ** 3))))
     total = Sum((term_height, term_degree, d3))
     inter = {
@@ -192,7 +175,7 @@ def bound_transverse_E2(h_c: HeightLike, deg_c: int, h_w: HeightLike,
     }
     return BoundReport(
         theorem="transverse-square-height",
-        inputs={"deg_c": deg_c, "h_c": _echo(h_c), "h_w": _echo(h_w)},
+        inputs={"deg_c": deg_c, "h_c": "expr", "h_w": "expr"},
         intermediates=inter,
         bound=eval_const(total, Direction.UPPER, precision),
         total=total,
@@ -201,17 +184,16 @@ def bound_transverse_E2(h_c: HeightLike, deg_c: int, h_w: HeightLike,
     )
 
 
-def bound_weaktransverse_EN(N: int, h_c: HeightLike, deg_c: int, h_w: HeightLike,
+def bound_weaktransverse_EN(N: int, h_c: ConstExpr, deg_c: int, h_w: ConstExpr,
                             precision: int = 256) -> BoundReport:
     """Height bound C1(N) h(C) (deg C)^(N-1) + C2(E,N) (deg C)^N + C3(E,N), N >= 3."""
     if deg_c < 1:
         raise DomainError("deg_c must be >= 1")
     if N < 3:
         raise DomainError("N must be >= 3 (use the transverse-square branch for N = 2)")
-    hc = _as_expr(h_c)
     c1, c2, c3 = constants_CN_expr(N, h_w)
     total = Sum((
-        Prod((c1, hc, Rat(Fraction(deg_c ** (N - 1))))),
+        Prod((c1, h_c, Rat(Fraction(deg_c ** (N - 1))))),
         Prod((c2, Rat(Fraction(deg_c ** N)))),
         c3,
     ))
@@ -222,7 +204,7 @@ def bound_weaktransverse_EN(N: int, h_c: HeightLike, deg_c: int, h_w: HeightLike
     }
     return BoundReport(
         theorem="weak-transverse-power-height",
-        inputs={"N": N, "deg_c": deg_c, "h_c": _echo(h_c), "h_w": _echo(h_w)},
+        inputs={"N": N, "deg_c": deg_c, "h_c": "expr", "h_w": "expr"},
         intermediates=inter,
         bound=eval_const(total, Direction.UPPER, precision),
         total=total,

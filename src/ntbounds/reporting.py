@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import json
 import sys
+from fractions import Fraction
 from typing import Any
 
 from .bounds import BoundReport, ExponentReport, FamilyBoundReport
@@ -55,13 +56,17 @@ def bounded_real_payload(b: BoundedReal, digits: int = DEFAULT_DIGITS) -> dict:
     }
 
 
-# Kept while perfbench/tracing.py TARGETS names it; it goes with ROADMAP item 1.
-def height_payload(kind: str, b: BoundedReal, tolerance: str = "",
+def height_payload(h: Fraction, precision: int, tolerance: str,
                    digits: int = DEFAULT_DIGITS) -> dict:
-    out = bounded_real_payload(b, digits)
-    out["kind"] = kind
-    out["tolerance"] = tolerance
-    return out
+    """A canonical height: the midpoint of its enclosure certified at
+    (precision, tolerance), rendered to NEAREST."""
+    return {
+        "kind": "canonical",
+        "value_decimal": fraction_to_decimal(h, digits, Direction.NEAREST),
+        "direction": "nearest",
+        "precision_bits": precision,
+        "tolerance": tolerance,
+    }
 
 
 def bound_report_payload(report: BoundReport, digits: int = DEFAULT_DIGITS) -> dict:
@@ -112,22 +117,15 @@ def search_report_payload(report: SearchReport, digits: int = 30) -> dict:
     in-memory report and emitted separately (stderr / --metrics-out).  The
     shard count is excluded too: it changes no work, so every shard count
     emits the same bytes."""
-    def height_entry(h: Fraction) -> dict:
-        return {
-            "kind": "canonical",
-            "value_decimal": fraction_to_decimal(h, digits, Direction.NEAREST),
-            "direction": "nearest",
-            "precision_bits": report.precision_bits,
-            "tolerance": report.tolerance,
-        }
-
     found = []
     for f in report.found:
         found.append({
             "p1": [rational_digits(f.p1.x), rational_digits(f.p1.y)],
             "p2": [rational_digits(f.p2.x), rational_digits(f.p2.y)],
-            "height1": height_entry(f.height1),
-            "height2": height_entry(f.height2),
+            "height1": height_payload(f.height1, report.precision_bits,
+                                      report.tolerance, digits),
+            "height2": height_payload(f.height2, report.precision_bits,
+                                      report.tolerance, digits),
         })
     return {
         "schema_version": SCHEMA_VERSION,

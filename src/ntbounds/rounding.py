@@ -192,20 +192,9 @@ class ConstExpr:
     _enclosure = None
 
 
-def _coerce(x) -> ConstExpr:
-    if isinstance(x, ConstExpr):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return Rat(Fraction(x))
-    raise TypeError(f"cannot use {type(x).__name__} in a ConstExpr")
-
-
 @dataclass(frozen=True)
 class Rat(ConstExpr):
     q: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "q", Fraction(self.q))
 
 
 @dataclass(frozen=True)
@@ -226,18 +215,12 @@ class LogRat(ConstExpr):
 
 @dataclass(frozen=True)
 class Sum(ConstExpr):
-    terms: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "terms", tuple(_coerce(t) for t in self.terms))
+    terms: tuple  # of ConstExprs
 
 
 @dataclass(frozen=True)
 class Prod(ConstExpr):
-    factors: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "factors", tuple(_coerce(f) for f in self.factors))
+    factors: tuple  # of ConstExprs
 
 
 @dataclass(frozen=True)
@@ -373,7 +356,7 @@ def _eval_iv(expr: ConstExpr, precision: int, wp: int):
 def _enclose(expr: ConstExpr, precision: int):
     if precision < MIN_PRECISION:
         raise DomainError(f"precision must be >= {MIN_PRECISION}, got {precision}")
-    return _eval_iv(_coerce(expr), precision, precision + GUARD_BITS)
+    return _eval_iv(expr, precision, precision + GUARD_BITS)
 
 
 def eval_interval(expr: ConstExpr, precision: int = DEFAULT_PRECISION) -> tuple[Fraction, Fraction]:

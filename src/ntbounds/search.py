@@ -1,11 +1,12 @@
 """Bounded-height enumeration of rank-1 Mordell-Weil groups in E x E and
 membership testing against the curve families.
 
-Exhaustiveness holds only up to the caller's height bound B.  The canonical
-height is a quadratic form, h-hat(a*g + T) = a^2 h-hat(g) for torsion T, so
+Gamma = Z*g, the group the paper searches: E(Q) for a curve of rank 1 with
+trivial torsion.  Exhaustiveness holds only up to the caller's height bound
+B.  The canonical height is a quadratic form, h-hat(a*g) = a^2 h-hat(g), so
 one certified enclosure [g_lo, g_hi] of h-hat(g) decides almost every
-candidate: a point is kept if a^2 g_hi <= B + tol/2 and dropped if
-a^2 g_lo > B + 3 tol/2, which cuts the free part off at
+candidate: a*g is kept if a^2 g_hi <= B + tol/2 and dropped if
+a^2 g_lo > B + 3 tol/2, which cuts the walk off at
 |a| <= last = floor(sqrt((B + 3 tol/2)/g_lo)).  Only a point in the band
 between gets its own certified canonical height, kept if its midpoint is at
 most B + tol; the kept set is exactly that of certifying every point.
@@ -13,16 +14,16 @@ most B + tol; the kept set is exactly that of certifying every point.
 A GammaSpec keeps two slots from one request to the next.  One holds its
 generator's last enclosure with the (tol, precision) it was computed at, so
 repeated searches on one Gamma certify the generator once.  The other holds
-the walk: every point a*g + T for |a| <= m, |a| ascending, each with its a,
-torsion index, text and place in `ECPoint.key` order.  The walk depends on
-the Gamma only, not on B, tol, precision, n or the family, so a request
-extends it only past the largest cutoff any request on that Gamma has
-reached, and otherwise filters its prefix |a| <= last and puts the kept
-points in key order by their places, so a request reads no more of the walk
-than its own cutoff covers.  The slot holds no more points than the request
-that reached that cutoff held at its peak, and does not grow with the
-number of requests.  The published bounds (~10^38) are far beyond any
-search; B is always desk-scale and explicit.
+the walk: a*g for a = 0, 1, -1, 2, -2, ... up to |a| <= m, each with its a,
+text and place in `ECPoint.key` order.  The walk depends on the Gamma only,
+not on B, tol, precision, n or the family, so a request extends it only past
+the largest cutoff any request on that Gamma has reached, and otherwise
+filters its prefix |a| <= last and puts the kept points in key order by
+their places, so a request reads no more of the walk than its own cutoff
+covers.  The slot holds no more points than the request that reached that
+cutoff held at its peak, and does not grow with the number of requests.
+The published bounds (~10^38) are far beyond any search; B is always
+desk-scale and explicit.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ FAMILY_IDS = ("f1", "f2")
 
 @dataclass(frozen=True)
 class GammaSpec:
-    """A rank-1 subgroup: curve, non-torsion generator, explicit torsion list.
+    """Gamma = Z*g: a curve and a non-torsion generator g.
 
     Two slots, set by the searches on it, keep work that depends on the Gamma
     alone: the generator's last certified enclosure and the walk of the
@@ -61,7 +62,6 @@ class GammaSpec:
 
     curve: EllipticCurveQ
     generator: ECPoint
-    torsion_points: tuple[ECPoint, ...] = (ECPoint.infinity(),)
 
     # ((tol, precision), (g_lo, g_hi)) of the generator's last certified
     # enclosure, set by `_free_range_bound`.
@@ -73,21 +73,6 @@ class GammaSpec:
         self.curve.require(self.generator)
         if self.generator.is_infinity or torsion_order(self.curve, self.generator) is not None:
             raise DomainError("generator must be a non-torsion affine point")
-        pts = tuple(self.torsion_points)
-        if not pts:
-            pts = (ECPoint.infinity(),)
-        seen = set()
-        for T in pts:
-            self.curve.require(T)
-            if torsion_order(self.curve, T) is None:
-                raise DomainError(f"listed torsion point {T} is not torsion")
-            seen.add(T.key())
-        for S in pts:
-            for T in pts:
-                if add(self.curve, S, T).key() not in seen:
-                    raise DomainError("torsion list is not closed under the group law")
-        ordered = tuple(sorted(pts, key=ECPoint.key))
-        object.__setattr__(self, "torsion_points", ordered)
 
 
 def _floor_sqrt_fraction(q: Fraction) -> int:
@@ -146,45 +131,32 @@ def _height_estimator(gamma: GammaSpec, tol: Fraction, precision: int,
     return estimate
 
 
-# One walked point: (P, a, torsion index, str(P)), P = a*g + T.
-_WalkPoint = tuple[ECPoint, int, int, str]
+# One walked point: (P, a, str(P)), P = a*g.
+_WalkPoint = tuple[ECPoint, int, str]
 
 
 def _walk_to(gamma: GammaSpec, last: int
              ) -> tuple[tuple[_WalkPoint, ...], tuple[int, ...]]:
     """(walk, rank): gamma's walk, covering at least |a| <= last.
 
-    walk holds every point of +-a for |a| <= m (m >= last), |a| ascending:
-    the row of a = 0, then for each a = 1..m the row of a and the row of -a,
-    each in torsion-list order.  So |a| <= k is the prefix of length
-    T (2k + 1), T the torsion count.  rank[i] is walk[i]'s place in
+    walk holds a*g for a = 0, 1, -1, 2, -2, ..., m (m >= last), so |a| <= k
+    is the prefix of length 2k + 1.  rank[i] is walk[i]'s place in
     `ECPoint.key` order over the whole walk.  The walk is read from gamma's
     slot when it reaches last, and otherwise extended from its last base
-    point m*g, one addition of g per step, ranked once more and put back in
-    the slot.
-
-    Only |a| is walked.  The torsion list is closed under negation and
-    (-a)*g + T = -(a*g + (-T)), so the points of -a are negations of those of
-    a.
+    point m*g, one addition of g per new |a|, ranked once more and put back
+    in the slot; (-a)*g is the negation of a*g.
     """
-    torsion = gamma.torsion_points
     slot = gamma._walk
-    if slot is not None and len(slot[0]) >= len(torsion) * (2 * last + 1):
+    if slot is not None and len(slot[0]) >= 2 * last + 1:
         return slot
-    E, g = gamma.curve, gamma.generator
-    negated = [torsion.index(negate(T)) for T in torsion]
-    walk = list(slot[0]) if slot is not None else []
-    # torsion[0] is O, so the row of a starts with a*g
-    base = walk[-2 * len(torsion)][0] if len(walk) > len(torsion) else ECPoint.infinity()
-    for a in range((len(walk) // len(torsion) + 1) // 2, last + 1):
-        if a:
-            base = add(E, base, g)
-        points = tuple(add(E, base, T) for T in torsion)
-        walk.extend((P, a, t, str(P)) for t, P in enumerate(points))
-        if a:
-            for t, j in enumerate(negated):
-                P = negate(points[j])
-                walk.append((P, -a, t, str(P)))
+    E, g, O = gamma.curve, gamma.generator, ECPoint.infinity()
+    walk = list(slot[0]) if slot is not None else [(O, 0, str(O))]
+    base = walk[-2][0] if len(walk) > 1 else O  # m*g
+    for a in range(len(walk) // 2 + 1, last + 1):
+        base = add(E, base, g)
+        minus = negate(base)
+        walk.append((base, a, str(base)))
+        walk.append((minus, -a, str(minus)))
     rank = [0] * len(walk)
     for place, i in enumerate(sorted(range(len(walk)), key=lambda i: walk[i][0].key())):
         rank[i] = place
@@ -200,7 +172,7 @@ def _kept_points(gamma: GammaSpec, B: Fraction, tol: Fraction, precision: int
     """(the walked points whose estimated height is at most B + tol, in
     `ECPoint.key` order; the height estimator that decided them).
 
-    h-hat(a*g + T) = a^2 h-hat(g) lies in [a^2 g_lo, a^2 g_hi], and a point's
+    h-hat(a*g) = a^2 h-hat(g) lies in [a^2 g_lo, a^2 g_hi], and a point's
     own estimate lies within tol/2 of it: a^2 g_hi <= B + tol/2 keeps the
     point and a^2 g_lo > B + 3 tol/2 drops it.  As cutoffs on |a|, the first
     keeps |a| <= sure and the second drops |a| > last, and both are prefixes
@@ -215,8 +187,7 @@ def _kept_points(gamma: GammaSpec, B: Fraction, tol: Fraction, precision: int
     last = _floor_sqrt_fraction((B + 3 * tol / 2) / g_lo)
     bound = B + tol
     walk, rank = _walk_to(gamma, last)
-    count = len(gamma.torsion_points)
-    n_sure, n_last = count * (2 * sure + 1), count * (2 * last + 1)
+    n_sure, n_last = 2 * sure + 1, 2 * last + 1
     kept = list(range(n_sure))
     kept.extend(i for i in range(n_sure, n_last) if estimate(walk[i][0]) <= bound)
     kept.sort(key=rank.__getitem__)
@@ -226,13 +197,12 @@ def _kept_points(gamma: GammaSpec, B: Fraction, tol: Fraction, precision: int
 # Kept while perfbench/tracing.py TARGETS names it; it goes with ROADMAP item 1.
 def enumerate_rank1(gamma: GammaSpec, height_bound, tol,
                     precision: int = 256) -> Iterator[tuple[ECPoint, Fraction]]:
-    """Yield (point, certified h-hat midpoint) for points a*g + T of canonical
-    height at most B + tol, in deterministic order (a ascending, then the
-    torsion list order).
+    """Yield (point, certified h-hat midpoint) for the points a*g of canonical
+    height at most B + tol, a ascending.
     """
     kept, estimate = _kept_points(gamma, _as_fraction(height_bound), _as_fraction(tol),
                                   precision)
-    kept.sort(key=lambda w: (w[1], w[2]))
+    kept.sort(key=lambda w: w[1])
     for w in kept:
         yield w[0], estimate(w[0])
 
@@ -298,16 +268,16 @@ def search_rational_points(family: str, n: int, gamma: GammaSpec, height_bound,
     # boundary of the affine chart and is listed, never equation-tested; an
     # affine p1 matches exactly the affine p2 whose y is the family's rhs.
     # Points and each by_y bucket are in key order, so found is too.
-    at_infinity = [text for P, _, _, text in points if P.is_infinity]
+    at_infinity = [text for P, _, text in points if P.is_infinity]
     by_y: dict[tuple[int, int], list[ECPoint]] = {}
-    for P, _, _, _ in points:
+    for P, _, _ in points:
         if not P.is_infinity:
             by_y.setdefault((P.y.numerator, P.y.denominator), []).append(P)
     found = []
     closure = []
-    for p1, _, _, text1 in points:
+    for p1, _, text1 in points:
         if p1.is_infinity:
-            closure.extend(f"{text1} x {w[3]}" for w in points)
+            closure.extend(f"{text1} x {w[2]}" for w in points)
             continue
         closure.extend(f"{text1} x {text2}" for text2 in at_infinity)
         for p2 in by_y.get(_family_rhs(family, n, p1.x), ()):

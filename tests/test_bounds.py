@@ -27,6 +27,7 @@ from ntbounds.rounding import (
     Prod,
     Rat,
     fraction_to_decimal,
+    rat,
 )
 
 HW_F2 = Prod((LogRat(2), Rat(Fraction(1, 3))))
@@ -44,7 +45,7 @@ def test_printed_decimal_approximations():
 
 
 def test_d_constants_against_oracle():
-    d1, d2, d3 = constants_D(0, Direction.NEAREST, 256)
+    d1, d2, d3 = constants_D(rat(0), Direction.NEAREST, 256)
     with mpmath.workdps(60):
         want_d1 = Fraction(str(mpmath.mpf(2) ** 64 * 3 ** 40 / mpmath.pi ** 8))
         want_d2 = Fraction(str(
@@ -62,7 +63,7 @@ def test_d2_with_paper_hw_prints_1074():
 
 
 def test_c_constants_examples():
-    c1, c2, c3 = constants_CN(2, 0, Direction.NEAREST, 256)
+    c1, c2, c3 = constants_CN(2, rat(0), Direction.NEAREST, 256)
     # C1(2) = 64 * 3^7 2^13 3^3 / (2 pi)^2
     with mpmath.workdps(50):
         want = Fraction(str(64 * mpmath.mpf(3 ** 7 * 2 ** 13 * 27) / (2 * mpmath.pi) ** 2))
@@ -76,13 +77,13 @@ def test_c_constants_examples():
 
 def test_c_constants_reject_small_n():
     with pytest.raises(DomainError):
-        constants_CN_expr(1, 0)
+        constants_CN_expr(1, rat(0))
 
 
 def test_power_bound_substitution():
     # h = 1, deg = 1, hw = 0, N = 3: bound is C1 + C2 + C3
-    report = bound_weaktransverse_EN(3, 1, 1, 0)
-    c1, c2, c3 = constants_CN(3, 0, Direction.UPPER, 256)
+    report = bound_weaktransverse_EN(3, rat(1), 1, rat(0))
+    c1, c2, c3 = constants_CN(3, rat(0), Direction.UPPER, 256)
     total = c1.exact() + c2.exact() + c3.exact()
     assert abs(report.bound.exact() - total) < total * Fraction(1, 10 ** 40)
     assert report.theorem == "weak-transverse-power-height"
@@ -90,12 +91,12 @@ def test_power_bound_substitution():
 
 def test_power_bound_requires_n_at_least_3():
     with pytest.raises(DomainError):
-        bound_weaktransverse_EN(2, 1, 1, 0)
+        bound_weaktransverse_EN(2, rat(1), 1, rat(0))
 
 
 def test_power_bound_zero_height_unit_degree():
-    report = bound_weaktransverse_EN(3, 0, 1, 0)
-    _, c2, c3 = constants_CN(3, 0, Direction.UPPER, 256)
+    report = bound_weaktransverse_EN(3, rat(0), 1, rat(0))
+    _, c2, c3 = constants_CN(3, rat(0), Direction.UPPER, 256)
     want = c2.exact() + c3.exact()
     assert abs(report.bound.exact() - want) < want * Fraction(1, 10 ** 40)
 
@@ -109,8 +110,8 @@ def test_mu_upper_tends_to_log18():
 
 
 def test_square_bound_substitution():
-    report = bound_transverse_E2(0, 1, 0)
-    d1, d2, d3 = constants_D(0, Direction.UPPER, 256)
+    report = bound_transverse_E2(rat(0), 1, rat(0))
+    d1, d2, d3 = constants_D(rat(0), Direction.UPPER, 256)
     want = d2.exact() + d3.exact()
     assert abs(report.bound.exact() - want) < want * Fraction(1, 10 ** 35)
 
@@ -125,12 +126,12 @@ def test_square_bound_n1_magnitude():
 def test_bound_monotone_in_inputs():
     rng = random.Random(5)
     for _ in range(25):
-        h1 = Fraction(rng.randint(0, 400), rng.randint(1, 7))
+        h1 = rat(Fraction(rng.randint(0, 400), rng.randint(1, 7)))
         d1_ = rng.randint(1, 60)
-        hw1 = Fraction(rng.randint(0, 30), rng.randint(1, 5))
-        h2 = h1 + Fraction(rng.randint(0, 50), 3)
+        hw1 = rat(Fraction(rng.randint(0, 30), rng.randint(1, 5)))
+        h2 = rat(h1.q + Fraction(rng.randint(0, 50), 3))
         d2_ = d1_ + rng.randint(0, 9)
-        hw2 = hw1 + Fraction(rng.randint(0, 4), 2)
+        hw2 = rat(hw1.q + Fraction(rng.randint(0, 4), 2))
         lo = bound_transverse_E2(h1, d1_, hw1).bound.exact()
         hi = bound_transverse_E2(h2, d2_, hw2).bound.exact()
         assert lo <= hi

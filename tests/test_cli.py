@@ -14,7 +14,7 @@ from ntbounds.cli import (
     main,
     parse_height_expr,
 )
-from ntbounds.rounding import Direction, LogRat, Prod, Rat, eval_const
+from ntbounds.rounding import Direction, LogRat, Prod, Rat, eval_const, rat
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -491,9 +491,9 @@ def test_bound_prints_a_value_of_thousands_of_digits(tmp_path):
     payload = json.loads(run_to_bytes(tmp_path, [
         "bound", "--branch", "power", "--N", "8", "--deg-c", str(deg),
         "--h-c", "1", "--hw", "0"]))
-    report = bounds.bound_weaktransverse_EN(8, 1, deg, 0)
+    report = bounds.bound_weaktransverse_EN(8, rat(1), deg, rat(0))
     _upper_not_below_lower(payload["bound"], report.total, 256)
-    exprs = bounds.constants_CN_expr(8, 0)
+    exprs = bounds.constants_CN_expr(8, rat(0))
     for name, expr in zip(("c1", "c2", "c3"), exprs):
         _upper_not_below_lower(payload["intermediates"][name], expr, 256)
 

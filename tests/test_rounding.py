@@ -279,6 +279,13 @@ def test_minimum_precision_enforced():
         eval_const(rat(1), NE, 32)
 
 
+@pytest.mark.parametrize("expr", [Fraction(1), Sum((Fraction(1),))])
+def test_eval_const_refuses_what_is_not_a_const_expr(expr):
+    # nodes take their terms as given: a bare Fraction is a leaf of no kind
+    with pytest.raises(TypeError, match="not a ConstExpr leaf or node"):
+        eval_const(expr)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(min_value=0, max_value=1), st.integers(min_value=1, max_value=2 ** 300),
        st.integers(min_value=-600, max_value=600))

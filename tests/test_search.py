@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ntbounds.search as search_module
-from ntbounds.elliptic import ECPoint, add, negate, scalar_mul, validate_curve
+from ntbounds.elliptic import ECPoint, negate, scalar_mul, validate_curve
 from ntbounds.heights import canonical_height_enclosure
 from ntbounds.presets import ambient_gamma
 from ntbounds.rounding import DomainError
@@ -38,22 +38,8 @@ def test_gamma_spec_validation():
         GammaSpec(E, O)  # infinity generator
     with pytest.raises(Exception):
         GammaSpec(E, ECPoint.affine(2, 2))  # not on curve
-    Et = validate_curve(-1, 0)
     with pytest.raises(DomainError):
-        GammaSpec(validate_curve(-1, -2), ECPoint.affine(2, 2),
-                  torsion_points=(ECPoint.affine(2, 2),))  # non-torsion listed
-
-
-def test_gamma_spec_torsion_closure():
-    # y^2 = x^3 - x has full 2-torsion {O, (0,0), (1,0), (-1,0)} but no
-    # rational non-torsion generator; use y^2 = x^3 - 2x with (2, 2) instead
-    E = validate_curve(-2, 0)
-    g = ECPoint.affine(2, 2)
-    full = (O, ECPoint.affine(0, 0))
-    gamma = GammaSpec(E, g, torsion_points=full)
-    assert gamma.torsion_points[0] == O
-    with pytest.raises(DomainError):
-        GammaSpec(E, g, torsion_points=(ECPoint.affine(0, 0),))  # not closed (O missing)
+        GammaSpec(validate_curve(-1, 0), ECPoint.affine(0, 0))  # 2-torsion generator
 
 
 def test_enumerate_bound_zero_gives_identity_only():
@@ -165,32 +151,28 @@ def _a_max(gamma, B, tol=TOL, enclosure=canonical_height_enclosure):
 
 
 def _per_a_reference(gamma, B, a_max, tol=TOL, enclosure=canonical_height_enclosure):
-    """a -> the kept (point, estimate) pairs: a*g recomputed by scalar_mul and
-    every a*g + T decided by its own certified canonical height."""
+    """a -> the kept (point, estimate) pairs, none or one: a*g recomputed by
+    scalar_mul and decided by its own certified canonical height."""
     E = gamma.curve
     out = {}
     for a in range(-a_max, a_max + 1):
-        base = scalar_mul(E, a, gamma.generator)
-        out[a] = []
-        for T in gamma.torsion_points:
-            P = add(E, base, T)
-            p_lo, p_hi = enclosure(E, P, tol)
-            if (p_lo + p_hi) / 2 <= B + tol:
-                out[a].append((P, (p_lo + p_hi) / 2))
+        P = scalar_mul(E, a, gamma.generator)
+        p_lo, p_hi = enclosure(E, P, tol)
+        mid = (p_lo + p_hi) / 2
+        out[a] = [(P, mid)] if mid <= B + tol else []
     return out
 
 
+# Gamma = Z*g on two curves beyond the presets whose torsion Gamma leaves
+# out: y^2 = x^3 - 2x has the 2-torsion point (0, 0), and y^2 = x^3 + 9 the
+# 3-torsion points (0, +-3).
+
 def _two_torsion_gamma():
-    E = validate_curve(-2, 0)
-    return GammaSpec(E, ECPoint.affine(2, 2), torsion_points=(O, ECPoint.affine(0, 0)))
+    return GammaSpec(validate_curve(-2, 0), ECPoint.affine(2, 2))
 
 
 def _three_torsion_gamma():
-    # y^2 = x^3 + 9: (0, 3) and (0, -3) are each other's negation, so the
-    # walk's negative half must map each torsion point to its negation
-    E = validate_curve(0, 9)
-    return GammaSpec(E, ECPoint.affine(-2, 1),
-                     torsion_points=(O, ECPoint.affine(0, 3), ECPoint.affine(0, -3)))
+    return GammaSpec(validate_curve(0, 9), ECPoint.affine(-2, 1))
 
 
 def _gamma(name):
@@ -326,12 +308,11 @@ def test_search_rejects_unknown_family_and_bad_n():
 
 @settings(max_examples=25, deadline=None)
 @given(name=st.sampled_from(["f1", "f2", "two_torsion"]),
-       a=st.integers(min_value=-6, max_value=6), t=st.integers(min_value=0, max_value=1))
-def test_canonical_height_is_symmetric_under_negation(name, a, t):
+       a=st.integers(min_value=-6, max_value=6))
+def test_canonical_height_is_symmetric_under_negation(name, a):
     gamma = _gamma(name)
     E = gamma.curve
-    T = gamma.torsion_points[t % len(gamma.torsion_points)]
-    P = add(E, scalar_mul(E, a, gamma.generator), T)
+    P = scalar_mul(E, a, gamma.generator)
     assert canonical_height_enclosure(E, P, TOL) == \
         canonical_height_enclosure(E, negate(P), TOL)
 
@@ -348,16 +329,14 @@ class _CountingEnclosure:
 
 
 def test_f1_search_walk_adds_pinned(monkeypatch):
-    # B = 25 walks a = 0..9 on f1: one add per point (torsion is {O}) and
-    # one step per a > 0, 10 + 9 = 19.  A walk that stepped past a = 9, or
-    # rebuilt a*g from scratch, would add more.
-    gamma = ambient_gamma("f1")  # its closure check adds too, so build it first
+    # B = 25 walks |a| <= 9 on f1: one add per new |a|, 9.  A walk that
+    # stepped past a = 9, or rebuilt a*g from scratch, would add more.
     calls = []
     real_add = search_module.add
     monkeypatch.setattr(search_module, "add", lambda *args: calls.append(1) or real_add(*args))
-    rep = search_rational_points("f1", 1, gamma, 25, TOL)
+    rep = search_rational_points("f1", 1, ambient_gamma("f1"), 25, TOL)
     assert rep.candidate_points == 19
-    assert len(calls) == 19
+    assert len(calls) == 9
 
 
 def test_f1_search_certifies_one_height(monkeypatch):
@@ -463,7 +442,7 @@ def test_search_at_equal_or_smaller_bound_walks_and_certifies_nothing(monkeypatc
     gamma = ambient_gamma("f1")
     adds, counter = _count_adds_and_enclosures(monkeypatch)
     first = search_rational_points("f1", 1, gamma, 25, TOL)
-    assert (len(adds), counter.calls) == (19, 1)
+    assert (len(adds), counter.calls) == (9, 1)
     slot = gamma._walk
     adds.clear()
     counter.calls = 0
@@ -477,7 +456,7 @@ def test_search_at_equal_or_smaller_bound_walks_and_certifies_nothing(monkeypatc
 def _reach(gamma):
     """The largest |a| that gamma's kept walk covers."""
     walk, _ = gamma._walk
-    return (len(walk) // len(gamma.torsion_points) - 1) // 2
+    return (len(walk) - 1) // 2
 
 
 def test_raising_the_bound_walks_only_the_new_rows(monkeypatch):
@@ -487,7 +466,7 @@ def test_raising_the_bound_walks_only_the_new_rows(monkeypatch):
     adds, _ = _count_adds_and_enclosures(monkeypatch)
     rep = search_rational_points("f1", 1, gamma, 56, TOL)
     assert _reach(gamma) == 14  # a = 10..14 are new
-    assert len(adds) == 2 * 5  # one step and one torsion add per new row
+    assert len(adds) == 5  # one add per new |a|
     assert rep.candidate_points == len(gamma._walk[0]) == 29
 
 
@@ -514,7 +493,7 @@ def test_request_reads_only_its_own_prefix_of_the_walk(name):
     search_rational_points("f1", 1, gamma, 150, TOL)
     walk, rank = gamma._walk
     B = 12
-    prefix = len(gamma.torsion_points) * (2 * _a_max(gamma, B) + 1)
+    prefix = 2 * _a_max(gamma, B) + 1
     assert prefix < len(walk)
     object.__setattr__(gamma, "_walk",
                        (walk[:prefix] + (_Unread(),) * (len(walk) - prefix), rank))
@@ -523,18 +502,16 @@ def test_request_reads_only_its_own_prefix_of_the_walk(name):
 
 
 def test_walk_slot_is_ordered_and_complete():
-    gamma = _three_torsion_gamma()
-    search_rational_points("f1", 1, gamma, 12, TOL)
+    gamma = ambient_gamma("f1")
+    search_rational_points("f1", 1, gamma, 25, TOL)
     walk, rank = gamma._walk
-    E, g, torsion = gamma.curve, gamma.generator, gamma.torsion_points
+    E, g = gamma.curve, gamma.generator
     m = _reach(gamma)
-    assert len(walk) == len(torsion) * (2 * m + 1)
+    assert len(walk) == 2 * m + 1
     assert sorted(rank) == list(range(len(walk)))
     by_rank = sorted(range(len(walk)), key=rank.__getitem__)
     assert [walk[i][0].key() for i in by_rank] == sorted(w[0].key() for w in walk)
-    rows = [(0, t) for t in range(len(torsion))]
-    rows += [(s * a, t) for a in range(1, m + 1) for s in (1, -1) for t in range(len(torsion))]
-    assert [(w[1], w[2]) for w in walk] == rows
-    for P, a, t, text in walk:
+    assert [w[1] for w in walk] == [0] + [s * a for a in range(1, m + 1) for s in (1, -1)]
+    for P, a, text in walk:
         assert text == str(P)
-        assert P == add(E, scalar_mul(E, a, g), torsion[t])
+        assert P == scalar_mul(E, a, g)
