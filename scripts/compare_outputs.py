@@ -4,7 +4,8 @@
 Runs the argv of the first K decks of a perfbench workload through
 ``ntbounds.cli.main`` of each given source tree, each tree in its own process,
 and prints per tree the request count and a sha256 over every request's exit
-code and stdout.  The decks come from this checkout's
+code, stdout and refusal lines (the stderr lines that begin ``ntbounds``; the
+search timing line is left out).  The decks come from this checkout's
 ``perfbench/workloads.py``, which is only read.  With ``--argv-file FILE`` the
 requests are instead the argv lists of FILE, a JSON list of lists of strings,
 and the workload is not given.  Exits 1 when the hashes differ.
@@ -43,18 +44,21 @@ def tree_main(tree: str):
     return main
 
 
-def run_request(main, argv) -> tuple[int, bytes]:
-    """(exit code, stdout bytes) of one in-process CLI run; stderr is dropped."""
+def run_request(main, argv) -> tuple[int, bytes, str]:
+    """(exit code, stdout bytes, refusal lines of stderr) of one in-process CLI run."""
     out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", write_through=True)
+    err = io.StringIO()
     saved = sys.stdout, sys.stderr
-    sys.stdout, sys.stderr = out, io.StringIO()
+    sys.stdout, sys.stderr = out, err
     try:
         code = main(list(argv))
     except SystemExit as exc:  # argparse rejects a malformed argv this way
         code = exc.code if isinstance(exc.code, int) else 2
     finally:
         sys.stdout, sys.stderr = saved
-    return code, out.buffer.getvalue()
+    refusals = "".join(line for line in err.getvalue().splitlines(keepends=True)
+                       if line.startswith("ntbounds"))
+    return code, out.buffer.getvalue(), refusals
 
 
 def requests(workload: str | None, decks: int, seed: int, argv_file: str | None):
@@ -70,9 +74,10 @@ def digest(tree: str, argvs) -> tuple[int, str]:
     main = tree_main(tree)
     h = hashlib.sha256()
     for argv in argvs:
-        code, blob = run_request(main, argv)
+        code, blob, refusals = run_request(main, argv)
         h.update(b"%d %d\n" % (code, len(blob)))
         h.update(blob)
+        h.update(refusals.encode())
     return len(argvs), h.hexdigest()
 
 

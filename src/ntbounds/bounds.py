@@ -15,11 +15,11 @@ from fractions import Fraction
 from typing import Optional
 
 from .chow_hurwitz import family_curve_profile, family_degree_upper, hurwitz_genus
+from .errors import DomainError
 from .rounding import (
     BoundedReal,
     ConstExpr,
     Direction,
-    DomainError,
     LogRat,
     Pow,
     Prod,

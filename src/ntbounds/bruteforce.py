@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 
 from .rings import Element, EndRing
-from .rounding import DomainError
+from .errors import DomainError
 from .subgroups import SubgroupMatrix
 
 __all__ = [

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .rounding import DomainError
+from .errors import DomainError
 
 __all__ = [
     "intersection_number",

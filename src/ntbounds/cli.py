@@ -1,9 +1,8 @@
 """Command-line surface tying the modules together.
 
-Exit codes: 0 success; 2 unparseable input (files, expressions, flags);
-3 domain/precondition violation; 4 indeterminate comparison or uncertified
-enclosure at the requested precision; 5 resource-guard refusal.  Any other
-exception is a program fault and propagates.
+A refusal (see :mod:`ntbounds.errors`, which lists the exit codes) prints one
+stderr line and returns its exit code; any other exception is a program fault
+and propagates.
 """
 
 from __future__ import annotations
@@ -14,6 +13,7 @@ import json
 import os
 import re
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -27,12 +27,8 @@ from .bounds import (
     family_final_bound,
     THEOREM_IDS,
 )
-from .elliptic import (
-    PointNotOnCurveError,
-    SingularCurveError,
-    curve_from_json,
-    weierstrass_height_expr,
-)
+from .elliptic import curve_from_json, weierstrass_height_expr
+from .errors import DomainError, IndeterminateError, InputParseError, NtboundsError
 from .presets import PRESET_NAMES, ambient_gamma
 from .reporting import (
     SCHEMA_VERSION,
@@ -48,8 +44,6 @@ from .rounding import (
     MIN_PRECISION,
     ConstExpr,
     Direction,
-    DomainError,
-    IndeterminateError,
     LogRat,
     Prod,
     Rat,
@@ -58,24 +52,16 @@ from .rounding import (
     rat,
 )
 from .search import GammaSpec, search_rational_points
-from .subgroups import ResourceGuardError, census
+from .subgroups import census
 from .rings import ring_by_name
 
 __all__ = ["main", "parse_height_expr"]
 
 EXIT_OK = 0
-EXIT_PARSE = 2
-EXIT_DOMAIN = 3
-EXIT_INDETERMINATE = 4
-EXIT_RESOURCE = 5
 
 # The preset Gammas, validated once; each keeps its generator's last
 # canonical-height enclosure from one search request to the next.
 _PRESET_GAMMAS = {name: ambient_gamma(name) for name in PRESET_NAMES}
-
-
-class InputParseError(ValueError):
-    pass
 
 
 _TERM_RE = re.compile(
@@ -137,10 +123,7 @@ def _load_curve(spec: str):
         text = path.read_text()
     except (OSError, UnicodeDecodeError) as exc:
         raise InputParseError(f"cannot read curve file {spec!r}: {exc}") from exc
-    try:
-        return curve_from_json(text)
-    except DomainError as exc:
-        raise InputParseError(str(exc)) from exc
+    return curve_from_json(text)
 
 
 def _resolve_hw(args) -> ConstExpr:
@@ -180,27 +163,19 @@ def _default_precision() -> int:
 
 def _cmd_constants(args) -> int:
     hw = _resolve_hw(args)
-    digits = args.digits
     payload = {"schema_version": SCHEMA_VERSION, "kind": "constants",
                "precision_bits": args.precision}
     if args.d:
-        d1, d2, d3 = constants_D(hw, Direction.UPPER, args.precision)
+        names, values = ("d1", "d2", "d3"), constants_D(hw, Direction.UPPER, args.precision)
         payload["set"] = "transverse-square"
-        payload["values"] = {
-            "d1": bounded_real_payload(d1, digits),
-            "d2": bounded_real_payload(d2, digits),
-            "d3": bounded_real_payload(d3, digits),
-        }
         payload["printed_approximations"] = constants_D_printed(args.precision)
     else:
-        c1, c2, c3 = constants_CN(args.cn, hw, Direction.UPPER, args.precision)
+        names = ("c1", "c2", "c3")
+        values = constants_CN(args.cn, hw, Direction.UPPER, args.precision)
         payload["set"] = "weak-transverse-power"
         payload["N"] = args.cn
-        payload["values"] = {
-            "c1": bounded_real_payload(c1, digits),
-            "c2": bounded_real_payload(c2, digits),
-            "c3": bounded_real_payload(c3, digits),
-        }
+    payload["values"] = {name: bounded_real_payload(value, args.digits)
+                         for name, value in zip(names, values)}
     _emit(payload, args.out)
     return EXIT_OK
 
@@ -266,16 +241,18 @@ def _cmd_search(args) -> int:
         gamma = GammaSpec(curve, gen)
     tol = _parse_fraction(args.tol, "--tol")
     bound = _parse_fraction(args.height_bound, "--height-bound")
+    t0 = time.perf_counter()
     report = search_rational_points(args.family, args.n, gamma, bound, tol,
                                     shards=args.shards, precision=args.precision)
+    wall = time.perf_counter() - t0
+    pairs_per_second = report.pairs_scanned / wall if wall > 0 else 0.0
     _emit(search_report_payload(report, args.digits), args.out)
-    print(f"search metrics: wall={report.wall_clock_seconds:.3f}s "
-          f"pairs/s={report.pairs_per_second:.0f} shards={report.shards}",
-          file=sys.stderr)
+    print(f"search metrics: wall={wall:.3f}s "
+          f"pairs/s={pairs_per_second:.0f} shards={report.shards}", file=sys.stderr)
     if args.metrics_out:
         Path(args.metrics_out).write_text(json.dumps({
-            "wall_clock_seconds": report.wall_clock_seconds,
-            "pairs_per_second": report.pairs_per_second,
+            "wall_clock_seconds": wall,
+            "pairs_per_second": pairs_per_second,
             "shards": report.shards,
         }, sort_keys=True) + "\n")
     return EXIT_OK
@@ -399,18 +376,9 @@ def main(argv=None) -> int:
         if args.digits < 1:
             raise InputParseError("--digits must be >= 1")
         return args.func(args)
-    except InputParseError as exc:
-        print(f"ntbounds: parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except ResourceGuardError as exc:
-        print(f"ntbounds: resource guard: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
-    except IndeterminateError as exc:
-        print(f"ntbounds: indeterminate: {exc}", file=sys.stderr)
-        return EXIT_INDETERMINATE
-    except (DomainError, SingularCurveError, PointNotOnCurveError) as exc:
-        print(f"ntbounds: domain error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+    except NtboundsError as exc:
+        print(f"ntbounds: {exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

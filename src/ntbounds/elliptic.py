@@ -13,9 +13,9 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional
 
+from .errors import DomainError, InputParseError
 from .rounding import (
     ConstExpr,
-    DomainError,
     LogRat,
     Prod,
     Rat,
@@ -43,7 +43,7 @@ __all__ = [
 MAZUR_ORDERS = (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12)
 
 
-class SingularCurveError(ValueError):
+class SingularCurveError(DomainError):
     def __init__(self, a: Fraction, b: Fraction, discriminant: Fraction):
         self.discriminant = discriminant
         super().__init__(
@@ -51,7 +51,7 @@ class SingularCurveError(ValueError):
         )
 
 
-class PointNotOnCurveError(ValueError):
+class PointNotOnCurveError(DomainError):
     pass
 
 
@@ -256,10 +256,10 @@ def weierstrass_height_expr(E: EllipticCurveQ) -> ConstExpr:
 
 def _fraction_from_string(s: str) -> Fraction:
     if not isinstance(s, str):
-        raise DomainError(f"rationals must be fraction strings, got {s!r}")
+        raise InputParseError(f"rationals must be fraction strings, got {s!r}")
     s = s.strip()
     if "." in s or "e" in s.lower():
-        raise DomainError(f"rationals must be decimal-free fraction strings, got {s!r}")
+        raise InputParseError(f"rationals must be decimal-free fraction strings, got {s!r}")
     return Fraction(s)
 
 
@@ -268,20 +268,20 @@ def curve_from_json(text: str) -> tuple[EllipticCurveQ, ECPoint, int, int]:
     try:
         data = json.loads(text)
     except ValueError as exc:  # a JSONDecodeError, or an int past the digit limit
-        raise DomainError(f"curve file is not valid JSON: {exc}") from exc
+        raise InputParseError(f"curve file is not valid JSON: {exc}") from exc
     try:
         a = _fraction_from_string(data["a"])
         b = _fraction_from_string(data["b"])
         if not isinstance(data["generator"], list):
-            raise DomainError(f"generator must be a JSON list, got {data['generator']!r}")
+            raise InputParseError(f"generator must be a JSON list, got {data['generator']!r}")
         gx, gy = (_fraction_from_string(c) for c in data["generator"])
         rank = data.get("rank", 1)
         torsion = data.get("torsion_order", 1)
         if type(rank) is not int or type(torsion) is not int:
-            raise DomainError(f"rank and torsion_order must be JSON integers, "
-                              f"got {rank!r} and {torsion!r}")
+            raise InputParseError(f"rank and torsion_order must be JSON integers, "
+                                  f"got {rank!r} and {torsion!r}")
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-        raise DomainError(f"malformed curve file: {exc}") from exc
+        raise InputParseError(f"malformed curve file: {exc}") from exc
     E = validate_curve(a, b)
     g = ECPoint.affine(gx, gy)
     E.require(g)

@@ -22,14 +22,13 @@ from math import gcd, lcm
 from typing import Sequence
 
 from .elliptic import ECPoint, EllipticCurveQ, torsion_order
+from .errors import DomainError, IndeterminateError
 from .libmp import mpf_ge, mpf_shift, mpf_sign
 from .libmp import mpi_abs, mpi_add, mpi_div, mpi_log, mpi_mul, mpi_sub
 from .rounding import (
     ConstExpr,
     Direction,
-    DomainError,
     GUARD_BITS,
-    IndeterminateError,
     LogRat,
     Prod,
     Rat,

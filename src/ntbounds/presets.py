@@ -11,7 +11,7 @@ non-torsion are verified here.
 from __future__ import annotations
 
 from .elliptic import ECPoint, EllipticCurveQ, validate_curve
-from .rounding import DomainError
+from .errors import DomainError
 from .search import GammaSpec
 
 __all__ = [

@@ -8,13 +8,15 @@ from __future__ import annotations
 import json
 import sys
 from fractions import Fraction
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from .bounds import BoundReport, ExponentReport, FamilyBoundReport
 from .rounding import (BoundedReal, Direction, fraction_to_decimal, integer_digits,
                        rational_digits)
-from .search import SearchReport
-from .subgroups import CensusReport
+
+if TYPE_CHECKING:  # the report types only annotate; loading them would load their modules
+    from .bounds import BoundReport, ExponentReport, FamilyBoundReport
+    from .search import SearchReport
+    from .subgroups import CensusReport
 
 __all__ = [
     "SCHEMA_VERSION",

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from math import isqrt
 from typing import Iterable
 
-from .rounding import DomainError
+from .errors import DomainError
 
 __all__ = ["EndRing", "Element", "RING_Z", "RING_GAUSS", "RING_EISENSTEIN", "ring_by_name"]
 
@@ -145,8 +145,8 @@ class EndRing:
         if self.kind == "z":
             s = isqrt(bound)
             return [(a, 0) for a in range(-s, s + 1)]
-        # both quadratic rings: norm >= (|a| - |b|)^2-ish; scan a safe box
-        s = isqrt(4 * bound) + 1
+        # both quadratic rings: norm >= 3/4 max(|a|, |b|)^2, so 3 max^2 <= 4 bound
+        s = isqrt(4 * bound // 3)
         for a in range(-s, s + 1):
             for b in range(-s, s + 1):
                 if self.norm((a, b)) <= bound:

@@ -24,6 +24,8 @@ evaluated once.  The enclosure is a function of the node's structure and the
 working precision only, so a remembered one is the very pair a fresh
 evaluation returns.  A node holds one enclosure, not one per precision, and
 the slot is not a dataclass field: equality, hashing and repr are structural.
+
+Arguments outside a routine's domain raise :class:`ntbounds.errors.DomainError`.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from decimal import (MAX_EMAX, MIN_EMIN, ROUND_CEILING, ROUND_FLOOR, ROUND_HALF_
                      Context, Decimal)
 from fractions import Fraction
 
+from .errors import DomainError
 from .libmp import (
     fone,
     from_int,
@@ -56,7 +59,6 @@ from .libmp import (
 
 __all__ = [
     "Direction",
-    "IndeterminateError",
     "BoundedReal",
     "ConstExpr",
     "Rat",
@@ -102,15 +104,6 @@ _DECIMAL_ROUNDING = {
     Direction.LOWER: ROUND_FLOOR,
     Direction.NEAREST: ROUND_HALF_UP,
 }
-
-
-class DomainError(ValueError):
-    """Raised for arguments outside an operation's domain (e.g. log of q <= 0)."""
-
-
-class IndeterminateError(RuntimeError):
-    """Raised when a certified decision or enclosure is out of reach at the
-    requested precision (raising the precision may settle it)."""
 
 
 def _require_finite(t) -> None:

@@ -29,14 +29,13 @@ desk-scale and explicit.
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator
 
 from .elliptic import ECPoint, EllipticCurveQ, add, negate, torsion_order
 from .heights import canonical_height_enclosure
-from .rounding import DomainError
+from .errors import DomainError
 
 __all__ = [
     "GammaSpec",
@@ -78,10 +77,6 @@ class GammaSpec:
 def _floor_sqrt_fraction(q: Fraction) -> int:
     """Largest integer m with m^2 <= q (q >= 0): isqrt of floor(q)."""
     return math.isqrt(q.numerator // q.denominator)
-
-
-def _as_fraction(x) -> Fraction:
-    return Fraction(str(x)) if isinstance(x, float) else Fraction(x)
 
 
 def _free_range_bound(gamma: GammaSpec, B: Fraction, tol: Fraction,
@@ -200,8 +195,7 @@ def enumerate_rank1(gamma: GammaSpec, height_bound, tol,
     """Yield (point, certified h-hat midpoint) for the points a*g of canonical
     height at most B + tol, a ascending.
     """
-    kept, estimate = _kept_points(gamma, _as_fraction(height_bound), _as_fraction(tol),
-                                  precision)
+    kept, estimate = _kept_points(gamma, Fraction(height_bound), Fraction(tol), precision)
     kept.sort(key=lambda w: w[1])
     for w in kept:
         yield w[0], estimate(w[0])
@@ -245,8 +239,6 @@ class SearchReport:
     found: tuple[FoundPoint, ...]
     closure_candidates: tuple[str, ...]
     shards: int
-    wall_clock_seconds: float = field(default=0.0, compare=False)
-    pairs_per_second: float = field(default=0.0, compare=False)
 
 
 def search_rational_points(family: str, n: int, gamma: GammaSpec, height_bound,
@@ -259,9 +251,8 @@ def search_rational_points(family: str, n: int, gamma: GammaSpec, height_bound,
     if shards < 1:
         raise DomainError("shard count must be >= 1")
     _check_family(family, n)
-    B = _as_fraction(height_bound)
-    tol_f = _as_fraction(tol)
-    t0 = time.perf_counter()
+    B = Fraction(height_bound)
+    tol_f = Fraction(tol)
     points, estimate = _kept_points(gamma, B, tol_f, precision)
 
     # Every pair is decided: a pair with a point at infinity lies on the
@@ -283,8 +274,6 @@ def search_rational_points(family: str, n: int, gamma: GammaSpec, height_bound,
         for p2 in by_y.get(_family_rhs(family, n, p1.x), ()):
             found.append(FoundPoint(p1, p2, estimate(p1), estimate(p2)))
     closure.sort()
-    pairs = len(points) ** 2
-    dt = time.perf_counter() - t0
     return SearchReport(
         family=family,
         n=n,
@@ -292,10 +281,8 @@ def search_rational_points(family: str, n: int, gamma: GammaSpec, height_bound,
         tolerance=str(tol_f),
         precision_bits=precision,
         candidate_points=len(points),
-        pairs_scanned=pairs,
+        pairs_scanned=len(points) ** 2,
         found=tuple(found),
         closure_candidates=tuple(closure),
         shards=shards,
-        wall_clock_seconds=dt,
-        pairs_per_second=(pairs / dt if dt > 0 else 0.0),
     )

@@ -41,11 +41,10 @@ from functools import lru_cache
 from math import comb, factorial, gcd, isqrt, lcm
 
 from .rings import Element, EndRing
-from .rounding import DomainError
+from .errors import DomainError, ResourceGuardError
 
 __all__ = [
     "SubgroupMatrix",
-    "ResourceGuardError",
     "degree_estimate",
     "hermite_normal_form",
     "enumerate_matrices",
@@ -54,10 +53,6 @@ __all__ = [
     "census",
     "row_bound_for_degree",
 ]
-
-
-class ResourceGuardError(RuntimeError):
-    """Predicted enumeration size exceeds the configured ceiling."""
 
 
 @dataclass(frozen=True)

@@ -19,9 +19,9 @@ from ntbounds.bounds import (
     family_final_bound,
     family_invariants,
 )
+from ntbounds.errors import DomainError
 from ntbounds.rounding import (
     Direction,
-    DomainError,
     eval_const,
     LogRat,
     Prod,

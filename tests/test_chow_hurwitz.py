@@ -8,7 +8,7 @@ from ntbounds.chow_hurwitz import (
     hurwitz_genus,
     intersection_number,
 )
-from ntbounds.rounding import DomainError
+from ntbounds.errors import DomainError
 
 P2 = (2,)
 P2xP2 = (2, 2)

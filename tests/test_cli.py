@@ -6,13 +6,14 @@ from pathlib import Path
 import pytest
 
 from ntbounds import bounds, subgroups
-from ntbounds.cli import (
-    EXIT_DOMAIN,
-    EXIT_INDETERMINATE,
-    EXIT_PARSE,
-    EXIT_RESOURCE,
-    main,
-    parse_height_expr,
+from ntbounds.cli import main, parse_height_expr
+from ntbounds.elliptic import PointNotOnCurveError, SingularCurveError
+from ntbounds.errors import (
+    DomainError,
+    IndeterminateError,
+    InputParseError,
+    NtboundsError,
+    ResourceGuardError,
 )
 from ntbounds.rounding import Direction, LogRat, Prod, Rat, eval_const, rat
 
@@ -53,9 +54,8 @@ def test_parse_height_expressions():
 
 
 def test_parse_height_rejects_garbage():
-    from ntbounds.cli import InputParseError
     for bad in ("0.5", "log(-2)x", "ln(2)", "", "log"):
-        with pytest.raises(Exception):
+        with pytest.raises(InputParseError):
             parse_height_expr(bad)
 
 
@@ -215,7 +215,7 @@ def test_digits_past_a_dyadic_expansion_print_the_same_bytes(tmp_path):
 def test_exit_code_parse_error_missing_curve(tmp_path, capsys):
     code = main(["search", "--family", "f1", "--n", "1", "--curve",
                  str(tmp_path / "nope.json"), "--height-bound", "1"])
-    assert code == EXIT_PARSE
+    assert code == 2
 
 
 def test_exit_code_parse_error_malformed_curve(tmp_path, capsys):
@@ -223,10 +223,10 @@ def test_exit_code_parse_error_malformed_curve(tmp_path, capsys):
     bad.write_text("{this is not json")
     code = main(["search", "--family", "f1", "--n", "1", "--curve", str(bad),
                  "--height-bound", "1"])
-    assert code == EXIT_PARSE
+    assert code == 2
     bad.write_text('{"a": "1"}')
     assert main(["search", "--family", "f1", "--n", "1", "--curve", str(bad),
-                 "--height-bound", "1"]) == EXIT_PARSE
+                 "--height-bound", "1"]) == 2
 
 
 @pytest.mark.parametrize("command", ["search", "constants"])
@@ -246,7 +246,7 @@ def test_malformed_curve_file_is_a_parse_error(tmp_path, capsys, command, conten
     bad.write_bytes(content)
     argv = {"search": ["search", "--family", "f2", "--n", "1", "--height-bound", "2"],
             "constants": ["constants", "--d"]}[command]
-    assert main([*argv, "--curve", str(bad)]) == EXIT_PARSE
+    assert main([*argv, "--curve", str(bad)]) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("ntbounds: parse error")
@@ -264,7 +264,7 @@ def test_malformed_curve_file_is_a_parse_error(tmp_path, capsys, command, conten
     ["bound", "--branch", "square", "--deg-c", "1", "--h-c", f"log({'7' * 4400})"],
 ])
 def test_zero_denominator_in_a_height_expression_is_a_parse_error(capsys, argv):
-    assert main(argv) == EXIT_PARSE
+    assert main(argv) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("ntbounds: parse error")
@@ -275,9 +275,9 @@ def test_exit_code_domain_error_singular_curve(tmp_path, capsys):
     bad.write_text('{"a": "0", "b": "0", "generator": ["1", "1"]}')
     code = main(["search", "--family", "f1", "--n", "1", "--curve", str(bad),
                  "--height-bound", "1"])
-    assert code == EXIT_DOMAIN
+    assert code == 3
     code = main(["exponents", "--theorem", "census-structure", "--N", "4", "--r", "2"])
-    assert code == EXIT_DOMAIN
+    assert code == 3
 
 
 def test_exit_code_domain_error_off_curve_generator(tmp_path, capsys):
@@ -285,7 +285,7 @@ def test_exit_code_domain_error_off_curve_generator(tmp_path, capsys):
     bad.write_text('{"a": "0", "b": "1", "generator": ["1", "1"]}')
     code = main(["search", "--family", "f1", "--n", "1", "--curve", str(bad),
                  "--height-bound", "1"])
-    assert code == EXIT_DOMAIN
+    assert code == 3
     assert "does not satisfy" in capsys.readouterr().err
 
 
@@ -300,7 +300,7 @@ def test_search_refuses_curve_file_beyond_rank_one_and_trivial_torsion(
     code = main(["search", "--family", "f1", "--n", "1", "--curve", str(curve),
                  "--height-bound", "6"])
     out, err = capsys.readouterr()
-    assert code == EXIT_DOMAIN
+    assert code == 3
     assert out == ""
     assert "rank 1 and torsion order 1" in err
     # constants and bound read only h_W(E) from the file
@@ -321,15 +321,25 @@ def test_exit_code_indeterminate_canonical_height(capsys):
     # 4 precision doublings from 128 bits reach 1024 bits, far short of 1e-400
     code = main(["search", "--family", "f1", "--n", "1", "--curve", "f1",
                  "--height-bound", "25", "--tol", "1e-400", "--precision", "64"])
-    assert code == EXIT_INDETERMINATE
-    assert "did not certify" in capsys.readouterr().err
+    assert code == 4
+    assert capsys.readouterr().err.startswith("ntbounds: indeterminate: canonical height "
+                                              "did not certify")
 
 
-def test_indeterminate_error_shared_with_rounding():
-    from ntbounds.cli import IndeterminateError
-    from ntbounds import rounding
-    assert IndeterminateError is rounding.IndeterminateError
-    assert not issubclass(IndeterminateError, rounding.DomainError)
+def test_indeterminate_error_is_not_a_domain_error():
+    assert not issubclass(IndeterminateError, DomainError)
+    assert issubclass(SingularCurveError, DomainError)
+    assert issubclass(PointNotOnCurveError, DomainError)
+
+
+def test_each_refusal_carries_its_exit_code_and_label():
+    assert [(cls.exit_code, cls.label) for cls in (
+        InputParseError, DomainError, IndeterminateError, ResourceGuardError,
+        SingularCurveError, PointNotOnCurveError)] == [
+        (2, "parse error"), (3, "domain error"), (4, "indeterminate"),
+        (5, "resource guard"), (3, "domain error"), (3, "domain error")]
+    assert all(issubclass(cls, NtboundsError) for cls in (
+        InputParseError, DomainError, IndeterminateError, ResourceGuardError))
 
 
 def test_parser_is_reused_across_calls(tmp_path, capsys):
@@ -350,10 +360,10 @@ def test_parser_is_reused_across_calls(tmp_path, capsys):
      "--case", "point"],
 ], ids=["census-structure", "low-rank-height", "transverse-rank-height"])
 def test_case_on_a_theorem_without_cases_is_a_domain_error(capsys, argv):
-    assert main(argv) == EXIT_DOMAIN
+    assert main(argv) == 3
     out, err = capsys.readouterr()
     assert out == ""
-    assert "takes no case" in err
+    assert err.startswith("ntbounds: domain error: ") and "takes no case" in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -363,7 +373,7 @@ def test_case_on_a_theorem_without_cases_is_a_domain_error(capsys, argv):
 def test_hw_and_curve_together_are_a_parse_error(tmp_path, capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main([*argv, "--hw", "0", "--curve", str(tmp_path / "nonexistent.json")])
-    assert exc.value.code == EXIT_PARSE
+    assert exc.value.code == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert "not allowed with" in err
@@ -372,7 +382,7 @@ def test_hw_and_curve_together_are_a_parse_error(tmp_path, capsys, argv):
 def test_exit_code_resource_guard(capsys):
     code = main(["census", "--ring", "z", "--N", "3", "--r", "2",
                  "--max-degree", "50", "--torsion", "2", "--ceiling", "10"])
-    assert code == EXIT_RESOURCE
+    assert code == 5
 
 
 # The shapes with r >= 3 that the default ceiling refuses at the least Dmax,
@@ -384,7 +394,7 @@ def test_census_refusals_at_the_default_ceiling(capsys, n, r, dmax, work):
     code = main(["census", "--ring", "z", "--N", str(n), "--r", str(r),
                  "--max-degree", str(dmax), "--torsion", "1"])
     captured = capsys.readouterr()
-    assert code == EXIT_RESOURCE and captured.out == ""
+    assert code == 5 and captured.out == ""
     assert captured.err == (
         f"ntbounds: resource guard: enumeration would scan {work} row combinations "
         f"(> ceiling 5000000); lower Dmax or raise the ceiling explicitly\n")
@@ -434,7 +444,7 @@ def test_report_paths_print_at_the_lowest_int_digit_limit(tmp_path, capsys, monk
     ["census", "--N", "2", "--r", "1", "--max-degree", "5", "--torsion", "2"],
 ])
 def test_digits_below_one_is_a_parse_error(capsys, args):
-    assert main([*args, "--digits", "0"]) == EXIT_PARSE
+    assert main([*args, "--digits", "0"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--digits" in captured.err
@@ -447,7 +457,7 @@ def test_precision_env_variable(tmp_path, capsys, monkeypatch):
     assert payload["precision_bits"] == 128
     assert payload["values"]["d1"]["precision_bits"] == 128
     monkeypatch.setenv("NTBOUNDS_PRECISION", "nope")
-    assert main(["constants", "--d", "--hw", "0"]) == EXIT_PARSE
+    assert main(["constants", "--d", "--hw", "0"]) == 2
 
 
 def test_constants_from_curve_preset(tmp_path, capsys):

@@ -204,8 +204,8 @@ def test_curve_json_roundtrip():
 
 
 def test_curve_json_rejects_decimals():
-    from ntbounds.rounding import DomainError
-    with pytest.raises(DomainError):
+    from ntbounds.errors import InputParseError
+    with pytest.raises(InputParseError):
         curve_from_json('{"a": "0.5", "b": "-2", "generator": ["2", "2"]}')
 
 

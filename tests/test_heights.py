@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ntbounds.elliptic import ECPoint, add, negate, scalar_mul, validate_curve
+from ntbounds.errors import DomainError
 from ntbounds.heights import (
     ProjPointQ,
     canonical_height_enclosure,
@@ -16,7 +17,7 @@ from ntbounds.heights import (
     _DoublingData,
     _doubling_data,
 )
-from ntbounds.rounding import Direction, DomainError, eval_const
+from ntbounds.rounding import Direction, eval_const
 
 TOL = Fraction(1, 10 ** 10)
 

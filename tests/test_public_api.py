@@ -84,16 +84,38 @@ def test_mpmath_import_check_sees_the_global_contexts():
         "mpmath.mp (line 3)", "mpmath.ctx_iv.iv (line 4)"]
 
 
-def test_cli_import_loads_libmp_without_mpmath():
-    # mpmath/__init__ builds every mpmath context; only its libmp layer is used
+def _fresh_import(modules: str, probes: list[str]) -> list[bool]:
+    """Whether each probed module is in sys.modules after a fresh process
+    imports `modules` (a comma-separated list)."""
     src = str(Path(ntbounds.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    code = ("import sys, ntbounds.cli; "
-            "print('mpmath' in sys.modules, 'ntbounds.libmp' in sys.modules)")
+    code = f"import sys, {modules}; print(*[m in sys.modules for m in {probes!r}])"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
-    assert out.split() == ["False", "True"]
+    return [word == "True" for word in out.split()]
+
+
+def test_cli_import_loads_libmp_without_mpmath():
+    # mpmath/__init__ builds every mpmath context; only its libmp layer is used
+    assert _fresh_import("ntbounds.cli", ["mpmath", "ntbounds.libmp"]) == [False, True]
+
+
+def test_subgroup_core_loads_no_interval_arithmetic():
+    # these modules raise refusals from ntbounds.errors and do exact integer work
+    assert _fresh_import(
+        "ntbounds.subgroups, ntbounds.rings, ntbounds.bruteforce, ntbounds.chow_hurwitz",
+        ["ntbounds.errors", "ntbounds.rounding", "ntbounds.libmp"]) == [True, False, False]
+
+
+def test_reporting_import_loads_no_report_producer():
+    assert _fresh_import("ntbounds.reporting", [
+        "ntbounds.bounds", "ntbounds.search", "ntbounds.subgroups"]) == [False, False, False]
+
+
+def test_errors_module_imports_nothing():
+    tree = ast.parse((Path(ntbounds.__file__).parent / "errors.py").read_text())
+    assert not [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
 
 
 def test_libmp_loader_agrees_with_mpmath_libmp():

@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ntbounds import rounding
+from ntbounds.errors import DomainError
 from ntbounds.rounding import (
     BoundedReal,
     Direction,
-    DomainError,
     LogRat,
     Pow,
     Prod,

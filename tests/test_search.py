@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 import ntbounds.search as search_module
 from ntbounds.elliptic import ECPoint, negate, scalar_mul, validate_curve
+from ntbounds.errors import DomainError
 from ntbounds.heights import canonical_height_enclosure
 from ntbounds.presets import ambient_gamma
-from ntbounds.rounding import DomainError
 from ntbounds.search import (
     GammaSpec,
     enumerate_rank1,

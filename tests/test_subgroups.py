@@ -11,9 +11,8 @@ from hypothesis import strategies as st
 
 from ntbounds.bruteforce import match_against, oracle_enumerate
 from ntbounds.rings import RING_EISENSTEIN, RING_GAUSS, RING_Z, EndRing, ring_by_name
-from ntbounds.rounding import DomainError
+from ntbounds.errors import DomainError, ResourceGuardError
 from ntbounds.subgroups import (
-    ResourceGuardError,
     SubgroupMatrix,
     _binary_aut_order,
     _candidate_rows,
@@ -148,6 +147,17 @@ def test_dot_conj_matches_ring_products(ring, u, v):
         want = _add(want, ring.mul(x, ring.conj(y)))
     assert ring.dot_conj(u, v) == want
     assert ring.dot_conj(u, u) == (ring.row_norm(u), 0)
+
+
+@pytest.mark.parametrize("ring", [G, W], ids=["zi", "zw"])
+def test_elements_of_norm_at_most_lists_the_wide_box_in_its_order(ring):
+    # the candidate rows and the oracle read this order; the box
+    # |a|, |b| <= bound + 1 holds every element of norm <= bound on both rings
+    for bound in [*range(101), 300]:
+        s = bound + 1
+        want = [(a, b) for a in range(-s, s + 1) for b in range(-s, s + 1)
+                if ring.norm((a, b)) <= bound]
+        assert ring.elements_of_norm_at_most(bound) == want, bound
 
 
 # -- degree --------------------------------------------------------------
