@@ -367,7 +367,7 @@ class ExponentEntry:
     quantity: str     # what is being bounded
     base: str         # the quantity raised to the exponent
     eta_free: Fraction
-    eta_coeff: Fraction
+    eta_coeff: Fraction = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -376,11 +376,6 @@ class ExponentReport:
     case: str
     params: dict
     entries: tuple[ExponentEntry, ...]
-
-
-def _require(cond: bool, violated: str):
-    if not cond:
-        raise DomainError(f"parameters violate {violated}")
 
 
 _HD = "h(C)+deg(C)"
@@ -392,152 +387,126 @@ _HDG = "h(C)+(hhat(g)+1)*deg(C)"
 _KTOR_G = "[ktor(C x g):ktor]"
 _KDEG_G = "[k(C x g):k]"
 _HDG_KTOR = "[ktor(C x g):ktor]*(h(C)+(hhat(g)+1)*deg(C))"
+_HHAT_C = "hhat(C cap Gamma)"
+
+# A condition is (text, test): the first whose test fails is refused as
+# "parameters violate {text}".  Tests and entry builders take N, r, t and
+# dim_v by keyword; a test sees None for a parameter its theorem does not
+# require (see _REQUIRED), so a test that reads one checks it first.
+_T_AT_LEAST_1 = ("t >= 1", lambda N, t, **_: N is not None and t is not None and t >= 1)
+_T_BELOW_HALF_N = ("t < N/2", lambda N, t, **_: 2 * t < N)
+_T_BELOW_N = ("t <= N - 1", lambda N, t, **_: t <= N - 1)
+_RC1 = (("N >= 2", lambda N, **_: N >= 2),
+        ("1 <= dim(V) <= N - 2", lambda N, dim_v, **_: 1 <= dim_v <= N - 2))
 
 
-def _rc1_anomalous(case: str, N: int, dim_v: int) -> tuple[ExponentEntry, ...]:
-    _require(N >= 2, "N >= 2")
-    _require(1 <= dim_v <= N - 2, "1 <= dim(V) <= N - 2")
-    q = Fraction(1, N - dim_v - 1)
-    one = Fraction(1)
-    if case == "nontranslate":
-        return (
-            ExponentEntry("h(Y)", _HD, (N - 1) * q, one),
-            ExponentEntry("deg(Y)", "deg(V)", one, Fraction(0)),
-            ExponentEntry("deg(Y)", _HD, dim_v * q, one),
-        )
-    if case == "translate":
-        return (
-            ExponentEntry("h(Y)", _HD, (N - 2) * q, one),
-            ExponentEntry("h(Y)", _KTOR, (dim_v - 1) * q, one),
-            ExponentEntry("deg(Y)", "deg(V)", one, Fraction(0)),
-            ExponentEntry("deg(Y)", _HD_KTOR, (dim_v - 1) * q, one),
-        )
-    if case == "point":
-        return (
-            ExponentEntry("hhat(Y)", _HD, (N - 1) * q, one),
-            ExponentEntry("hhat(Y)", _KTOR, dim_v * q, one),
-            ExponentEntry("[Q(Y):Q]", _HD_KTOR,
-                          Fraction((dim_v + 1) * (N - 1), (N - dim_v - 1) ** 2), one),
-        )
-    raise DomainError(f"unknown case {case!r} for rc1-anomalous")
-
-
-def _rank1_height(case: str, N: Optional[int]) -> tuple[ExponentEntry, ...]:
-    one = Fraction(1)
-    if case == "weak-transverse-power":
-        _require(N is not None and N >= 3, "N >= 3")
-        return (
-            ExponentEntry("hhat(C cap Gamma)", _HD, Fraction(N - 1, N - 2), one),
-            ExponentEntry("hhat(C cap Gamma)", _KTOR, Fraction(1, N - 2), one),
-        )
-    if case == "transverse-square":
-        return (
-            ExponentEntry("hhat(C cap Gamma)", _KTOR_G, one, one),
-            ExponentEntry("hhat(C cap Gamma)", _HDG, Fraction(2), one),
-        )
-    raise DomainError(f"unknown case {case!r} for rank1-height")
-
-
-def _low_rank_height(N: int, t: int) -> tuple[ExponentEntry, ...]:
-    _require(t >= 1, "t >= 1")
-    _require(2 * t < N, "t < N/2")
-    one = Fraction(1)
-    return (
-        ExponentEntry("hhat(C cap Gamma)", _HD, Fraction(N - t, N - 2 * t), one),
-        ExponentEntry("hhat(C cap Gamma)", _KTOR, Fraction(t, N - 2 * t), one),
-    )
-
-
-def _transverse_rank_height(N: int, t: int) -> tuple[ExponentEntry, ...]:
-    _require(t >= 1, "t >= 1")
-    _require(t <= N - 1, "t <= N - 1")
-    one = Fraction(1)
-    return (
-        ExponentEntry("hhat(C cap Gamma)", _KTOR_G, Fraction(t, N - t), one),
-        ExponentEntry("hhat(C cap Gamma)", _HDG, Fraction(N, N - t), one),
-    )
-
-
-def _census_structure(N: int, r: int) -> tuple[ExponentEntry, ...]:
-    _require(2 * r > N, "2r > N")
-    _require(r < N, "r < N")
-    _require(r >= 2, "r >= 2")
-    one = Fraction(1)
+def _census_structure(N: int, r: int, **_) -> tuple[ExponentEntry, ...]:
     c1 = Fraction(r * N * (2 * N + 1), 2 * (r - 1))
     c2 = Fraction(r * (N - r) * (2 * r * N + 2 * r - 2 + 2 * N * N - N),
                   2 * (2 * r - N) * (r - 1))
     return (
-        ExponentEntry("subgroup-count M_r", _HD_KTOR,
-                      Fraction(r * (N - r) * N, 2 * r - N), one),
+        ExponentEntry("subgroup-count M_r", _HD_KTOR, Fraction(r * (N - r) * N, 2 * r - N)),
         ExponentEntry("deg(H_i)", _HD_KTOR,
-                      Fraction(r * (N - r) * (N + 2 * r - 2),
-                               2 * (r - 1) * (2 * r - N)), one),
-        ExponentEntry("deg(H_i)", f"{_KDEG}*{_DEG}", Fraction(N * r, 2 * (r - 1)), one),
-        ExponentEntry("hhat(Y0)", _HD, Fraction(r, 2 * r - N), one),
-        ExponentEntry("hhat(Y0)", _KTOR, Fraction(N - r, 2 * r - N), one),
-        ExponentEntry("[k(Y0):Q]", f"{_KDEG}*{_DEG}", Fraction(r, r - 1), one),
-        ExponentEntry("[k(Y0):Q]", _HD_KTOR,
-                      Fraction(r * (N - r), (2 * r - N) * (r - 1)), one),
+                      Fraction(r * (N - r) * (N + 2 * r - 2), 2 * (r - 1) * (2 * r - N))),
+        ExponentEntry("deg(H_i)", f"{_KDEG}*{_DEG}", Fraction(N * r, 2 * (r - 1))),
+        ExponentEntry("hhat(Y0)", _HD, Fraction(r, 2 * r - N)),
+        ExponentEntry("hhat(Y0)", _KTOR, Fraction(N - r, 2 * r - N)),
+        ExponentEntry("[k(Y0):Q]", f"{_KDEG}*{_DEG}", Fraction(r, r - 1)),
+        ExponentEntry("[k(Y0):Q]", _HD_KTOR, Fraction(r * (N - r), (2 * r - N) * (r - 1))),
         ExponentEntry("point-count S_r", _KDEG, c1, Fraction(0)),
-        ExponentEntry("point-count S_r", _DEG, c1 + 1, one),
-        ExponentEntry("point-count S_r", _HD_KTOR, c2, one),
+        ExponentEntry("point-count S_r", _DEG, c1 + 1),
+        ExponentEntry("point-count S_r", _HD_KTOR, c2),
     )
 
 
-def _point_count(case: str, N: Optional[int], t: Optional[int]) -> tuple[ExponentEntry, ...]:
-    one = Fraction(1)
-    if case == "weak-transverse-rank1":
-        _require(N is not None and N > 2, "N > 2")
-        return (
+def _transverse_any_rank_count(N: int, t: int, **_) -> tuple[ExponentEntry, ...]:
+    big = Fraction((N + t) * N * (2 * N + 2 * t + 1), 2 * (N - 1))
+    return (
+        ExponentEntry("count", _DEG, 1 + big),
+        ExponentEntry("count", _KDEG_G, big),
+        ExponentEntry("count", _HDG_KTOR,
+                      Fraction(N * t * (4 * N * N + 2 * t * t + 6 * N * t + N - t - 2),
+                               2 * (N - t) * (N - 1))),
+    )
+
+
+# (theorem, case) -> (conditions, entries builder); case "" for a theorem
+# without cases.  THEOREM_IDS lists the theorems and cases in this order.
+_THEOREMS = {
+    ("rc1-anomalous", "nontranslate"): (_RC1, lambda N, dim_v, **_: (
+        ExponentEntry("h(Y)", _HD, Fraction(N - 1, N - dim_v - 1)),
+        ExponentEntry("deg(Y)", "deg(V)", Fraction(1), Fraction(0)),
+        ExponentEntry("deg(Y)", _HD, Fraction(dim_v, N - dim_v - 1)),
+    )),
+    ("rc1-anomalous", "translate"): (_RC1, lambda N, dim_v, **_: (
+        ExponentEntry("h(Y)", _HD, Fraction(N - 2, N - dim_v - 1)),
+        ExponentEntry("h(Y)", _KTOR, Fraction(dim_v - 1, N - dim_v - 1)),
+        ExponentEntry("deg(Y)", "deg(V)", Fraction(1), Fraction(0)),
+        ExponentEntry("deg(Y)", _HD_KTOR, Fraction(dim_v - 1, N - dim_v - 1)),
+    )),
+    ("rc1-anomalous", "point"): (_RC1, lambda N, dim_v, **_: (
+        ExponentEntry("hhat(Y)", _HD, Fraction(N - 1, N - dim_v - 1)),
+        ExponentEntry("hhat(Y)", _KTOR, Fraction(dim_v, N - dim_v - 1)),
+        ExponentEntry("[Q(Y):Q]", _HD_KTOR,
+                      Fraction((dim_v + 1) * (N - 1), (N - dim_v - 1) ** 2)),
+    )),
+    ("rank1-height", "weak-transverse-power"): (
+        (("N >= 3", lambda N, **_: N is not None and N >= 3),), lambda N, **_: (
+            ExponentEntry(_HHAT_C, _HD, Fraction(N - 1, N - 2)),
+            ExponentEntry(_HHAT_C, _KTOR, Fraction(1, N - 2)),
+        )),
+    ("rank1-height", "transverse-square"): ((), lambda **_: (
+        ExponentEntry(_HHAT_C, _KTOR_G, Fraction(1)),
+        ExponentEntry(_HHAT_C, _HDG, Fraction(2)),
+    )),
+    ("low-rank-height", ""): ((_T_AT_LEAST_1, _T_BELOW_HALF_N), lambda N, t, **_: (
+        ExponentEntry(_HHAT_C, _HD, Fraction(N - t, N - 2 * t)),
+        ExponentEntry(_HHAT_C, _KTOR, Fraction(t, N - 2 * t)),
+    )),
+    ("transverse-rank-height", ""): ((_T_AT_LEAST_1, _T_BELOW_N), lambda N, t, **_: (
+        ExponentEntry(_HHAT_C, _KTOR_G, Fraction(t, N - t)),
+        ExponentEntry(_HHAT_C, _HDG, Fraction(N, N - t)),
+    )),
+    # r < N < 2r forces r >= 2.
+    ("census-structure", ""): (
+        (("2r > N", lambda N, r, **_: 2 * r > N), ("r < N", lambda N, r, **_: r < N)),
+        _census_structure),
+    ("point-count", "weak-transverse-rank1"): (
+        (("N > 2", lambda N, **_: N is not None and N > 2),), lambda N, **_: (
             ExponentEntry("count", _HD_KTOR,
-                          Fraction((N - 1) * (4 * N * N - N - 4), 2 * (N - 2) ** 2), one),
-            ExponentEntry("count", _DEG,
-                          Fraction(2 * N ** 3 - N * N + N - 4, 2 * (N - 2)), one),
-            ExponentEntry("count", _KDEG,
-                          Fraction(N * (N - 1) * (2 * N + 1), 2 * (N - 2)), one),
-        )
-    if case == "transverse-square-rank1":
-        return (
-            ExponentEntry("count", _HDG_KTOR, Fraction(29), one),
-            ExponentEntry("count", _DEG, Fraction(22), one),
-            ExponentEntry("count", _KDEG_G, Fraction(21), one),
-        )
-    if case == "weak-transverse-low-rank":
-        _require(N is not None and t is not None and t >= 1, "t >= 1")
-        _require(2 * t < N, "t < N/2")
-        return (
+                          Fraction((N - 1) * (4 * N * N - N - 4), 2 * (N - 2) ** 2)),
+            ExponentEntry("count", _DEG, Fraction(2 * N ** 3 - N * N + N - 4, 2 * (N - 2))),
+            ExponentEntry("count", _KDEG, Fraction(N * (N - 1) * (2 * N + 1), 2 * (N - 2))),
+        )),
+    ("point-count", "transverse-square-rank1"): ((), lambda **_: (
+        ExponentEntry("count", _HDG_KTOR, Fraction(29)),
+        ExponentEntry("count", _DEG, Fraction(22)),
+        ExponentEntry("count", _KDEG_G, Fraction(21)),
+    )),
+    ("point-count", "weak-transverse-low-rank"): (
+        (_T_AT_LEAST_1, _T_BELOW_HALF_N), lambda N, t, **_: (
             ExponentEntry("count", _HD_KTOR,
                           Fraction(t * (N - t) * (4 * N * N - 2 * N * t + N - 2 * t - 2),
-                                   2 * (N - 2 * t) * (N - t - 1)), one),
+                                   2 * (N - 2 * t) * (N - t - 1))),
             ExponentEntry("count", _DEG,
-                          1 + Fraction(N * (2 * N + 1) * (N - t), 2 * (N - t - 1)), one),
-            ExponentEntry("count", _KDEG,
-                          Fraction(N * (2 * N + 1) * (N - t), 2 * (N - t - 1)), one),
-        )
-    if case == "transverse-any-rank":
-        _require(N is not None and t is not None and t >= 1, "t >= 1")
-        _require(t <= N - 1, "t <= N - 1")
-        _require(N >= 2, "N >= 2")
-        big = Fraction((N + t) * N * (2 * N + 2 * t + 1), 2 * (N - 1))
-        return (
-            ExponentEntry("count", _DEG, 1 + big, one),
-            ExponentEntry("count", _KDEG_G, big, one),
-            ExponentEntry("count", _HDG_KTOR,
-                          Fraction(N * t * (4 * N * N + 2 * t * t + 6 * N * t + N - t - 2),
-                                   2 * (N - t) * (N - 1)), one),
-        )
-    raise DomainError(f"unknown case {case!r} for point-count")
-
-
-THEOREM_IDS = {
-    "rc1-anomalous": ("nontranslate", "translate", "point"),
-    "rank1-height": ("weak-transverse-power", "transverse-square"),
-    "low-rank-height": (),
-    "transverse-rank-height": (),
-    "census-structure": (),
-    "point-count": ("weak-transverse-rank1", "transverse-square-rank1",
-                    "weak-transverse-low-rank", "transverse-any-rank"),
+                          1 + Fraction(N * (2 * N + 1) * (N - t), 2 * (N - t - 1))),
+            ExponentEntry("count", _KDEG, Fraction(N * (2 * N + 1) * (N - t), 2 * (N - t - 1))),
+        )),
+    # 1 <= t <= N - 1 forces N >= 2.
+    ("point-count", "transverse-any-rank"): (
+        (_T_AT_LEAST_1, _T_BELOW_N), _transverse_any_rank_count),
 }
+
+# The parameters a theorem refuses to run without, before any condition.
+_REQUIRED = {
+    "rc1-anomalous": ("N", "dim_v"),
+    "low-rank-height": ("N", "t"),
+    "transverse-rank-height": ("N", "t"),
+    "census-structure": ("N", "r"),
+}
+
+THEOREM_IDS = {theorem: tuple(c for th, c in _THEOREMS if th == theorem and c)
+               for theorem, _ in _THEOREMS}
 
 
 def exponents(theorem: str, case: str = "", N: Optional[int] = None,
@@ -548,31 +517,17 @@ def exponents(theorem: str, case: str = "", N: Optional[int] = None,
     deliberately not produced."""
     if theorem not in THEOREM_IDS:
         raise DomainError(f"unknown theorem id {theorem!r}; known: {sorted(THEOREM_IDS)}")
-    cases = THEOREM_IDS[theorem]
-    if cases and case not in cases:
-        raise DomainError(f"{theorem} requires a case from {cases}, got {case!r}")
-    if case and not cases:
-        raise DomainError(f"{theorem} takes no case, got {case!r}")
-    if theorem == "rc1-anomalous":
-        if N is None or dim_v is None:
-            raise DomainError("rc1-anomalous requires N and dim_v")
-        entries = _rc1_anomalous(case, N, dim_v)
-    elif theorem == "rank1-height":
-        entries = _rank1_height(case, N)
-    elif theorem == "low-rank-height":
-        if N is None or t is None:
-            raise DomainError("low-rank-height requires N and t")
-        entries = _low_rank_height(N, t)
-    elif theorem == "transverse-rank-height":
-        if N is None or t is None:
-            raise DomainError("transverse-rank-height requires N and t")
-        entries = _transverse_rank_height(N, t)
-    elif theorem == "census-structure":
-        if N is None or r is None:
-            raise DomainError("census-structure requires N and r")
-        entries = _census_structure(N, r)
-    else:
-        entries = _point_count(case, N, t)
-    params = {k: v for k, v in (("N", N), ("r", r), ("t", t), ("dim_v", dim_v))
-              if v is not None}
-    return ExponentReport(theorem, case, params, entries)
+    if (theorem, case) not in _THEOREMS:
+        cases = THEOREM_IDS[theorem]
+        raise DomainError(f"{theorem} requires a case from {cases}, got {case!r}" if cases
+                          else f"{theorem} takes no case, got {case!r}")
+    given = {"N": N, "r": r, "t": t, "dim_v": dim_v}
+    required = _REQUIRED.get(theorem, ())
+    if any(given[name] is None for name in required):
+        raise DomainError(f"{theorem} requires {' and '.join(required)}")
+    conditions, build = _THEOREMS[theorem, case]
+    for text, holds in conditions:
+        if not holds(**given):
+            raise DomainError(f"parameters violate {text}")
+    params = {name: v for name, v in given.items() if v is not None}
+    return ExponentReport(theorem, case, params, build(**given))

@@ -248,12 +248,12 @@ def _cmd_search(args) -> int:
     pairs_per_second = report.pairs_scanned / wall if wall > 0 else 0.0
     _emit(search_report_payload(report, args.digits), args.out)
     print(f"search metrics: wall={wall:.3f}s "
-          f"pairs/s={pairs_per_second:.0f} shards={report.shards}", file=sys.stderr)
+          f"pairs/s={pairs_per_second:.0f} shards={args.shards}", file=sys.stderr)
     if args.metrics_out:
         Path(args.metrics_out).write_text(json.dumps({
             "wall_clock_seconds": wall,
             "pairs_per_second": pairs_per_second,
-            "shards": report.shards,
+            "shards": args.shards,
         }, sort_keys=True) + "\n")
     return EXIT_OK
 

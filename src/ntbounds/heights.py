@@ -147,7 +147,7 @@ def _doubling_data(E: EllipticCurveQ) -> _DoublingData:
 def canonical_height_enclosure(E: EllipticCurveQ, P: ECPoint, tol,
                                precision: int = 256) -> tuple[Fraction, Fraction]:
     """Certified enclosure [lo, hi] of h-hat(P) with hi - lo <= tol."""
-    tol = Fraction(str(tol)) if isinstance(tol, float) else Fraction(tol)
+    tol = Fraction(tol)
     if tol <= 0:
         raise DomainError("tolerance must be positive")
     E.require(P)

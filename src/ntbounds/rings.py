@@ -1,7 +1,9 @@
 """The three endomorphism rings of the census module: Z, Z[i], Z[omega].
 
-Elements are pairs (a, b) meaning a + b*i (Gaussian), a + b*omega (Eisenstein,
-omega a primitive cube root of unity), or plain a with b = 0 over Z.  All
+Each ring is Z[w] with w^2 = trace*w - 1, and an element (a, b) means a + b*w:
+trace 0 gives Z[i] (w = i), trace -1 gives Z[omega] (w = omega, a primitive
+cube root of unity, omega^2 = -1 - omega), and Z is Z[i] restricted to b = 0.
+The conjugate of w is trace - w, so the norm is a^2 + trace*ab + b^2.  All
 three are Euclidean for the norm, with rounded division giving a remainder of
 strictly smaller norm; that is what the Hermite normal form relies on.
 """
@@ -22,6 +24,8 @@ Element = tuple[int, int]
 @dataclass(frozen=True)
 class EndRing:
     kind: str  # "z" | "zi" | "zw"
+    trace: int  # w^2 = trace*w - 1
+    units: tuple[Element, ...]
 
     # -- basic arithmetic ----------------------------------------------------
 
@@ -38,35 +42,15 @@ class EndRing:
     def mul(self, x: Element, y: Element) -> Element:
         a, b = x
         c, d = y
-        if self.kind == "z":
-            return (a * c, 0)
-        if self.kind == "zi":
-            return (a * c - b * d, a * d + b * c)
-        # omega^2 = -1 - omega
-        return (a * c - b * d, a * d + b * c - b * d)
+        return (a * c - b * d, a * d + b * c + self.trace * b * d)
 
     def conj(self, x: Element) -> Element:
         a, b = x
-        if self.kind == "z":
-            return x
-        if self.kind == "zi":
-            return (a, -b)
-        return (a - b, -b)
+        return (a + self.trace * b, -b)
 
     def norm(self, x: Element) -> int:
         a, b = x
-        if self.kind == "z":
-            return a * a
-        if self.kind == "zi":
-            return a * a + b * b
-        return a * a - a * b + b * b
-
-    def units(self) -> tuple[Element, ...]:
-        if self.kind == "z":
-            return ((1, 0), (-1, 0))
-        if self.kind == "zi":
-            return ((1, 0), (0, 1), (-1, 0), (0, -1))
-        return ((1, 0), (0, 1), (-1, -1), (-1, 0), (0, -1), (1, 1))
+        return a * a + self.trace * a * b + b * b
 
     # -- Euclidean structure ---------------------------------------------------
 
@@ -101,7 +85,7 @@ class EndRing:
         if self.is_zero(x):
             return x, self.one
         best, best_u = x, self.one
-        for u in self.units():
+        for u in self.units:
             cand = self.mul(u, x)
             if cand > best:
                 best, best_u = cand, u
@@ -123,16 +107,13 @@ class EndRing:
 
     def dot_conj(self, u: Iterable[Element], v: Iterable[Element]) -> Element:
         """sum u_k * conj(v_k); with u = v this is (norm, 0)."""
-        # (a + b*i)(c - d*i) = (ac + bd) + (bc - ad)*i; conj(omega) = -1 - omega
-        # moves -ad into the real part; over Z, b = d = 0
+        # (a + b*w)(c + d*trace - d*w) with w^2 = trace*w - 1
         ac_bd = bc = ad = 0
         for (a, b), (c, d) in zip(u, v):
             ac_bd += a * c + b * d
             bc += b * c
             ad += a * d
-        if self.kind == "zw":
-            return (ac_bd - ad, bc - ad)
-        return (ac_bd, bc - ad)
+        return (ac_bd + self.trace * ad, bc - ad)
 
     def row_norm(self, row: Iterable[Element]) -> int:
         return sum(self.norm(e) for e in row)
@@ -154,9 +135,9 @@ class EndRing:
         return out
 
 
-RING_Z = EndRing("z")
-RING_GAUSS = EndRing("zi")
-RING_EISENSTEIN = EndRing("zw")
+RING_Z = EndRing("z", 0, ((1, 0), (-1, 0)))
+RING_GAUSS = EndRing("zi", 0, ((1, 0), (0, 1), (-1, 0), (0, -1)))
+RING_EISENSTEIN = EndRing("zw", -1, ((1, 0), (0, 1), (-1, -1), (-1, 0), (0, -1), (1, 1)))
 
 _BY_NAME = {
     "z": RING_Z,

@@ -238,7 +238,6 @@ class SearchReport:
     pairs_scanned: int
     found: tuple[FoundPoint, ...]
     closure_candidates: tuple[str, ...]
-    shards: int
 
 
 def search_rational_points(family: str, n: int, gamma: GammaSpec, height_bound,
@@ -246,8 +245,7 @@ def search_rational_points(family: str, n: int, gamma: GammaSpec, height_bound,
                            precision: int = 256) -> SearchReport:
     """Exhaustive-below-B search: enumerate Gamma x Gamma and filter by the
     family equation.  The walk kept on gamma covers the whole free range;
-    `shards` is validated and echoed in the report, and changes neither the
-    work nor the result."""
+    `shards` is validated and changes neither the work nor the result."""
     if shards < 1:
         raise DomainError("shard count must be >= 1")
     _check_family(family, n)
@@ -255,24 +253,20 @@ def search_rational_points(family: str, n: int, gamma: GammaSpec, height_bound,
     tol_f = Fraction(tol)
     points, estimate = _kept_points(gamma, B, tol_f, precision)
 
-    # Every pair is decided: a pair with a point at infinity lies on the
+    # Every pair is decided: a pair with the point at infinity O lies on the
     # boundary of the affine chart and is listed, never equation-tested; an
     # affine p1 matches exactly the affine p2 whose y is the family's rhs.
-    # Points and each by_y bucket are in key order, so found is too.
-    at_infinity = [text for P, _, text in points if P.is_infinity]
+    # O is always kept (|a| <= sure holds for a = 0) and sorts first, so
+    # points[1:] are the affine points; they and each by_y bucket are in key
+    # order, so found is too.
+    infinity, affine = points[0][2], points[1:]
     by_y: dict[tuple[int, int], list[ECPoint]] = {}
-    for P, _, _ in points:
-        if not P.is_infinity:
-            by_y.setdefault((P.y.numerator, P.y.denominator), []).append(P)
-    found = []
-    closure = []
-    for p1, _, text1 in points:
-        if p1.is_infinity:
-            closure.extend(f"{text1} x {w[2]}" for w in points)
-            continue
-        closure.extend(f"{text1} x {text2}" for text2 in at_infinity)
-        for p2 in by_y.get(_family_rhs(family, n, p1.x), ()):
-            found.append(FoundPoint(p1, p2, estimate(p1), estimate(p2)))
+    for P, _, _ in affine:
+        by_y.setdefault((P.y.numerator, P.y.denominator), []).append(P)
+    found = [FoundPoint(p1, p2, estimate(p1), estimate(p2)) for p1, _, _ in affine
+             for p2 in by_y.get(_family_rhs(family, n, p1.x), ())]
+    closure = [f"{infinity} x {text}" for _, _, text in points]
+    closure.extend(f"{text} x {infinity}" for _, _, text in affine)
     closure.sort()
     return SearchReport(
         family=family,
@@ -284,5 +278,4 @@ def search_rational_points(family: str, n: int, gamma: GammaSpec, height_bound,
         pairs_scanned=len(points) ** 2,
         found=tuple(found),
         closure_candidates=tuple(closure),
-        shards=shards,
     )

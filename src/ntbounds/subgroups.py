@@ -301,7 +301,7 @@ def _row_count(ring: EndRing, by_norm: list[int]) -> int:
     squared norm <= bound has |units| members, and the count is
     (#{v : norm(v) <= bound} - 1) / |units|.
     """
-    return (sum(by_norm) - 1) // len(ring.units())
+    return (sum(by_norm) - 1) // len(ring.units)
 
 
 def _checked_norm_counts(ring: EndRing, n: int, r: int, dmax: int,
@@ -464,7 +464,7 @@ def _counted_buckets(ring: EndRing, counts: list[list[int]], n: int, s: int,
     if s == 0:
         return {1: 1}
     if s == 1:
-        units = len(ring.units())
+        units = len(ring.units)
         return {d: _classes_of_form(counts[n][d], units, (d,))
                 for d in range(1, dmax + 1) if counts[n][d]}
     buckets: dict[int, int] = {}

@@ -296,6 +296,54 @@ def test_exponent_range_validation_messages():
         exponents("no-such-theorem")
 
 
+def test_theorem_ids_are_pinned():
+    assert bounds_module.THEOREM_IDS == {
+        "rc1-anomalous": ("nontranslate", "translate", "point"),
+        "rank1-height": ("weak-transverse-power", "transverse-square"),
+        "low-rank-height": (),
+        "transverse-rank-height": (),
+        "census-structure": (),
+        "point-count": ("weak-transverse-rank1", "transverse-square-rank1",
+                        "weak-transverse-low-rank", "transverse-any-rank"),
+    }
+    assert list(bounds_module.THEOREM_IDS) == [
+        "rc1-anomalous", "rank1-height", "low-rank-height", "transverse-rank-height",
+        "census-structure", "point-count"]
+
+
+_KNOWN = ("['census-structure', 'low-rank-height', 'point-count', 'rank1-height', "
+          "'rc1-anomalous', 'transverse-rank-height']")
+
+
+@pytest.mark.parametrize("theorem, case, params, message", [
+    ("no-such-theorem", "", {}, f"unknown theorem id 'no-such-theorem'; known: {_KNOWN}"),
+    ("rc1-anomalous", "", {"N": 4, "dim_v": 1},
+     "rc1-anomalous requires a case from ('nontranslate', 'translate', 'point'), got ''"),
+    ("point-count", "foo", {"N": 3},
+     "point-count requires a case from ('weak-transverse-rank1', 'transverse-square-rank1', "
+     "'weak-transverse-low-rank', 'transverse-any-rank'), got 'foo'"),
+    ("low-rank-height", "point", {"N": 5, "t": 2}, "low-rank-height takes no case, got 'point'"),
+    ("rc1-anomalous", "point", {"dim_v": 1}, "rc1-anomalous requires N and dim_v"),
+    ("low-rank-height", "", {"N": 4}, "low-rank-height requires N and t"),
+    ("transverse-rank-height", "", {"t": 1}, "transverse-rank-height requires N and t"),
+    ("census-structure", "", {"N": 3}, "census-structure requires N and r"),
+    ("rc1-anomalous", "nontranslate", {"N": 1, "dim_v": 1}, "parameters violate N >= 2"),
+    ("rc1-anomalous", "translate", {"N": 4, "dim_v": 3},
+     "parameters violate 1 <= dim(V) <= N - 2"),
+    ("rank1-height", "weak-transverse-power", {"N": 2}, "parameters violate N >= 3"),
+    ("transverse-rank-height", "", {"N": 3, "t": 0}, "parameters violate t >= 1"),
+    ("point-count", "weak-transverse-low-rank", {"N": 4, "t": 2}, "parameters violate t < N/2"),
+    ("point-count", "transverse-any-rank", {"N": 3, "t": 3}, "parameters violate t <= N - 1"),
+    ("census-structure", "", {"N": 4, "r": 2}, "parameters violate 2r > N"),
+    ("census-structure", "", {"N": 3, "r": 3}, "parameters violate r < N"),
+    ("point-count", "weak-transverse-rank1", {}, "parameters violate N > 2"),
+])
+def test_each_exponent_refusal_message(theorem, case, params, message):
+    with pytest.raises(DomainError) as err:
+        exponents(theorem, case, **params)
+    assert str(err.value) == message
+
+
 def test_rc1_cases():
     rep = exponents("rc1-anomalous", "point", N=5, dim_v=2)
     by = {(e.quantity, e.base): e.eta_free for e in rep.entries}

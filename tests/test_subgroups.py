@@ -1,3 +1,4 @@
+import cmath
 import inspect
 import itertools
 import random
@@ -75,7 +76,7 @@ def test_euclidean_division(a, b, c, d):
 
 def test_units_and_canonical_associates():
     for ring in (Z, G, W):
-        units = ring.units()
+        units = ring.units
         assert all(ring.norm(u) == 1 for u in units)
         x = (3, 2) if ring is not Z else (3, 0)
         canon, u = ring.canon_assoc(x)
@@ -104,7 +105,7 @@ def _canon_row_by_search(ring, row):
     """The canonical row as first written: the largest of all unit multiples."""
     if all(ring.is_zero(e) for e in row):
         return row
-    return max(tuple(ring.mul(u, e) for e in row) for u in ring.units())
+    return max(tuple(ring.mul(u, e) for e in row) for u in ring.units)
 
 
 _rings = st.sampled_from([Z, G, W])
@@ -149,6 +150,33 @@ def test_dot_conj_matches_ring_products(ring, u, v):
     assert ring.dot_conj(u, u) == (ring.row_norm(u), 0)
 
 
+# w as a complex number: i for Z[i] (and Z, whose elements have b = 0) and
+# e^(2 pi i/3) for Z[omega]; a model of the rings that shares no code with them
+_W_COMPLEX = {"z": 1j, "zi": 1j, "zw": cmath.exp(2j * cmath.pi / 3)}
+
+
+def _complex(ring, x):
+    return x[0] + x[1] * _W_COMPLEX[ring.kind]
+
+
+def _close(ring, x, z):
+    return abs(_complex(ring, x) - z) < 1e-6
+
+
+@given(ring=_rings, u=_rows, v=_rows)
+@settings(max_examples=200)
+def test_ring_laws_match_complex_numbers(ring, u, v):
+    u = [_element(ring, a, b) for a, b in u]
+    v = [_element(ring, a, b) for a, b in v]
+    for x, y in zip(u, v):
+        zx, zy = _complex(ring, x), _complex(ring, y)
+        assert _close(ring, ring.mul(x, y), zx * zy)
+        assert _close(ring, ring.conj(x), zx.conjugate())
+        assert abs(ring.norm(x) - abs(zx) ** 2) < 1e-6
+    want = sum((_complex(ring, x) * _complex(ring, y).conjugate() for x, y in zip(u, v)), 0j)
+    assert _close(ring, ring.dot_conj(u, v), want)
+
+
 @pytest.mark.parametrize("ring", [G, W], ids=["zi", "zw"])
 def test_elements_of_norm_at_most_lists_the_wide_box_in_its_order(ring):
     # the candidate rows and the oracle read this order; the box
@@ -182,7 +210,7 @@ def _random_unimodular_image(rng, ring, M):
             i, j = rng.sample(range(r), 2)
             c = (rng.randint(-3, 3), 0)
             rows[i] = [_add(x, ring.mul(c, y)) for x, y in zip(rows[i], rows[j])]
-        u = rng.choice(ring.units())
+        u = rng.choice(ring.units)
         k = rng.randrange(r)
         rows[k] = [ring.mul(u, x) for x in rows[k]]
     return SubgroupMatrix(ring, tuple(tuple(row) for row in rows))
