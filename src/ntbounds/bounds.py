@@ -295,12 +295,15 @@ class FamilyBoundReport:
     genus: Optional[int]
     composed: Optional[BoundReport]
     composed_total: Optional[BoundedReal]
-    invariants: Optional[FamilyInvariants]
     closed_form_total: Fraction
     closed_form_coefficient: str
     verdict: str
     flagged: bool
     notes: tuple
+    # UPPER values of mu, h and each (label, value) step of the height chain
+    mu_upper: Optional[BoundedReal] = None
+    h_upper: Optional[BoundedReal] = None
+    height_chain: tuple = ()
 
 
 def family_final_bound(n: int, family: str = "f2",
@@ -314,6 +317,8 @@ def family_final_bound(n: int, family: str = "f2",
     The n = 1 comparison is known to come out the other way (the composition
     exceeds the printed closed form); it is reported flagged, not failed.
     """
+    if family not in CLOSED_FORM_COEFF:
+        raise DomainError(f"unknown family {family!r}")
     if n < 1:
         raise DomainError("n must be >= 1")
     closed_total = CLOSED_FORM_COEFF[family] * (n + 1) ** 3
@@ -322,7 +327,7 @@ def family_final_bound(n: int, family: str = "f2",
         deg = family_degree_upper(n, "f1")
         return FamilyBoundReport(
             family="f1", n=n, deg_upper=deg, genus=None,
-            composed=None, composed_total=None, invariants=None,
+            composed=None, composed_total=None,
             closed_form_total=closed_total,
             closed_form_coefficient=closed_str,
             verdict="closed-form-only",
@@ -330,9 +335,6 @@ def family_final_bound(n: int, family: str = "f2",
             notes=("published closed form reported verbatim; the coordinate "
                    "height chain for this family is not derived here",),
         )
-    if family != "f2":
-        raise DomainError(f"unknown family {family!r}")
-
     inv = family_invariants("f2", n)
     report = bound_transverse_E2(inv.h_upper, inv.deg_upper, _F2_HW_EXPR, precision)
     composed_up = report.bound
@@ -350,7 +352,11 @@ def family_final_bound(n: int, family: str = "f2",
         notes = ("comparison indeterminate at this precision",)
     return FamilyBoundReport(
         family="f2", n=n, deg_upper=inv.deg_upper, genus=inv.genus,
-        composed=report, composed_total=composed_up, invariants=inv,
+        composed=report, composed_total=composed_up,
+        mu_upper=eval_const(inv.mu_upper, Direction.UPPER, precision),
+        h_upper=eval_const(inv.h_upper, Direction.UPPER, precision),
+        height_chain=tuple((label, eval_const(expr, Direction.UPPER, precision))
+                           for label, expr in inv.chain),
         closed_form_total=closed_total,
         closed_form_coefficient=closed_str,
         verdict=verdict, flagged=flagged, notes=notes,

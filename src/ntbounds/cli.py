@@ -48,7 +48,6 @@ from .rounding import (
     Prod,
     Rat,
     Sum,
-    eval_const,
     rat,
 )
 from .search import GammaSpec, search_rational_points
@@ -204,28 +203,15 @@ def _cmd_family_audit(args) -> int:
             raise InputParseError(f"bad --n-range {args.n_range!r}; use A:B") from exc
         if not ns:
             raise InputParseError("empty --n-range")
-    reports, extras = [], []
+    reports = []
     for n in ns:
         rep = family_final_bound(n, args.family, args.precision)
         if rep.verdict == "indeterminate":
             raise IndeterminateError(
                 f"composed-versus-closed-form comparison indeterminate at n={n}; "
                 f"raise --precision")
-        extra = {}
-        inv = rep.invariants
-        if inv is not None:
-            extra["mu_upper"] = bounded_real_payload(
-                eval_const(inv.mu_upper, Direction.UPPER, args.precision), args.digits)
-            extra["h_upper"] = bounded_real_payload(
-                eval_const(inv.h_upper, Direction.UPPER, args.precision), args.digits)
-            extra["height_chain"] = {
-                label: bounded_real_payload(
-                    eval_const(expr, Direction.UPPER, args.precision), args.digits)
-                for label, expr in inv.chain
-            }
         reports.append(rep)
-        extras.append(extra)
-    _emit(family_audit_payload(reports, extras, args.digits), args.out)
+    _emit(family_audit_payload(reports, args.digits), args.out)
     return EXIT_OK
 
 

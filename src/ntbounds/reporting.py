@@ -87,10 +87,10 @@ def bound_report_payload(report: BoundReport, digits: int = DEFAULT_DIGITS) -> d
     }
 
 
-def family_audit_payload(reports: list[FamilyBoundReport], mu_h: list[dict],
+def family_audit_payload(reports: list[FamilyBoundReport],
                          digits: int = DEFAULT_DIGITS) -> dict:
     entries = []
-    for rep, extra in zip(reports, mu_h):
+    for rep in reports:
         entry = {
             "n": rep.n,
             "family": rep.family,
@@ -105,7 +105,10 @@ def family_audit_payload(reports: list[FamilyBoundReport], mu_h: list[dict],
         }
         if rep.composed_total is not None:
             entry["composed_total"] = bounded_real_payload(rep.composed_total, digits)
-        entry.update(extra)
+            entry["mu_upper"] = bounded_real_payload(rep.mu_upper, digits)
+            entry["h_upper"] = bounded_real_payload(rep.h_upper, digits)
+            entry["height_chain"] = {label: bounded_real_payload(b, digits)
+                                     for label, b in rep.height_chain}
         entries.append(entry)
     return {
         "schema_version": SCHEMA_VERSION,

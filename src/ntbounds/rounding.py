@@ -2,13 +2,13 @@
 
 Every numeric quantity that is not an exact rational is carried either as a
 symbolic :class:`ConstExpr` (products/sums over rationals, integer powers of pi,
-logarithms of positive rationals) or as a :class:`BoundedReal`: an exact
-dyadic rational, held as a ``Fraction``, together with the side of the exact
-value it is guaranteed to lie on.  Certified comparisons are plain Fraction
-comparisons of such a value, and :func:`fraction_to_decimal` is the one
-routine that turns an exact number into text: one correctly rounded
-``decimal`` division in a context of its own, so the thread's decimal
-context is never read or changed either.
+logarithms of positive rationals) or as a :class:`BoundedReal`: libmp's exact
+dyadic man·2^exp, with the side of the exact value it is guaranteed to lie on.
+Certified comparisons are plain Fraction comparisons of its ``exact()``.  Text
+comes from two exact ``decimal`` operations, each rounded once in a context of
+this module's own (the thread's decimal context is never read or changed) and
+laid out by one shared step: ``BoundedReal.decimal`` multiplies man by the
+exact decimal 2^exp, and :func:`fraction_to_decimal` divides.
 
 The interval substrate is mpmath's ``libmpi``: an interval is a raw pair
 ``(lo, hi)`` of libmp floats, and every operation takes its working precision
@@ -34,8 +34,8 @@ import enum
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
-from decimal import (MAX_EMAX, MIN_EMIN, ROUND_CEILING, ROUND_FLOOR, ROUND_HALF_UP,
-                     Context, Decimal)
+from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, ROUND_CEILING, ROUND_FLOOR,
+                     ROUND_HALF_UP, Context, Decimal, Inexact)
 from fractions import Fraction
 
 from .errors import DomainError
@@ -112,14 +112,15 @@ def _require_finite(t) -> None:
         raise DomainError("non-finite float endpoint")
 
 
+def _dyadic_fraction(man: int, exp: int) -> Fraction:
+    return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
+
+
 def _raw_to_fraction(t) -> Fraction:
     """Exact value of a libmp raw mpf tuple."""
     _require_finite(t)
     sign, man, exp, _ = t
-    if man == 0:
-        return Fraction(0)
-    man = -int(man) if sign else int(man)
-    return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
+    return _dyadic_fraction(-man if sign else man, exp)
 
 
 def iv_from_int(n: int, wp: int):
@@ -135,14 +136,16 @@ def iv_from_fraction(q: Fraction, wp: int):
 
 @dataclass(frozen=True)
 class BoundedReal:
-    """An exact dyadic rational of at most `precision` bits, plus the side of
-    the exact quantity it brackets.
+    """The exact dyadic man·2^exp of at most `precision` bits, plus the side
+    of the exact quantity it brackets.  libmp keeps man odd (0 for zero, with
+    exp 0), so equal values have equal fields.
 
     direction UPPER: value >= exact; LOWER: value <= exact; NEAREST: no
     guaranteed side (display/estimate only, never used for certification).
     """
 
-    value: Fraction
+    man: int
+    exp: int
     direction: Direction
     precision: int = DEFAULT_PRECISION
 
@@ -160,15 +163,17 @@ class BoundedReal:
         else:
             # the exact midpoint: an unrounded sum, then a one-bit shift
             raw = mpf_shift(mpf_add(lo, hi), -1)
-        v = _raw_to_fraction(mpf_pos(raw, precision, _ROUNDING[direction]))
-        return BoundedReal(v, direction, precision)
+        sign, man, exp, _ = mpf_pos(raw, precision, _ROUNDING[direction])
+        return BoundedReal(-man if sign else man, exp, direction, precision)
 
     def exact(self) -> Fraction:
         """The stored dyadic value, exactly."""
-        return self.value
+        return _dyadic_fraction(self.man, self.exp)
 
     def decimal(self, sig_digits: int = 40) -> str:
-        return fraction_to_decimal(self.value, sig_digits, self.direction)
+        """Like fraction_to_decimal of exact(), from one rounded product."""
+        return _rounded_text(Context.multiply, Decimal(self.man),
+                             _EXACT.power(2, self.exp), sig_digits, self.direction)
 
 
 # ---------------------------------------------------------------------------
@@ -385,39 +390,29 @@ def rational_digits(q: Fraction) -> str:
     return p if q.denominator == 1 else f"{p}/{integer_digits(q.denominator)}"
 
 
-def _dyadic_digit_cap(q: Fraction) -> int | None:
-    """An upper bound on the significant digits of q's decimal expansion when
-    q = num/2^k is dyadic (an integer when k = 0), else None.
-
-    q = num*5^k/10^k, and num*5^k has at most bits(num) + (k + 1)*2.322 bits
-    and so at most floor(bits * 0.30103) + 1 digits; 2.322 and 0.30103 round
-    log2(5) and log10(2) up, and 2^k has k + 1 bits.
-    """
-    num, den = q.as_integer_ratio()
-    if den.bit_count() != 1:
-        return None
-    return (num.bit_length() + den.bit_length() * 2322 // 1000) * 30103 // 100000 + 1
+# Decimal arithmetic that is exact or raises: 2^exp is 5^-exp·10^exp for
+# exp < 0, so every power of two is an exact decimal.
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact])
 
 
-def fraction_to_decimal(q: Fraction, sig_digits: int, direction: Direction) -> str:
-    """Decimal string with directed rounding at the last kept digit.
-
-    UPPER never understates, LOWER never overstates, NEAREST rounds ties away
-    from zero.  Layout: plain decimal for moderate magnitudes, else normalized
-    scientific notation; trailing zeros after the point are dropped.
-    """
+def _rounded_text(operation, a: Decimal, b: Decimal, sig_digits: int,
+                  direction: Direction) -> str:
+    """operation(a, b), a Context method, correctly rounded to sig_digits
+    toward direction's side and laid out: plain decimal for moderate
+    magnitudes, else normalized scientific notation; trailing zeros after the
+    point are dropped."""
     if sig_digits < 1:
         raise DomainError("need at least one significant digit")
-    if q == 0:
-        return "0"
-    # A dyadic q has a finite expansion, and both layouts strip the trailing
-    # zeros that more digits would add: cap the work at the expansion.
-    cap = _dyadic_digit_cap(q)
-    if cap is not None and sig_digits > cap:
-        sig_digits = cap
     ctx = Context(prec=sig_digits, rounding=_DECIMAL_ROUNDING[direction],
                   Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[])
-    d = ctx.divide(Decimal(q.numerator), Decimal(q.denominator)).normalize(ctx)
+    d = operation(ctx, a, b).normalize(ctx)
     if -4 <= d.adjusted() <= 20:
         return format(d, "f")
     return format(d, "e").replace("e+", "e")
+
+
+def fraction_to_decimal(q: Fraction, sig_digits: int, direction: Direction) -> str:
+    """q as decimal text, rounded at the last kept digit: UPPER never
+    understates, LOWER never overstates, NEAREST rounds ties away from zero."""
+    return _rounded_text(Context.divide, Decimal(q.numerator), Decimal(q.denominator),
+                         sig_digits, direction)

@@ -206,6 +206,11 @@ def test_family_verdict_compares_exactly_with_the_closed_form(monkeypatch):
         assert got.flagged is (verdict != "within-closed-form")
 
 
+def test_family_final_bound_refuses_an_unknown_family():
+    with pytest.raises(DomainError, match="unknown family 'f3'"):
+        family_final_bound(1, "f3")
+
+
 def test_family_final_bound_f1_verbatim():
     rep = family_final_bound(7, "f1")
     assert rep.closed_form_coefficient == "8.253e38"

@@ -1,5 +1,6 @@
 import json
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -494,6 +495,16 @@ def test_constants_print_past_the_int_digit_limit(tmp_path, extra, precision):
     exprs = bounds.constants_D_expr(Prod((LogRat(2), Rat(Fraction(1, 3)))))
     for name, expr in zip(("d1", "d2", "d3"), exprs):
         _upper_not_below_lower(payload["values"][name], expr, precision)
+
+
+def test_constants_cn_80_prints_its_585_000_digit_value_in_time(tmp_path):
+    # C1(80) is about 10^585 202: its 256-bit dyadic prints from one rounded
+    # product, not from the exact integer's 585 203 digits
+    t0 = time.perf_counter()
+    payload = json.loads(run_to_bytes(tmp_path, ["constants", "--cn", "80", "--hw", "0"]))
+    assert time.perf_counter() - t0 < 2.0
+    c1 = bounds.constants_CN_expr(80, rat(0))[0]
+    _upper_not_below_lower(payload["values"]["c1"], c1, 256)
 
 
 def test_bound_prints_a_value_of_thousands_of_digits(tmp_path):

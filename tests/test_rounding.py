@@ -217,53 +217,37 @@ def test_directed_decimal_against_exact_oracle(q, sig, direction):
     assert abs(x - q) < unit if direction is not NE else abs(x - q) <= unit / 2
 
 
-def _expansion(q: Fraction) -> str:
-    """The digits of a dyadic q's exact decimal expansion, trailing zeros of
-    an integer included: q = num * 5^k / 10^k."""
-    k = q.denominator.bit_length() - 1
-    return str(abs(q.numerator) * 5 ** k)
-
-
-@st.composite
-def _dyadic_cases(draw):
-    num = draw(st.integers(1, 2 ** 300)) * 10 ** draw(st.integers(0, 40))
-    q = Fraction(num, 2 ** draw(st.integers(0, 400)))
-    return q * draw(st.sampled_from([1, -1]))
-
-
 @settings(max_examples=300, deadline=None)
-@given(_dyadic_cases(), st.integers(0, 60), st.sampled_from([U, L, NE]))
-def test_capped_dyadic_rendering_equals_uncapped(q, extra, direction):
-    # from a few digits short of the expansion to well past it
-    sig = max(1, len(_expansion(q).rstrip("0")) - 3 + extra)
-    capped = fraction_to_decimal(q, sig, direction)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(rounding, "_dyadic_digit_cap", lambda q: None)
-        assert capped == fraction_to_decimal(q, sig, direction)
+@given(st.integers(-2 ** 300, 2 ** 300),
+       st.one_of(st.integers(-2000, 2000), st.sampled_from([-100_003, -99_998, 99_999, 100_002])),
+       st.integers(1, 120), st.sampled_from([U, L, NE]))
+def test_dyadic_product_rendering_equals_the_division(man, exp, sig, direction):
+    # BoundedReal.decimal multiplies man by the exact decimal 2^exp;
+    # fraction_to_decimal divides the numerator of the same value by its denominator
+    b = BoundedReal(man, exp, direction, 256)
+    assert b.decimal(sig) == fraction_to_decimal(b.exact(), sig, direction)
 
 
-def test_decimal_digits_never_sees_more_than_the_expansion(monkeypatch):
-    # the precision each rendering's decimal context is built with
-    seen = []
-    real = rounding.Context
+def test_dyadic_rendering_is_its_exact_expansion_without_a_division(monkeypatch):
+    divisions = []  # the precision of each division a rendering makes
 
-    def spy(*, prec, **kwargs):
-        seen.append(prec)
-        return real(prec=prec, **kwargs)
+    class Spy(decimal.Context):
+        def divide(self, a, b):
+            divisions.append(self.prec)
+            return super().divide(a, b)
 
-    monkeypatch.setattr(rounding, "Context", spy)
-    cases = [Fraction(3, 2 ** 500), Fraction(-(2 ** 999 + 1), 2 ** 7), Fraction(10 ** 60),
-             Fraction(7), eval_const(Prod((LogRat(2), Rat(Fraction(1, 3)))), U, 128).exact()]
-    for q in cases:
+    monkeypatch.setattr(rounding, "Context", Spy)
+    log_term = eval_const(Prod((LogRat(2), Rat(Fraction(1, 3)))), U, 128)
+    cases = [(3, -500), (-(2 ** 999 + 1), -7), (5 ** 60, 60), (7, 0), (0, 0),
+             (log_term.man, log_term.exp)]
+    for man, exp in cases:
         for direction in (U, L, NE):
-            seen.clear()
-            fraction_to_decimal(q, 100_000, direction)
-            assert len(seen) == 1
-            assert len(_expansion(q).rstrip("0")) <= seen[0] <= len(_expansion(q)) + 2, q
+            b = BoundedReal(man, exp, direction, 1024)
+            assert Fraction(b.decimal(100_000)) == b.exact(), (man, exp)
+    assert divisions == []
     # a non-dyadic value has no finite expansion, and gets every digit asked
-    seen.clear()
-    fraction_to_decimal(Fraction(1, 3), 5_000, U)
-    assert seen == [5_000]
+    assert fraction_to_decimal(Fraction(1, 3), 5_000, U) == "0." + "3" * 4_999 + "4"
+    assert divisions == [5_000]
 
 
 def test_eval_interval_endpoints_enclose():
