@@ -56,8 +56,6 @@ from .rings import ring_by_name
 
 __all__ = ["main", "parse_height_expr"]
 
-EXIT_OK = 0
-
 # The preset Gammas, validated once; each keeps its generator's last
 # canonical-height enclosure from one search request to the next.
 _PRESET_GAMMAS = {name: ambient_gamma(name) for name in PRESET_NAMES}
@@ -126,9 +124,9 @@ def _load_curve(spec: str):
 
 
 def _resolve_hw(args) -> ConstExpr:
-    if getattr(args, "hw", None):
+    if args.hw:
         return parse_height_expr(args.hw)
-    if getattr(args, "curve", None):
+    if args.curve:
         curve, _gen, _rank, _tor = _load_curve(args.curve)
         return weierstrass_height_expr(curve)
     return rat(0)
@@ -160,7 +158,7 @@ def _default_precision() -> int:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_constants(args) -> int:
+def _cmd_constants(args) -> None:
     hw = _resolve_hw(args)
     payload = {"schema_version": SCHEMA_VERSION, "kind": "constants",
                "precision_bits": args.precision}
@@ -176,10 +174,9 @@ def _cmd_constants(args) -> int:
     payload["values"] = {name: bounded_real_payload(value, args.digits)
                          for name, value in zip(names, values)}
     _emit(payload, args.out)
-    return EXIT_OK
 
 
-def _cmd_bound(args) -> int:
+def _cmd_bound(args) -> None:
     hw = _resolve_hw(args)
     h_c = parse_height_expr(args.h_c)
     if args.branch == "square":
@@ -189,10 +186,9 @@ def _cmd_bound(args) -> int:
             raise InputParseError("--branch power requires --N")
         report = bound_weaktransverse_EN(args.N, h_c, args.deg_c, hw, args.precision)
     _emit(bound_report_payload(report, args.digits), args.out)
-    return EXIT_OK
 
 
-def _cmd_family_audit(args) -> int:
+def _cmd_family_audit(args) -> None:
     if args.n is not None:
         ns = [args.n]
     else:
@@ -212,10 +208,9 @@ def _cmd_family_audit(args) -> int:
                 f"raise --precision")
         reports.append(rep)
     _emit(family_audit_payload(reports, args.digits), args.out)
-    return EXIT_OK
 
 
-def _cmd_search(args) -> int:
+def _cmd_search(args) -> None:
     gamma = _PRESET_GAMMAS.get(args.curve.removeprefix("preset:"))
     if gamma is None:
         curve, gen, rank, torsion = _load_curve(args.curve)
@@ -241,22 +236,19 @@ def _cmd_search(args) -> int:
             "pairs_per_second": pairs_per_second,
             "shards": args.shards,
         }, sort_keys=True) + "\n")
-    return EXIT_OK
 
 
-def _cmd_census(args) -> int:
+def _cmd_census(args) -> None:
     ring = ring_by_name(args.ring)
     report = census(ring, args.N, args.r, args.max_degree, args.torsion,
                     ceiling=args.ceiling)
     _emit(census_payload(report), args.out)
-    return EXIT_OK
 
 
-def _cmd_exponents(args) -> int:
+def _cmd_exponents(args) -> None:
     report = exponents(args.theorem, case=args.case or "", N=args.N, r=args.r,
                        t=args.t, dim_v=args.dim_v)
     _emit(exponents_payload(report), args.out)
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -355,16 +347,17 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        if getattr(args, "precision", None) is None:
+        if args.precision is None:
             args.precision = _default_precision()
         elif args.precision < MIN_PRECISION:
             raise InputParseError(f"--precision must be >= {MIN_PRECISION}")
         if args.digits < 1:
             raise InputParseError("--digits must be >= 1")
-        return args.func(args)
+        args.func(args)
     except NtboundsError as exc:
         print(f"ntbounds: {exc.label}: {exc}", file=sys.stderr)
         return exc.exit_code
+    return 0
 
 
 if __name__ == "__main__":

@@ -175,9 +175,8 @@ def canonical_height_enclosure(E: EllipticCurveQ, P: ECPoint, tol,
         total = mpi_log(iv_from_int(n0, wp), wp)
         z = mpi_div(iv_from_int(A0, wp), iv_from_int(n0, wp), wp)
         w = mpi_div(iv_from_int(B0, wp), iv_from_int(n0, wp), wp)
-        if cap > 1:
-            modulus = cap ** (n + 2)
-            alpha, beta = A0 % modulus, B0 % modulus
+        modulus = cap ** (n + 2)
+        alpha, beta = A0 % modulus, B0 % modulus
         # The coefficients depend only on the working precision.
         f0, _, f2, f3, f4 = [iv_from_int(c, wp) for c in fc]
         _, g1, _, g3, g4 = [iv_from_int(c, wp) for c in gc]
@@ -205,14 +204,12 @@ def canonical_height_enclosure(E: EllipticCurveQ, P: ECPoint, tol,
             if mpf_sign(big[0]) <= 0:
                 ok = False
                 break
-            d = 1
-            if cap > 1:
-                fr = _eval_form_mod(fc, alpha, beta, modulus)
-                gr = _eval_form_mod(gc, alpha, beta, modulus)
-                d = gcd(gcd(fr, gr), modulus)
-                alpha = (fr // d) % (modulus // d)
-                beta = (gr // d) % (modulus // d)
-                modulus //= d
+            fr = _eval_form_mod(fc, alpha, beta, modulus)
+            gr = _eval_form_mod(gc, alpha, beta, modulus)
+            d = gcd(gcd(fr, gr), modulus)
+            alpha = (fr // d) % (modulus // d)
+            beta = (gr // d) % (modulus // d)
+            modulus //= d
             step = mpi_log(big, wp)
             if d > 1:
                 step = mpi_sub(step, mpi_log(iv_from_int(d, wp), wp), wp)

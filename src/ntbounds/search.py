@@ -14,16 +14,16 @@ most B + tol; the kept set is exactly that of certifying every point.
 A GammaSpec keeps two slots from one request to the next.  One holds its
 generator's last enclosure with the (tol, precision) it was computed at, so
 repeated searches on one Gamma certify the generator once.  The other holds
-the walk: a*g for a = 0, 1, -1, 2, -2, ... up to |a| <= m, each with its a,
-text and place in `ECPoint.key` order.  The walk depends on the Gamma only,
-not on B, tol, precision, n or the family, so a request extends it only past
-the largest cutoff any request on that Gamma has reached, and otherwise
-filters its prefix |a| <= last and puts the kept points in key order by
-their places, so a request reads no more of the walk than its own cutoff
-covers.  The slot holds no more points than the request that reached that
-cutoff held at its peak, and does not grow with the number of requests.
-The published bounds (~10^38) are far beyond any search; B is always
-desk-scale and explicit.
+the walk: a*g for a = 0, 1, -1, 2, -2, ... up to |a| <= m, each with its a
+and text.  The walk depends on the Gamma only, not on B, tol, precision, n
+or the family, so a request extends it only past the largest cutoff any
+request on that Gamma has reached, and otherwise filters its prefix
+|a| <= last, so a request reads no more of the walk than its own cutoff
+covers.  The walk is never sorted; only the found pairs are put in
+`ECPoint.key` order.  The slot holds no more points than the request that
+reached that cutoff held at its peak, and does not grow with the number of
+requests.  The published bounds (~10^38) are far beyond any search; B is
+always desk-scale and explicit.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ class GammaSpec:
     # ((tol, precision), (g_lo, g_hi)) of the generator's last certified
     # enclosure, set by `_free_range_bound`.
     _enclosure = None
-    # (walk, rank) of the multiples of g, set by `_walk_to`.
+    # The walk of the multiples of g, set by `_walk_to`.
     _walk = None
 
     def __post_init__(self):
@@ -130,32 +130,27 @@ def _height_estimator(gamma: GammaSpec, tol: Fraction, precision: int,
 _WalkPoint = tuple[ECPoint, int, str]
 
 
-def _walk_to(gamma: GammaSpec, last: int
-             ) -> tuple[tuple[_WalkPoint, ...], tuple[int, ...]]:
-    """(walk, rank): gamma's walk, covering at least |a| <= last.
+def _walk_to(gamma: GammaSpec, last: int) -> tuple[_WalkPoint, ...]:
+    """gamma's walk, covering at least |a| <= last.
 
-    walk holds a*g for a = 0, 1, -1, 2, -2, ..., m (m >= last), so |a| <= k
-    is the prefix of length 2k + 1.  rank[i] is walk[i]'s place in
-    `ECPoint.key` order over the whole walk.  The walk is read from gamma's
-    slot when it reaches last, and otherwise extended from its last base
-    point m*g, one addition of g per new |a|, ranked once more and put back
-    in the slot; (-a)*g is the negation of a*g.
+    The walk holds a*g for a = 0, 1, -1, 2, -2, ..., m (m >= last), so
+    |a| <= k is the prefix of length 2k + 1.  It is read from gamma's slot
+    when it reaches last, and otherwise extended from its last base point
+    m*g, one addition of g per new |a|, and put back in the slot; (-a)*g is
+    the negation of a*g.
     """
     slot = gamma._walk
-    if slot is not None and len(slot[0]) >= 2 * last + 1:
+    if slot is not None and len(slot) >= 2 * last + 1:
         return slot
     E, g, O = gamma.curve, gamma.generator, ECPoint.infinity()
-    walk = list(slot[0]) if slot is not None else [(O, 0, str(O))]
+    walk = list(slot) if slot is not None else [(O, 0, str(O))]
     base = walk[-2][0] if len(walk) > 1 else O  # m*g
     for a in range(len(walk) // 2 + 1, last + 1):
         base = add(E, base, g)
         minus = negate(base)
         walk.append((base, a, str(base)))
         walk.append((minus, -a, str(minus)))
-    rank = [0] * len(walk)
-    for place, i in enumerate(sorted(range(len(walk)), key=lambda i: walk[i][0].key())):
-        rank[i] = place
-    slot = (tuple(walk), tuple(rank))
+    slot = tuple(walk)
     # One attribute store of one tuple: a reader in another thread sees the
     # old slot or the new one, never a mix.
     object.__setattr__(gamma, "_walk", slot)
@@ -164,8 +159,8 @@ def _walk_to(gamma: GammaSpec, last: int
 
 def _kept_points(gamma: GammaSpec, B: Fraction, tol: Fraction, precision: int
                  ) -> tuple[list[_WalkPoint], Callable[[ECPoint], Fraction]]:
-    """(the walked points whose estimated height is at most B + tol, in
-    `ECPoint.key` order; the height estimator that decided them).
+    """(the walked points whose estimated height is at most B + tol, in walk
+    order; the height estimator that decided them).
 
     h-hat(a*g) = a^2 h-hat(g) lies in [a^2 g_lo, a^2 g_hi], and a point's
     own estimate lies within tol/2 of it: a^2 g_hi <= B + tol/2 keeps the
@@ -181,12 +176,10 @@ def _kept_points(gamma: GammaSpec, B: Fraction, tol: Fraction, precision: int
     sure = _floor_sqrt_fraction((B + tol / 2) / g_hi)
     last = _floor_sqrt_fraction((B + 3 * tol / 2) / g_lo)
     bound = B + tol
-    walk, rank = _walk_to(gamma, last)
-    n_sure, n_last = 2 * sure + 1, 2 * last + 1
-    kept = list(range(n_sure))
-    kept.extend(i for i in range(n_sure, n_last) if estimate(walk[i][0]) <= bound)
-    kept.sort(key=rank.__getitem__)
-    return [walk[i] for i in kept], estimate
+    walk = _walk_to(gamma, last)
+    kept = list(walk[:2 * sure + 1])
+    kept.extend(w for w in walk[2 * sure + 1:2 * last + 1] if estimate(w[0]) <= bound)
+    return kept, estimate
 
 
 # Kept while perfbench/tracing.py TARGETS names it; it goes with ROADMAP item 1.
@@ -256,15 +249,15 @@ def search_rational_points(family: str, n: int, gamma: GammaSpec, height_bound,
     # Every pair is decided: a pair with the point at infinity O lies on the
     # boundary of the affine chart and is listed, never equation-tested; an
     # affine p1 matches exactly the affine p2 whose y is the family's rhs.
-    # O is always kept (|a| <= sure holds for a = 0) and sorts first, so
-    # points[1:] are the affine points; they and each by_y bucket are in key
-    # order, so found is too.
+    # O is always kept (|a| <= sure holds for a = 0) and comes first in the
+    # walk, so points[1:] are the affine points.
     infinity, affine = points[0][2], points[1:]
     by_y: dict[tuple[int, int], list[ECPoint]] = {}
     for P, _, _ in affine:
         by_y.setdefault((P.y.numerator, P.y.denominator), []).append(P)
     found = [FoundPoint(p1, p2, estimate(p1), estimate(p2)) for p1, _, _ in affine
              for p2 in by_y.get(_family_rhs(family, n, p1.x), ())]
+    found.sort(key=lambda f: (f.p1.key(), f.p2.key()))
     closure = [f"{infinity} x {text}" for _, _, text in points]
     closure.extend(f"{text} x {infinity}" for _, _, text in affine)
     closure.sort()

@@ -450,13 +450,12 @@ def test_search_at_equal_or_smaller_bound_walks_and_certifies_nothing(monkeypatc
         search_rational_points(family, n, gamma, B, TOL)
     assert (len(adds), counter.calls) == (0, 0)
     assert search_rational_points("f1", 1, gamma, 25, TOL) == first
-    assert gamma._walk is slot  # read, not ranked again
+    assert gamma._walk is slot  # read, not extended again
 
 
 def _reach(gamma):
     """The largest |a| that gamma's kept walk covers."""
-    walk, _ = gamma._walk
-    return (len(walk) - 1) // 2
+    return (len(gamma._walk) - 1) // 2
 
 
 def test_raising_the_bound_walks_only_the_new_rows(monkeypatch):
@@ -467,7 +466,7 @@ def test_raising_the_bound_walks_only_the_new_rows(monkeypatch):
     rep = search_rational_points("f1", 1, gamma, 56, TOL)
     assert _reach(gamma) == 14  # a = 10..14 are new
     assert len(adds) == 5  # one add per new |a|
-    assert rep.candidate_points == len(gamma._walk[0]) == 29
+    assert rep.candidate_points == len(gamma._walk) == 29
 
 
 def test_walk_keeps_its_longest_reach():
@@ -491,12 +490,11 @@ class _Unread:
 def test_request_reads_only_its_own_prefix_of_the_walk(name):
     gamma = _gamma(name)
     search_rational_points("f1", 1, gamma, 150, TOL)
-    walk, rank = gamma._walk
+    walk = gamma._walk
     B = 12
     prefix = 2 * _a_max(gamma, B) + 1
     assert prefix < len(walk)
-    object.__setattr__(gamma, "_walk",
-                       (walk[:prefix] + (_Unread(),) * (len(walk) - prefix), rank))
+    object.__setattr__(gamma, "_walk", walk[:prefix] + (_Unread(),) * (len(walk) - prefix))
     rep = search_rational_points("f2", 2, gamma, B, TOL)
     assert rep == search_rational_points("f2", 2, _gamma(name), B, TOL)
 
@@ -504,14 +502,25 @@ def test_request_reads_only_its_own_prefix_of_the_walk(name):
 def test_walk_slot_is_ordered_and_complete():
     gamma = ambient_gamma("f1")
     search_rational_points("f1", 1, gamma, 25, TOL)
-    walk, rank = gamma._walk
+    walk = gamma._walk
     E, g = gamma.curve, gamma.generator
     m = _reach(gamma)
     assert len(walk) == 2 * m + 1
-    assert sorted(rank) == list(range(len(walk)))
-    by_rank = sorted(range(len(walk)), key=rank.__getitem__)
-    assert [walk[i][0].key() for i in by_rank] == sorted(w[0].key() for w in walk)
     assert [w[1] for w in walk] == [0] + [s * a for a in range(1, m + 1) for s in (1, -1)]
     for P, a, text in walk:
         assert text == str(P)
         assert P == scalar_mul(E, a, g)
+
+
+def test_only_the_found_pairs_are_put_in_key_order(monkeypatch):
+    # The walk is kept in walk order, never sorted: on a warm Gamma, raising
+    # the bound sorts only the found pairs, two key() calls per pair.
+    gamma = ambient_gamma("f1")
+    search_rational_points("f1", 1, gamma, 25, TOL)
+    calls = []
+    real_key = ECPoint.key
+    monkeypatch.setattr(ECPoint, "key", lambda self: calls.append(1) or real_key(self))
+    rep = search_rational_points("f1", 1, gamma, 400, TOL)
+    assert len(rep.found) == 2
+    assert len(calls) <= 2 * len(rep.found)
+    assert rep.found == tuple(sorted(rep.found, key=lambda f: (real_key(f.p1), real_key(f.p2))))
