@@ -326,7 +326,8 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--torsion", type=int, required=True,
                    help="torsion order bound T for the count sum")
     p.add_argument("--ceiling", type=int, default=5_000_000,
-                   help="resource guard on the enumeration size")
+                   help="resource guard: the most loop steps a counted shape "
+                        "may take, or row combinations a walked shape may scan")
     common(p)
     p.set_defaults(func=_cmd_census)
 

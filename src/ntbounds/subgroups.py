@@ -30,7 +30,8 @@ rank N - r: a rank-r module has index k in its saturation, a primitive module
 of degree D / k^2, and a primitive module of Z^N has the degree of its
 orthogonal complement (W. M. Schmidt, Duke Math. J. 1968).  So the census
 counts at rank min(r, N - r) whenever that is at most 2, and walks only at
-N >= 6 with 3 <= r <= N - 3.
+N >= 6 with 3 <= r <= N - 3.  Each method has its own resource guard: a
+count's loop steps (`_counting_price`), a walk's row subsets (`_walk_guard`).
 """
 
 from __future__ import annotations
@@ -304,30 +305,56 @@ def _row_count(ring: EndRing, by_norm: list[int]) -> int:
     return (sum(by_norm) - 1) // len(ring.units)
 
 
-def _checked_norm_counts(ring: EndRing, n: int, r: int, dmax: int,
-                         ceiling: int) -> list[list[int]]:
-    """The checks of `enumerate_matrices` and `census`, in order, and the norm
-    counts up to the row bound that the guard counted with (empty when
-    dmax < 1).  The guard counts every r-subset of the candidate rows, which
-    is more than the walk visits, and it counts the rows without building
-    them."""
-    if not 1 <= r <= n:
-        raise DomainError(f"need 1 <= r <= N, got r={r}, N={n}")
-    if dmax < 1:
-        return []
-    counts = _norm_counts(ring, n, row_bound_for_degree(ring, r, dmax))
-    work = comb(_row_count(ring, counts[n]), r)
+def _isqrt_sum(bound: int) -> int:
+    """sum_{m <= bound} isqrt(m) = sum_{k <= q} (bound + 1 - k^2), q = isqrt(bound)."""
+    q = isqrt(bound)
+    return q * (bound + 1) - q * (q + 1) * (2 * q + 1) // 6
+
+
+def _norm_count_steps(ring: EndRing, n: int, bound: int) -> int:
+    """An upper bound on the loop steps of `_norm_counts(ring, n, bound)`:
+    the box `elements_of_norm_at_most` scans, then per row its bound + 1
+    entries and, per reached entry t of the row before, the one-coordinate
+    norms <= bound - t and the one that stops the loop.  Over Z these are
+    squares, isqrt(m) + 1 of them <= m, and rows 1 and 2 extend only 0 and
+    the squares; on the CM rings at most m + 1 norms are <= m."""
+    if ring.kind == "z":
+        q = isqrt(bound)
+        box = 2 * q + 1
+        first, second = q + 2, (q + 1) * (q + 2)
+        full = _isqrt_sum(bound) + 2 * (bound + 1)
+    else:
+        box = (2 * isqrt(4 * bound // 3) + 1) ** 2
+        first = bound + 2
+        second = full = (bound + 1) * (bound + 4) // 2
+    inner = first + (second if n > 1 else 0) + max(n - 2, 0) * full
+    return box + n * (bound + 1) + inner
+
+
+def _walk_guard(ring: EndRing, n: int, r: int, dmax: int, ceiling: int) -> None:
+    """Refuse a walk (`_walk_classes`) whose candidate rows, counted without
+    building them (`_row_count`), have more than `ceiling` r-subsets, more
+    than the walk visits.  When their norm table alone would take more than
+    `ceiling` steps, the candidate rows k e_i (k <= isqrt(bound)) give the
+    lower bound comb(n isqrt(bound), r), which may refuse without it."""
+    bound = row_bound_for_degree(ring, r, dmax)
+    if _norm_count_steps(ring, n, bound) > ceiling:
+        least = comb(n * isqrt(bound), r)
+        if least > ceiling:
+            raise ResourceGuardError(
+                f"enumeration would scan at least {least} row combinations "
+                f"(> ceiling {ceiling}); lower Dmax or raise the ceiling explicitly")
+    work = comb(_row_count(ring, _norm_counts(ring, n, bound)[n]), r)
     if work > ceiling:
         raise ResourceGuardError(
             f"enumeration would scan {work} row combinations (> ceiling {ceiling}); "
             f"lower Dmax or raise the ceiling explicitly")
-    return counts
 
 
 def _walk_classes(ring: EndRing, n: int, r: int,
                   dmax: int) -> list[tuple[int, SubgroupMatrix]]:
     """(degree, class) of every rank-r row module of degree <= dmax, sorted by
-    (degree, entries); the caller has run `_checked_norm_counts`.
+    (degree, entries); the caller has run `_walk_guard`.
 
     The candidate rows are those a Minkowski-reduced basis of such a module
     can have (see `row_bound_for_degree`), one per unit orbit; the r-subsets
@@ -356,9 +383,12 @@ def enumerate_matrices(ring: EndRing, n: int, r: int, dmax: int,
     """All rank-r row modules of degree <= dmax, as canonical Hermite forms,
     sorted by (degree, entries), found by walking the candidate bases (see
     `_walk_classes`).  Refuses predictably-oversized enumerations before any
-    row is built (see `_checked_norm_counts`)."""
-    if not _checked_norm_counts(ring, n, r, dmax, ceiling):
+    row is built (see `_walk_guard`)."""
+    if not 1 <= r <= n:
+        raise DomainError(f"need 1 <= r <= N, got r={r}, N={n}")
+    if dmax < 1:
         return []
+    _walk_guard(ring, n, r, dmax, ceiling)
     return [m for _, m in _walk_classes(ring, n, r, dmax)]
 
 
@@ -518,6 +548,40 @@ def _complement_buckets(counted: dict[int, int], s: int, r: int,
     return buckets
 
 
+def _counting_price(ring: EndRing, n: int, r: int, s: int, dmax: int,
+                    ceiling: int) -> int:
+    """An upper bound on the loop steps of counting the rank-r modules of
+    ring^n of degree <= dmax at rank s (see `census`), from closed forms,
+    before any table is built: the norm counts up to dmax, if s > 0; the
+    complement, if s < r; the rank-two forms, if s = 2 and the rest is
+    within `ceiling` (so its loop over a runs O(ceiling^(1/3)) times).
+
+    `_complement_buckets`: each index count takes sum_{d <= top} top // d <
+    top (bit_length(top) + 1) steps, top = isqrt(dmax); the inversion and the
+    application at most sum_{m <= dmax} isqrt(m) each, and top at s = 0.
+    `_rank_two_forms`, per a: a v with |v|^2 = a has k <= min(a, n) parts in
+    1..isqrt(a), the last fixed by the others, so at most
+    C(isqrt(a) + k - 1, k - 1) such v.  Each pops fewer than k side^(k - 1)
+    stack entries, side = 2 isqrt(c_top) + 1, and tries at most
+    half = a // 2 + 1 last entries after each of the side^(k - 1) deepest;
+    its at most half (c_top + 1) heads take one step each and at most
+    c_top - a + 1 more in the c-loop."""
+    steps = _norm_count_steps(ring, n, dmax) if s else 0
+    if s < r:
+        top = isqrt(dmax)
+        steps += (r + s) * top * (top.bit_length() + 1) + (
+            2 * _isqrt_sum(dmax) if s else top)
+    if s == 2 and steps <= ceiling:
+        for a in range(1, isqrt(4 * dmax // 3) + 1):
+            c_top = (dmax + (a // 2) ** 2) // a
+            k, side, half = min(a, n), 2 * isqrt(c_top) + 1, a // 2 + 1
+            leaves = side ** (k - 1) * half
+            heads = min(leaves, half * (c_top + 1))
+            steps += comb(isqrt(a) + k - 1, k - 1) * (
+                k * side ** (k - 1) + leaves + heads * max(1, c_top - a + 2))
+    return steps
+
+
 # ---------------------------------------------------------------------------
 # Torsion counting and the census
 # ---------------------------------------------------------------------------
@@ -617,27 +681,35 @@ def census(ring: EndRing, n: int, r: int, dmax: int, t: int,
         b = 0, 2b = a, a = c holds, 8 for (a, 0, a), 12 for (a, a/2, a).
       * N - r < r, over Z: the count at rank s = N - r gives the count at
         rank r (`_complement_buckets`); r = N is s = 0.
-    So over Z every shape with min(r, N - r) <= 2 is counted.  Only N >= 6
-    with 3 <= r <= N - 3 walks the candidate bases (`_walk_classes`) and
-    reads each class's degree off the walk; the default ceiling refuses
-    every such shape.
-    The checks run in the order of `enumerate_matrices`, the torsion count
-    first, so that N < 1 or T < 1 is refused before any other work; the
-    resource guard refuses exactly the inputs whose walk it would refuse."""
+    So the method follows from (ring, N, r) alone: over Z every shape with
+    min(r, N - r) <= 2 is counted, on the CM rings r = 1.  Every other shape
+    walks the candidate bases (`_walk_classes`): over Z N >= 6 with
+    3 <= r <= N - 3, which the default ceiling refuses, and on the CM rings
+    r >= 2, which `row_bound_for_degree` refuses.  A count is refused when
+    its price (`_counting_price`) passes the ceiling, a walk as
+    `enumerate_matrices` refuses it (`_walk_guard`).  The torsion count
+    comes first, so that N < 1 or T < 1 is refused before any other work."""
     torsion_total = torsion_count(n, t)
-    counts = _checked_norm_counts(ring, n, r, dmax, ceiling)
+    if not 1 <= r <= n:
+        raise DomainError(f"need 1 <= r <= N, got r={r}, N={n}")
     s = min(r, n - r) if ring.kind == "z" else r
     buckets: dict[int, int] = {}
-    if not counts:  # dmax < 1: no module has so small a degree
+    if dmax < 1:  # no module has so small a degree
         pass
-    elif s > 2:
+    elif s > (2 if ring.kind == "z" else 1):
+        _walk_guard(ring, n, r, dmax, ceiling)
         for d, _ in _walk_classes(ring, n, r, dmax):
             buckets[d] = buckets.get(d, 0) + 1
-    elif s == r:
-        buckets = _counted_buckets(ring, counts, n, r, dmax)
     else:
-        buckets = _complement_buckets(_counted_buckets(ring, counts, n, s, dmax),
-                                      s, r, dmax)
+        price = _counting_price(ring, n, r, s, dmax, ceiling)
+        if price > ceiling:
+            raise ResourceGuardError(
+                f"census counting would take {price} steps (> ceiling {ceiling}); "
+                f"lower Dmax or raise the ceiling explicitly")
+        counts = _norm_counts(ring, n, dmax) if s else []
+        buckets = _counted_buckets(ring, counts, n, s, dmax)
+        if s < r:
+            buckets = _complement_buckets(buckets, s, r, dmax)
     total = sum(buckets.values())
     return CensusReport(
         ring=ring.kind,

@@ -386,18 +386,19 @@ def test_exit_code_resource_guard(capsys):
     assert code == 5
 
 
-# The shapes with r >= 3 that the default ceiling refuses at the least Dmax,
-# with the row combinations the guard counts for each.
-@pytest.mark.parametrize("n,r,dmax,work", [
-    (3, 3, 4, 8718875), (4, 3, 2, 43486080), (4, 4, 1, 431955983801655),
-    (5, 3, 1, 26979680), (6, 3, 1, 761005420)])
+# A walk the default ceiling refuses at the least Dmax, with the row
+# combinations its guard counts, and a counted shape, with the steps its
+# counting is priced at.
+@pytest.mark.parametrize("n,r,dmax,work", [(6, 3, 1, 761005420), (3, 1, 100000, 21633932)])
 def test_census_refusals_at_the_default_ceiling(capsys, n, r, dmax, work):
     code = main(["census", "--ring", "z", "--N", str(n), "--r", str(r),
                  "--max-degree", str(dmax), "--torsion", "1"])
     captured = capsys.readouterr()
     assert code == 5 and captured.out == ""
+    refusal = (f"census counting would take {work} steps" if min(r, n - r) <= 2
+               else f"enumeration would scan {work} row combinations")
     assert captured.err == (
-        f"ntbounds: resource guard: enumeration would scan {work} row combinations "
+        f"ntbounds: resource guard: {refusal} "
         f"(> ceiling 5000000); lower Dmax or raise the ceiling explicitly\n")
 
 

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ntbounds import rings, subgroups
 from ntbounds.bruteforce import match_against, oracle_enumerate
 from ntbounds.rings import RING_EISENSTEIN, RING_GAUSS, RING_Z, EndRing, ring_by_name
 from ntbounds.errors import DomainError, ResourceGuardError
@@ -398,11 +399,21 @@ def test_resource_guard_refuses_before_building_rows(monkeypatch):
         raise AssertionError("candidate rows built before the guard")
 
     monkeypatch.setattr(subgroups, "_candidate_rows", unbuilt)
-    with pytest.raises(ResourceGuardError, match="would scan 674541 row combinations"):
+    # the norm table up to the row bound 67 takes more than 10 steps, so the
+    # rows k e_i (k <= 8) give the lower bound comb(24, 2)
+    with pytest.raises(ResourceGuardError, match="would scan at least 276 row combinations"):
         enumerate_matrices(Z, 3, 2, 50, ceiling=10)
+    # under a ceiling the table fits in, the guard counts every candidate row
+    with pytest.raises(ResourceGuardError, match="would scan 674541 row combinations"):
+        enumerate_matrices(Z, 3, 2, 50, ceiling=100_000)
     # Z, N = 5, r = 4, Dmax = 4 used to build 2.78 million rows before refusing
     with pytest.raises(ResourceGuardError):
         enumerate_matrices(Z, 5, 4, 4)
+    # N = 16, r = 8, Dmax = 1: a norm table up to the row bound 2^28 would not
+    # fit in memory; the lower bound refuses before it is built
+    monkeypatch.setattr(subgroups, "_norm_counts", unbuilt)
+    with pytest.raises(ResourceGuardError, match="would scan at least "):
+        enumerate_matrices(Z, 16, 8, 1)
 
 
 def test_cm_rings_rank_two_unsupported():
@@ -522,10 +533,10 @@ def test_census_unit_degree_only():
     assert only.entries == (((1, 0), (0, 0)), ((0, 0), (1, 0)))
 
 
-# every rank at N <= 5 (the walk takes about 40 s at N = 5, r = 4), and the
-# walk's own shape N = 6, r = 3
+# every rank at N <= 5 (the walk takes about 40 s at N = 5, r = 4), the
+# walk's own shape N = 6, r = 3, and N = 8, r = 6, counted at rank 2
 @pytest.mark.parametrize("n,r", [(n, r) for n in (1, 2, 3, 4) for r in range(1, min(n, 3) + 1)]
-                         + [(4, 4), (5, 1), (5, 2), (5, 3), (5, 4), (5, 5), (6, 3)])
+                         + [(4, 4), (5, 1), (5, 2), (5, 3), (5, 4), (5, 5), (6, 3), (8, 6)])
 def test_census_degree_one_classes_are_coordinate_subspaces(n, r):
     # Gram determinant 1 leaves one minor of norm 1: the span is a coordinate
     # subspace, and the module is all of it
@@ -573,13 +584,16 @@ def test_census_work_pinned(monkeypatch, n, r, dmax, forms, products):
     assert (len(form_calls), len(product_calls)) == (forms, products)
 
 
-# the deck's shapes, and every Z shape with r >= 3 the default ceiling admits
+# the deck's shapes, the Z shapes with r >= 3 that a guard pricing the walk
+# admitted at the default ceiling, the four it refused at the least Dmax, and
+# shapes counted at rank N - r = 2 and 1 that it hung or ran out of memory on
 @pytest.mark.parametrize("ring,n,r,dmax", [
     (Z, 2, 1, 200), (Z, 3, 1, 100), (Z, 2, 2, 100), (Z, 4, 2, 5), (W, 2, 1, 25),
-    (Z, 3, 3, 1), (Z, 3, 3, 2), (Z, 3, 3, 3), (Z, 4, 3, 1)])
+    (Z, 3, 3, 1), (Z, 3, 3, 2), (Z, 3, 3, 3), (Z, 4, 3, 1),
+    (Z, 3, 3, 4), (Z, 4, 3, 2), (Z, 4, 4, 1), (Z, 5, 3, 1),
+    (Z, 8, 6, 1), (Z, 9, 7, 2), (Z, 7, 6, 30), (Z, 10, 8, 20)])
 def test_census_counts_rank_at_most_two_without_walking(monkeypatch, ring, n, r, dmax):
-    from ntbounds import subgroups
-    calls = []
+    calls, bounds = [], []
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -588,10 +602,106 @@ def test_census_counts_rank_at_most_two_without_walking(monkeypatch, ring, n, r,
         monkeypatch.setattr(subgroups, name, wrapper)
 
     for name in ("hermite_normal_form", "degree_estimate", "_candidate_rows",
-                 "_full_rank_subsets", "enumerate_matrices", "_walk_classes"):
+                 "_full_rank_subsets", "enumerate_matrices", "_walk_classes",
+                 "row_bound_for_degree", "_row_count", "_walk_guard"):
         counted(name, getattr(subgroups, name))
+    norm_counts = subgroups._norm_counts
+
+    def bounded(ring, n, bound):
+        bounds.append(bound)
+        return norm_counts(ring, n, bound)
+
+    monkeypatch.setattr(subgroups, "_norm_counts", bounded)
     assert census(ring, n, r, dmax, 1).total_matrices > 0
     assert calls == []
+    # the norm counts go up to Dmax, and full rank needs none
+    assert bounds == ([] if r == n else [dmax])
+
+
+# The loops the counting price bounds: the CM box scan of
+# `elements_of_norm_at_most`, both loops of `_norm_counts`, the stack, last
+# entry and c-loop of `_rank_two_forms`, and the loops of the complement.
+_PRICED_LOOPS = {
+    rings.EndRing.elements_of_norm_at_most: ["if self.norm((a, b)) <= bound:"],
+    subgroups._norm_counts: ["if count:", "if s + ne > bound:"],
+    subgroups._rank_two_forms: [
+        "i, b, s = stack.pop()", "if s + z * z <= c_top:",
+        "for c in range(max(a, s), (dmax + b * b) // a + 1):"],
+    subgroups._index_counts: ["b[d * m] += w * a[m]"],
+    subgroups._complement_buckets: [
+        "for k in range(2, isqrt(d) + 1) if d % (k * k) == 0)",
+        "buckets[d * k * k] = buckets.get(d * k * k, 0) + a_r[k] * p"],
+}
+
+
+def _loop_steps(monkeypatch, ring, n, r, dmax):
+    """Line events on the priced loops while `census` counts, by function,
+    the Z box (one list comprehension) counted by its length."""
+    lines = {}
+    for fn, texts in _PRICED_LOOPS.items():
+        source, first = inspect.getsourcelines(fn)
+        found = {first + i for i, line in enumerate(source) if line.strip() in texts}
+        assert len(found) == len(texts), fn.__name__
+        lines.update({(fn.__code__.co_filename, line): fn.__name__ for line in found})
+    steps = {fn.__name__: 0 for fn in _PRICED_LOOPS}
+
+    def tracer(frame, event, arg):
+        name = lines.get((frame.f_code.co_filename, frame.f_lineno))
+        if event == "line" and name:
+            steps[name] += 1
+        return tracer
+
+    box = EndRing.elements_of_norm_at_most
+
+    def boxed(self, bound):
+        out = box(self, bound)
+        if self.kind == "z":
+            steps["elements_of_norm_at_most"] += len(out)
+        return out
+
+    monkeypatch.setattr(EndRing, "elements_of_norm_at_most", boxed)
+    saved = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        census(ring, n, r, dmax, 1, ceiling=10 ** 30)
+    finally:
+        sys.settrace(saved)
+    return steps
+
+
+@pytest.mark.parametrize("ring,n,r,dmax", [
+    (Z, n, r, dmax) for n in range(4, 11) for r in sorted({2, n - 2})
+    for dmax in (1, 2, 5, 12, 30)] + [
+    (ring, n, 1, dmax) for ring in (G, W) for n in (1, 2, 3, 4) for dmax in (1, 3, 10, 30)] + [
+    (Z, n, r, dmax) for n, r in ((1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3), (4, 3))
+    for dmax in (1, 6, 40)])
+def test_counting_price_bounds_the_loop_steps(monkeypatch, ring, n, r, dmax):
+    # each part of the price bounds its own loops: the norm counts, then the
+    # rank-two forms (the price at r = s = 2 less the norm counts), then the
+    # complement (the price at r less the price at s)
+    price = subgroups._counting_price
+    s = min(r, n - r) if ring.kind == "z" else r
+    steps = _loop_steps(monkeypatch, ring, n, r, dmax)
+    norms = subgroups._norm_count_steps(ring, n, dmax) if s else 0
+    assert steps["elements_of_norm_at_most"] + steps["_norm_counts"] <= norms
+    counted = price(ring, n, s, s, dmax, 10 ** 30) if s else 0
+    assert steps["_rank_two_forms"] <= counted - norms
+    assert steps["_index_counts"] + steps["_complement_buckets"] <= (
+        price(ring, n, r, s, dmax, 10 ** 30) - counted)
+
+
+def test_counted_refusal_builds_no_table(monkeypatch):
+    def unbuilt(*args):
+        raise AssertionError("a table was built before the counted guard")
+
+    for name in ("_norm_counts", "_rank_two_forms", "_index_counts"):
+        monkeypatch.setattr(subgroups, name, unbuilt)
+    monkeypatch.setattr(EndRing, "elements_of_norm_at_most", unbuilt)
+    # at Dmax = 10^30 the rank-two loop over a alone would take 10^15 steps
+    for ring, n, r, dmax in ((Z, 3, 1, 100_000), (Z, 9, 7, 10 ** 6), (G, 2, 1, 10 ** 7),
+                             (Z, 4, 4, 10 ** 14), (Z, 4, 2, 10 ** 30)):
+        with pytest.raises(ResourceGuardError, match="census counting would take "):
+            census(ring, n, r, dmax, 1)
 
 
 def _reference_buckets(ring, n, r, dmax):
@@ -605,7 +715,9 @@ def _reference_buckets(ring, n, r, dmax):
 
 # the census deck's shapes, Z at r = 1 for N <= 5, Z at r = 2 for N = 2..5
 # (N = 3, Dmax = 3 holds the hexagonal form on the edge of the r = 2 box), the
-# CM rings at r = 1 for N <= 4, and Z at r >= 3, counted at rank N - r
+# CM rings at r = 1 for N <= 4, and Z at r >= 3, counted at rank N - r (the
+# last four shapes are the ones a guard on the walk refused at the default
+# ceiling)
 @pytest.mark.parametrize("ring,n,r,dmax", [
     (Z, 2, 1, 200), (Z, 3, 1, 100), (Z, 4, 1, 30), (Z, 2, 2, 100), (Z, 3, 2, 20),
     (Z, 4, 2, 5), (Z, 3, 3, 1), (G, 2, 1, 25), (G, 3, 1, 5), (W, 2, 1, 25), (W, 3, 1, 5),
@@ -614,6 +726,7 @@ def _reference_buckets(ring, n, r, dmax):
     (Z, 3, 2, 30), (Z, 4, 2, 2), (Z, 4, 2, 8), (Z, 5, 2, 2), (Z, 5, 2, 4),
     (G, 1, 1, 40), (G, 4, 1, 3), (W, 1, 1, 40), (W, 4, 1, 3),
     (Z, 3, 3, 16), (Z, 4, 3, 1), (Z, 4, 3, 3), (Z, 4, 3, 6), (Z, 5, 3, 2),
+    (Z, 3, 3, 4), (Z, 4, 3, 2), (Z, 4, 4, 1), (Z, 5, 3, 1),
 ])
 def test_census_counts_match_listed_classes(ring, n, r, dmax):
     rep = census(ring, n, r, dmax, 1, ceiling=10 ** 15)
