@@ -51,7 +51,7 @@ from .rounding import (
     rat,
 )
 from .search import GammaSpec, search_rational_points
-from .subgroups import census
+from .subgroups import DEFAULT_CEILING, census
 from .rings import ring_by_name
 
 __all__ = ["main", "parse_height_expr"]
@@ -325,7 +325,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--max-degree", type=int, required=True)
     p.add_argument("--torsion", type=int, required=True,
                    help="torsion order bound T for the count sum")
-    p.add_argument("--ceiling", type=int, default=5_000_000,
+    p.add_argument("--ceiling", type=int, default=DEFAULT_CEILING,
                    help="resource guard: the most loop steps a counted shape "
                         "may take, or row combinations a walked shape may scan")
     common(p)

@@ -212,6 +212,26 @@ def _family_rhs(family: str, n: int, x: Fraction) -> tuple[int, int]:
     return (top, bottom) if family == "f1" else (top + bottom, bottom)
 
 
+# Up to this n, x^n is at most three multiplications, about what the size test
+# of `_may_match` costs per point; past it, the power is taken only when its
+# size could match a kept y.
+_SHORT_POWER = 5
+
+
+def _may_match(n: int, x: Fraction, bits: int) -> bool:
+    """False when neither family's y for x, x^n or x^n + 1, can have a
+    numerator and denominator below 2^bits in size.
+
+    x = num/den in lowest terms, b the bit length of den if den > 1 and of
+    |num| if den = 1.  The denominator den^n is at least 2^(n (b - 1)), and
+    at den = 1 the numerator's size is at least |num|^n - 1 >= 2^(n (b - 1))
+    - 1 (f2's num^n + den^n can cancel when den > 1, so there only den
+    bounds it).  Both pass 2^bits - 1 once n (b - 1) > bits.
+    """
+    size = x.denominator if x.denominator > 1 else abs(x.numerator)
+    return n * (size.bit_length() - 1) <= bits
+
+
 @dataclass(frozen=True)
 class FoundPoint:
     p1: ECPoint
@@ -255,7 +275,11 @@ def search_rational_points(family: str, n: int, gamma: GammaSpec, height_bound,
     by_y: dict[tuple[int, int], list[ECPoint]] = {}
     for P, _, _ in affine:
         by_y.setdefault((P.y.numerator, P.y.denominator), []).append(P)
-    found = [FoundPoint(p1, p2, estimate(p1), estimate(p2)) for p1, _, _ in affine
+    heads = affine
+    if n > _SHORT_POWER:
+        bits = max((max(abs(a), b) for a, b in by_y), default=0).bit_length()
+        heads = [w for w in affine if _may_match(n, w[0].x, bits)]
+    found = [FoundPoint(p1, p2, estimate(p1), estimate(p2)) for p1, _, _ in heads
              for p2 in by_y.get(_family_rhs(family, n, p1.x), ())]
     found.sort(key=lambda f: (f.p1.key(), f.p2.key()))
     closure = [f"{infinity} x {text}" for _, _, text in points]

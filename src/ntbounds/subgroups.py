@@ -29,9 +29,11 @@ Sloane, SPLAG, ch. 15).  Over Z the count at rank r follows from the count at
 rank N - r: a rank-r module has index k in its saturation, a primitive module
 of degree D / k^2, and a primitive module of Z^N has the degree of its
 orthogonal complement (W. M. Schmidt, Duke Math. J. 1968).  So the census
-counts at rank min(r, N - r) whenever that is at most 2, and walks only at
-N >= 6 with 3 <= r <= N - 3.  Each method has its own resource guard: a
-count's loop steps (`_counting_price`), a walk's row subsets (`_walk_guard`).
+counts at rank s = min(r, N - r) whenever that is at most 2, carries the
+count to rank r by one Dirichlet product with zeta(y - s) ... zeta(y - r + 1)
+(L. Solomon, Adv. Math. 1977), and walks, through `enumerate_matrices`, only
+at N >= 6 with 3 <= r <= N - 3.  Each method has its own resource guard: a
+count's loop steps (`_counting_price`), a walk's row subsets.
 """
 
 from __future__ import annotations
@@ -53,7 +55,11 @@ __all__ = [
     "CensusReport",
     "census",
     "row_bound_for_degree",
+    "DEFAULT_CEILING",
 ]
+
+# The default guard of `census` and `enumerate_matrices`: loop steps or row subsets.
+DEFAULT_CEILING = 5_000_000
 
 
 @dataclass(frozen=True)
@@ -156,7 +162,6 @@ def _full_rank_subsets(ring: EndRing, rows, r: int, dmax: int | None = None,
     return extend(0, 1)
 
 
-# Kept while perfbench/tracing.py TARGETS names it; it goes with ROADMAP item 1.
 def degree_estimate(M: SubgroupMatrix) -> int:
     """Degree of the row module: det(M conj(M)^T), its Gram determinant;
     rejects rank-deficient input.
@@ -331,12 +336,28 @@ def _norm_count_steps(ring: EndRing, n: int, bound: int) -> int:
     return box + n * (bound + 1) + inner
 
 
-def _walk_guard(ring: EndRing, n: int, r: int, dmax: int, ceiling: int) -> None:
-    """Refuse a walk (`_walk_classes`) whose candidate rows, counted without
-    building them (`_row_count`), have more than `ceiling` r-subsets, more
-    than the walk visits.  When their norm table alone would take more than
-    `ceiling` steps, the candidate rows k e_i (k <= isqrt(bound)) give the
-    lower bound comb(n isqrt(bound), r), which may refuse without it."""
+def enumerate_matrices(ring: EndRing, n: int, r: int, dmax: int,
+                       ceiling: int = DEFAULT_CEILING) -> list[SubgroupMatrix]:
+    """All rank-r row modules of degree <= dmax, as canonical Hermite forms,
+    sorted by (degree, entries).
+
+    The candidate rows are those a Minkowski-reduced basis of such a module
+    can have (see `row_bound_for_degree`), one per unit orbit; the r-subsets
+    that could be such a basis, of full rank and degree <= dmax, come from the
+    same Gram elimination as `degree_estimate` (see `_full_rank_subsets`), and
+    are deduplicated by their Hermite forms, which every basis of a module
+    shares (at r = 1 each candidate row is already its own Hermite form).
+
+    Before any row is built, the walk is refused when its candidate rows,
+    counted without building them (`_row_count`), have more than `ceiling`
+    r-subsets, more than the walk visits.  When their norm table alone would
+    take more than `ceiling` steps, the candidate rows k e_i (k <=
+    isqrt(bound)) give the lower bound comb(n isqrt(bound), r), which may
+    refuse without it."""
+    if not 1 <= r <= n:
+        raise DomainError(f"need 1 <= r <= N, got r={r}, N={n}")
+    if dmax < 1:
+        return []
     bound = row_bound_for_degree(ring, r, dmax)
     if _norm_count_steps(ring, n, bound) > ceiling:
         least = comb(n * isqrt(bound), r)
@@ -349,47 +370,13 @@ def _walk_guard(ring: EndRing, n: int, r: int, dmax: int, ceiling: int) -> None:
         raise ResourceGuardError(
             f"enumeration would scan {work} row combinations (> ceiling {ceiling}); "
             f"lower Dmax or raise the ceiling explicitly")
-
-
-def _walk_classes(ring: EndRing, n: int, r: int,
-                  dmax: int) -> list[tuple[int, SubgroupMatrix]]:
-    """(degree, class) of every rank-r row module of degree <= dmax, sorted by
-    (degree, entries); the caller has run `_walk_guard`.
-
-    The candidate rows are those a Minkowski-reduced basis of such a module
-    can have (see `row_bound_for_degree`), one per unit orbit; the r-subsets
-    that could be such a basis, of full rank and degree <= dmax, come from the
-    same Gram elimination as `degree_estimate` (see `_full_rank_subsets`), and
-    are deduplicated by their Hermite forms, which every basis of a module
-    shares (at r = 1 each candidate row is already its own Hermite form)."""
-    bound = row_bound_for_degree(ring, r, dmax)
-    rows = _candidate_rows(ring, n, bound)
-    subsets = _full_rank_subsets(ring, rows, r, dmax, bound)
-    if r == 1:
-        # candidate rows are canonical unit-orbit representatives, and a
-        # one-row Hermite form is the canonical row: each row is its own class
-        classes = [(d, SubgroupMatrix(ring, subset)) for d, subset in subsets]
-    else:
-        found: dict[tuple, tuple[int, SubgroupMatrix]] = {}
-        for d, subset in subsets:
-            m = hermite_normal_form(SubgroupMatrix(ring, subset))
-            found.setdefault(m.entries, (d, m))
-        classes = list(found.values())
-    return sorted(classes, key=lambda pair: (pair[0], pair[1].entries))
-
-
-def enumerate_matrices(ring: EndRing, n: int, r: int, dmax: int,
-                       ceiling: int = 5_000_000) -> list[SubgroupMatrix]:
-    """All rank-r row modules of degree <= dmax, as canonical Hermite forms,
-    sorted by (degree, entries), found by walking the candidate bases (see
-    `_walk_classes`).  Refuses predictably-oversized enumerations before any
-    row is built (see `_walk_guard`)."""
-    if not 1 <= r <= n:
-        raise DomainError(f"need 1 <= r <= N, got r={r}, N={n}")
-    if dmax < 1:
-        return []
-    _walk_guard(ring, n, r, dmax, ceiling)
-    return [m for _, m in _walk_classes(ring, n, r, dmax)]
+    found: dict[tuple, tuple[int, SubgroupMatrix]] = {}
+    for d, subset in _full_rank_subsets(ring, _candidate_rows(ring, n, bound), r, dmax, bound):
+        m = SubgroupMatrix(ring, subset)
+        if r > 1:  # a candidate row is canonical: its own one-row Hermite form
+            m = hermite_normal_form(m)
+        found.setdefault(m.entries, (d, m))
+    return [m for _, m in sorted(found.values(), key=lambda pair: (pair[0], pair[1].entries))]
 
 
 # ---------------------------------------------------------------------------
@@ -505,16 +492,17 @@ def _counted_buckets(ring: EndRing, counts: list[list[int]], n: int, s: int,
     return buckets
 
 
-def _index_counts(r: int, top: int) -> list[int]:
-    """[a_r(0), ..., a_r(top)], a_r(k) the number of sublattices of index k
-    in Z^r (a_r(0) = 0).  Their Dirichlet series is zeta(s) zeta(s - 1) ...
-    zeta(s - r + 1) (L. Solomon, Adv. Math. 1977), so a_r is a_(r-1)
-    convolved with k -> k^(r-1), from a_0 = [k = 1]."""
+def _index_series(s: int, r: int, top: int) -> list[int]:
+    """[c(0), ..., c(top)] (c(0) = 0), the coefficients of the Dirichlet
+    series zeta(y - s) zeta(y - s - 1) ... zeta(y - r + 1): the convolution
+    of k -> k^j over j = s..r - 1, from c = [k = 1].  At s = 0 it is a_r,
+    a_r(k) the number of sublattices of index k in Z^r, whose Dirichlet
+    series is zeta(y) ... zeta(y - r + 1) (L. Solomon, Adv. Math. 1977)."""
     a = [int(k == 1) for k in range(top + 1)]
-    for j in range(1, r + 1):
+    for j in range(s, r):
         b = [0] * (top + 1)
         for d in range(1, top + 1):
-            w = d ** (j - 1)
+            w = d ** j
             for m in range(1, top // d + 1):
                 b[d * m] += w * a[m]
         a = b
@@ -528,23 +516,17 @@ def _complement_buckets(counted: dict[int, int], s: int, r: int,
 
     A rank-r module L of degree D has index k in its saturation (L tensor Q)
     cap Z^N, which is primitive of degree D / k^2, and each primitive module
-    has a_r(k) submodules of index k (`_index_counts`).  So census_r(D) =
-    sum_{k^2 | D} a_r(k) prim_r(D / k^2), and the same at rank s.  A
-    primitive module and its orthogonal complement in the unimodular Z^N
-    have the same degree, so prim_r = prim_s: invert the sum at rank s, then
-    apply it at rank r."""
-    top = isqrt(dmax)
-    a_s, a_r = _index_counts(s, top), _index_counts(r, top)
-    prim: dict[int, int] = {}
-    for d in sorted(counted):
-        p = counted[d] - sum(a_s[k] * prim.get(d // (k * k), 0)
-                             for k in range(2, isqrt(d) + 1) if d % (k * k) == 0)
-        if p:
-            prim[d] = p
+    has a_r(k) submodules of index k.  So, as Dirichlet series in D, census_r
+    = A_r(2x) P(x), with P the series of the primitive modules and A_r that
+    of a_r, and census_s = A_s(2x) P(x).  A primitive module and its
+    orthogonal complement in the unimodular Z^N have the same degree, so P is
+    the same at both ranks, and census_r = (A_r / A_s)(2x) census_s, where
+    A_r / A_s = zeta(y - s) ... zeta(y - r + 1) (`_index_series`)."""
+    c = _index_series(s, r, isqrt(dmax))
     buckets: dict[int, int] = {}
-    for d, p in prim.items():
+    for d, count in counted.items():
         for k in range(1, isqrt(dmax // d) + 1):
-            buckets[d * k * k] = buckets.get(d * k * k, 0) + a_r[k] * p
+            buckets[d * k * k] = buckets.get(d * k * k, 0) + c[k] * count
     return buckets
 
 
@@ -556,9 +538,10 @@ def _counting_price(ring: EndRing, n: int, r: int, s: int, dmax: int,
     complement, if s < r; the rank-two forms, if s = 2 and the rest is
     within `ceiling` (so its loop over a runs O(ceiling^(1/3)) times).
 
-    `_complement_buckets`: each index count takes sum_{d <= top} top // d <
-    top (bit_length(top) + 1) steps, top = isqrt(dmax); the inversion and the
-    application at most sum_{m <= dmax} isqrt(m) each, and top at s = 0.
+    `_complement_buckets`: each of the r - s convolutions of `_index_series`
+    takes sum_{d <= top} top // d < top (bit_length(top) + 1) steps, top =
+    isqrt(dmax); the product sum_{d <= dmax} isqrt(dmax / d) < 2 dmax, and
+    top at s = 0, where the one degree is 1.
     `_rank_two_forms`, per a: a v with |v|^2 = a has k <= min(a, n) parts in
     1..isqrt(a), the last fixed by the others, so at most
     C(isqrt(a) + k - 1, k - 1) such v.  Each pops fewer than k side^(k - 1)
@@ -569,8 +552,7 @@ def _counting_price(ring: EndRing, n: int, r: int, s: int, dmax: int,
     steps = _norm_count_steps(ring, n, dmax) if s else 0
     if s < r:
         top = isqrt(dmax)
-        steps += (r + s) * top * (top.bit_length() + 1) + (
-            2 * _isqrt_sum(dmax) if s else top)
+        steps += (r - s) * top * (top.bit_length() + 1) + (2 * dmax if s else top)
     if s == 2 and steps <= ceiling:
         for a in range(1, isqrt(4 * dmax // 3) + 1):
             c_top = (dmax + (a // 2) ** 2) // a
@@ -662,7 +644,7 @@ class CensusReport:
 
 
 def census(ring: EndRing, n: int, r: int, dmax: int, t: int,
-           ceiling: int = 5_000_000) -> CensusReport:
+           ceiling: int = DEFAULT_CEILING) -> CensusReport:
     """Bounded-degree census: row-module counts per degree bucket, torsion
     counts, and the product-form bound (module count) * T^(2N+1).
 
@@ -679,16 +661,18 @@ def census(ring: EndRing, n: int, r: int, dmax: int, t: int,
         0 <= 2b <= a <= c, of degree ac - b^2 <= dmax (`_rank_two_forms`),
         with |Aut(f)| from `_binary_aut_order`: 2, or 4 when exactly one of
         b = 0, 2b = a, a = c holds, 8 for (a, 0, a), 12 for (a, a/2, a).
-      * N - r < r, over Z: the count at rank s = N - r gives the count at
+      * N - r < r, over Z: the count at rank s = N - r times the Dirichlet
+        series zeta(y - s) ... zeta(y - r + 1), at y = 2x, is the count at
         rank r (`_complement_buckets`); r = N is s = 0.
     So the method follows from (ring, N, r) alone: over Z every shape with
     min(r, N - r) <= 2 is counted, on the CM rings r = 1.  Every other shape
-    walks the candidate bases (`_walk_classes`): over Z N >= 6 with
-    3 <= r <= N - 3, which the default ceiling refuses, and on the CM rings
-    r >= 2, which `row_bound_for_degree` refuses.  A count is refused when
-    its price (`_counting_price`) passes the ceiling, a walk as
-    `enumerate_matrices` refuses it (`_walk_guard`).  The torsion count
-    comes first, so that N < 1 or T < 1 is refused before any other work."""
+    walks the candidate bases with `enumerate_matrices`, and buckets each
+    class by `degree_estimate`: over Z N >= 6 with 3 <= r <= N - 3, which the
+    default ceiling refuses, and on the CM rings r >= 2, which
+    `row_bound_for_degree` refuses.  A count is refused when its price
+    (`_counting_price`) passes the ceiling, a walk as `enumerate_matrices`
+    refuses it.  The torsion count comes first, so that N < 1 or T < 1 is
+    refused before any other work."""
     torsion_total = torsion_count(n, t)
     if not 1 <= r <= n:
         raise DomainError(f"need 1 <= r <= N, got r={r}, N={n}")
@@ -697,8 +681,8 @@ def census(ring: EndRing, n: int, r: int, dmax: int, t: int,
     if dmax < 1:  # no module has so small a degree
         pass
     elif s > (2 if ring.kind == "z" else 1):
-        _walk_guard(ring, n, r, dmax, ceiling)
-        for d, _ in _walk_classes(ring, n, r, dmax):
+        for m in enumerate_matrices(ring, n, r, dmax, ceiling):
+            d = degree_estimate(m)
             buckets[d] = buckets.get(d, 0) + 1
     else:
         price = _counting_price(ring, n, r, s, dmax, ceiling)

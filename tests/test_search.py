@@ -298,6 +298,34 @@ def test_family_rhs_is_the_lowest_terms_pair_of_the_equation(x, family, n):
     assert search_module._family_rhs(family, n, x) == (y.numerator, y.denominator)
 
 
+@settings(max_examples=300, deadline=None)
+@given(x=st.fractions(max_denominator=10 ** 6).filter(lambda x: abs(x) < 10 ** 6),
+       family=st.sampled_from(["f1", "f2"]), n=st.integers(min_value=1, max_value=40),
+       bits=st.integers(min_value=0, max_value=300))
+def test_power_skipped_only_when_no_y_of_that_size_can_match(x, family, n, bits):
+    if not search_module._may_match(n, x, bits):
+        top, bottom = search_module._family_rhs(family, n, x)
+        assert max(abs(top), bottom) >= 2 ** bits
+
+
+@pytest.mark.parametrize("name", ["f1", "f2"])
+def test_huge_family_exponent_takes_no_large_power(monkeypatch, name):
+    # x^n with |x| > 1 and n = 10^6 has at least 10^6 bits, past every kept
+    # y: only x in {-1, 0, 1} is raised, and it matches as at n = 2
+    gamma, B = ambient_gamma(name), 150
+    rhs = search_module._family_rhs
+
+    def small_powers_only(family, n, x):
+        assert n < 10 ** 6 or (abs(x) <= 1 and x.denominator == 1), x
+        return rhs(family, n, x)
+
+    monkeypatch.setattr(search_module, "_family_rhs", small_powers_only)
+    for family in ("f1", "f2"):
+        rep = search_rational_points(family, 10 ** 6, gamma, B, TOL)
+        square = search_rational_points(family, 2, gamma, B, TOL)
+        assert rep.found == tuple(f for f in square.found if abs(f.p1.x) <= 1)
+
+
 def test_search_rejects_unknown_family_and_bad_n():
     gamma = ambient_gamma("f1")
     with pytest.raises(DomainError):

@@ -361,6 +361,38 @@ def test_full_rank_counts_match_sublattice_counts(n, max_index, counts):
     assert rep.degree_buckets == tuple((i * i, c) for i, c in enumerate(counts, 1))
 
 
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
+def test_index_series_from_zero_counts_sublattices(r):
+    assert subgroups._index_series(0, r, 12) == [0] + [
+        _sublattice_count(r, k) for k in range(1, 13)]
+
+
+@pytest.mark.parametrize("s,r", [(s, r) for r in range(1, 7) for s in range(r)])
+def test_index_series_factors_as_a_dirichlet_product(s, r):
+    # zeta(y) ... zeta(y - s + 1) times zeta(y - s) ... zeta(y - r + 1)
+    top = 40
+    low, high = subgroups._index_series(0, s, top), subgroups._index_series(s, r, top)
+    product = [0] * (top + 1)
+    for d in range(1, top + 1):
+        for m in range(1, top // d + 1):
+            product[d * m] += low[d] * high[m]
+    assert product == subgroups._index_series(0, r, top)
+
+
+def test_walked_census_enumerates_once(monkeypatch):
+    calls = []
+    enumerate_all = subgroups.enumerate_matrices
+
+    def counted(*args):
+        calls.append(args)
+        return enumerate_all(*args)
+
+    monkeypatch.setattr(subgroups, "enumerate_matrices", counted)
+    rep = census(Z, 6, 3, 1, 1, ceiling=10 ** 12)
+    assert len(calls) == 1
+    assert rep.degree_buckets == ((1, comb(6, 3)),)
+
+
 def test_rank_one_candidate_rows_are_hermite_forms():
     for ring in (Z, G, W):
         for n in (1, 2, 3):
@@ -514,7 +546,7 @@ def test_census_with_more_coordinates_than_the_recursion_limit():
 def test_census_refuses_bad_torsion_input_before_the_walk(monkeypatch, n, t):
     def no_walk(*args, **kwargs):
         raise AssertionError("census walked or counted before refusing its torsion input")
-    for name in ("enumerate_matrices", "_walk_classes", "_norm_counts", "_rank_two_forms"):
+    for name in ("enumerate_matrices", "_norm_counts", "_rank_two_forms"):
         monkeypatch.setattr(f"ntbounds.subgroups.{name}", no_walk)
     with pytest.raises(DomainError):
         census(Z, n, 2, 20, t)
@@ -602,8 +634,8 @@ def test_census_counts_rank_at_most_two_without_walking(monkeypatch, ring, n, r,
         monkeypatch.setattr(subgroups, name, wrapper)
 
     for name in ("hermite_normal_form", "degree_estimate", "_candidate_rows",
-                 "_full_rank_subsets", "enumerate_matrices", "_walk_classes",
-                 "row_bound_for_degree", "_row_count", "_walk_guard"):
+                 "_full_rank_subsets", "enumerate_matrices", "row_bound_for_degree",
+                 "_row_count"):
         counted(name, getattr(subgroups, name))
     norm_counts = subgroups._norm_counts
 
@@ -627,10 +659,9 @@ _PRICED_LOOPS = {
     subgroups._rank_two_forms: [
         "i, b, s = stack.pop()", "if s + z * z <= c_top:",
         "for c in range(max(a, s), (dmax + b * b) // a + 1):"],
-    subgroups._index_counts: ["b[d * m] += w * a[m]"],
+    subgroups._index_series: ["b[d * m] += w * a[m]"],
     subgroups._complement_buckets: [
-        "for k in range(2, isqrt(d) + 1) if d % (k * k) == 0)",
-        "buckets[d * k * k] = buckets.get(d * k * k, 0) + a_r[k] * p"],
+        "buckets[d * k * k] = buckets.get(d * k * k, 0) + c[k] * count"],
 }
 
 
@@ -686,7 +717,7 @@ def test_counting_price_bounds_the_loop_steps(monkeypatch, ring, n, r, dmax):
     assert steps["elements_of_norm_at_most"] + steps["_norm_counts"] <= norms
     counted = price(ring, n, s, s, dmax, 10 ** 30) if s else 0
     assert steps["_rank_two_forms"] <= counted - norms
-    assert steps["_index_counts"] + steps["_complement_buckets"] <= (
+    assert steps["_index_series"] + steps["_complement_buckets"] <= (
         price(ring, n, r, s, dmax, 10 ** 30) - counted)
 
 
@@ -694,7 +725,7 @@ def test_counted_refusal_builds_no_table(monkeypatch):
     def unbuilt(*args):
         raise AssertionError("a table was built before the counted guard")
 
-    for name in ("_norm_counts", "_rank_two_forms", "_index_counts"):
+    for name in ("_norm_counts", "_rank_two_forms", "_index_series"):
         monkeypatch.setattr(subgroups, name, unbuilt)
     monkeypatch.setattr(EndRing, "elements_of_norm_at_most", unbuilt)
     # at Dmax = 10^30 the rank-two loop over a alone would take 10^15 steps
