@@ -20,6 +20,7 @@ import hashlib
 import importlib.util
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -71,6 +72,7 @@ def requests(workload: str | None, decks: int, seed: int, argv_file: str | None)
 
 def digest(tree: str, argvs) -> tuple[int, str]:
     """(request count, sha256 hex) of the argvs run through `tree`'s CLI."""
+    os.environ["COLUMNS"] = "80"  # argparse wraps --help at the terminal's width
     main = tree_main(tree)
     h = hashlib.sha256()
     for argv in argvs:

@@ -1,5 +1,11 @@
 """Command-line surface tying the modules together.
 
+A request is parsed once.  When its first argument names a subcommand, the
+rest goes straight to that subcommand's parser, and the top-level parser
+refuses any leftover arguments as argparse would.  Any other argv (empty,
+help, an unknown subcommand, an option before the subcommand) goes through
+the top-level parser and its subparsers.
+
 A refusal (see :mod:`ntbounds.errors`, which lists the exit codes) prints one
 stderr line and returns its exit code; any other exception is a program fault
 and propagates.
@@ -14,6 +20,7 @@ import os
 import re
 import sys
 import time
+from collections.abc import Callable
 from fractions import Fraction
 from pathlib import Path
 
@@ -255,13 +262,20 @@ def _cmd_exponents(args) -> None:
 
 
 @functools.lru_cache(maxsize=None)
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built once per process: parsing does not mutate it."""
+def _parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The top-level parser and, by subcommand name, each subcommand's parser
+    and handler; built once per process: parsing does not mutate them."""
     parser = argparse.ArgumentParser(
         prog="ntbounds",
         description="Explicit Neron-Tate height bounds for curves in powers of "
                     "elliptic curves: constants, bound audits, searches, censuses.")
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
+
+    def command(name, handler, help):
+        p = sub.add_parser(name, help=help)
+        commands[name] = p, handler
+        return p
 
     def common(p, digits_default=40):
         p.add_argument("--precision", type=int, default=None,
@@ -277,7 +291,7 @@ def _parser() -> argparse.ArgumentParser:
         group.add_argument("--hw", help="h_W(E) as a decimal-free expression, e.g. '1/3log2'")
         group.add_argument("--curve", help="curve file or preset (f1/f2) to compute h_W from")
 
-    p = sub.add_parser("constants", help="evaluate the explicit bound constants")
+    p = command("constants", _cmd_constants, "evaluate the explicit bound constants")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--d", action="store_true",
                        help="the transverse-in-E^2 constant set")
@@ -285,9 +299,8 @@ def _parser() -> argparse.ArgumentParser:
                        help="the weak-transverse power constant set for E^N")
     hw_source(p)
     common(p)
-    p.set_defaults(func=_cmd_constants)
 
-    p = sub.add_parser("bound", help="evaluate a height bound for given curve data")
+    p = command("bound", _cmd_bound, "evaluate a height bound for given curve data")
     p.add_argument("--branch", choices=("square", "power"), required=True)
     p.add_argument("--N", type=int, help="ambient power for --branch power (N >= 3)")
     p.add_argument("--deg-c", type=int, required=True, help="degree of the curve")
@@ -295,18 +308,16 @@ def _parser() -> argparse.ArgumentParser:
                    help="normalized height of the curve (decimal-free expression)")
     hw_source(p)
     common(p)
-    p.set_defaults(func=_cmd_bound)
 
-    p = sub.add_parser("family-audit",
-                       help="degree/genus/height pipeline audit for the curve families")
+    p = command("family-audit", _cmd_family_audit,
+                "degree/genus/height pipeline audit for the curve families")
     p.add_argument("--family", choices=("f1", "f2"), required=True)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--n", type=int)
     group.add_argument("--n-range", metavar="A:B")
     common(p)
-    p.set_defaults(func=_cmd_family_audit)
 
-    p = sub.add_parser("search", help="bounded-height rational point search")
+    p = command("search", _cmd_search, "bounded-height rational point search")
     p.add_argument("--family", choices=("f1", "f2"), required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--curve", required=True,
@@ -316,9 +327,8 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--shards", type=int, default=1)
     p.add_argument("--metrics-out", help="write volatile timing metrics here")
     common(p, digits_default=30)
-    p.set_defaults(func=_cmd_search)
 
-    p = sub.add_parser("census", help="bounded-degree algebraic subgroup census")
+    p = command("census", _cmd_census, "bounded-degree algebraic subgroup census")
     p.add_argument("--ring", default="z", help="z, zi, or zw")
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
@@ -329,9 +339,8 @@ def _parser() -> argparse.ArgumentParser:
                    help="resource guard: the most loop steps a counted shape "
                         "may take, or row combinations a walked shape may scan")
     common(p)
-    p.set_defaults(func=_cmd_census)
 
-    p = sub.add_parser("exponents", help="exact exponents of the quantitative theorems")
+    p = command("exponents", _cmd_exponents, "exact exponents of the quantitative theorems")
     p.add_argument("--theorem", required=True,
                    help=f"one of: {', '.join(sorted(THEOREM_IDS))}")
     p.add_argument("--case", default="")
@@ -340,13 +349,25 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int)
     p.add_argument("--dim-v", type=int)
     common(p)
-    p.set_defaults(func=_cmd_exponents)
 
-    return parser
+    return parser, commands
+
+
+def _parse(argv: list[str]) -> tuple[argparse.Namespace, Callable]:
+    """The parsed arguments of one request and the handler of its subcommand."""
+    parser, commands = _parser()
+    if argv and argv[0] in commands:
+        subparser, handler = commands[argv[0]]
+        args, extra = subparser.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if extra:
+            parser.error(f"unrecognized arguments: {' '.join(extra)}")
+        return args, handler
+    args = parser.parse_args(argv)
+    return args, commands[args.command][1]
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args, handler = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         if args.precision is None:
             args.precision = _default_precision()
@@ -354,7 +375,7 @@ def main(argv=None) -> int:
             raise InputParseError(f"--precision must be >= {MIN_PRECISION}")
         if args.digits < 1:
             raise InputParseError("--digits must be >= 1")
-        args.func(args)
+        handler(args)
     except NtboundsError as exc:
         print(f"ntbounds: {exc.label}: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -120,19 +120,19 @@ class EndRing:
 
     def elements_of_norm_at_most(self, bound: int) -> list[Element]:
         """All ring elements of norm <= bound, deterministic order."""
-        out = []
         if bound < 0:
-            return out
+            return []
         if self.kind == "z":
             s = isqrt(bound)
             return [(a, 0) for a in range(-s, s + 1)]
-        # both quadratic rings: norm >= 3/4 max(|a|, |b|)^2, so 3 max^2 <= 4 bound
-        s = isqrt(4 * bound // 3)
-        for a in range(-s, s + 1):
-            for b in range(-s, s + 1):
-                if self.norm((a, b)) <= bound:
-                    out.append((a, b))
-        return out
+        # both quadratic rings: 4 norm = (2b + trace a)^2 + k a^2 with
+        # k = 4 - trace^2, so a runs while k a^2 <= 4 bound, and b while
+        # |2b + trace a| <= r = isqrt(4 bound - k a^2)
+        t, k = self.trace, 4 - self.trace * self.trace
+        s = isqrt(4 * bound // k)
+        return [(a, b) for a in range(-s, s + 1)
+                for r in (isqrt(4 * bound - k * a * a),)
+                for b in range(-((t * a + r) // 2), (r - t * a) // 2 + 1)]
 
 
 RING_Z = EndRing("z", 0, ((1, 0), (-1, 0)))

@@ -318,7 +318,8 @@ def _isqrt_sum(bound: int) -> int:
 
 def _norm_count_steps(ring: EndRing, n: int, bound: int) -> int:
     """An upper bound on the loop steps of `_norm_counts(ring, n, bound)`:
-    the box `elements_of_norm_at_most` scans, then per row its bound + 1
+    the box that holds the list `elements_of_norm_at_most` builds (on the CM
+    rings |a|, |b| <= isqrt(4 bound / 3)), then per row its bound + 1
     entries and, per reached entry t of the row before, the one-coordinate
     norms <= bound - t and the one that stops the loop.  Over Z these are
     squares, isqrt(m) + 1 of them <= m, and rows 1 and 2 extend only 0 and

@@ -353,6 +353,61 @@ def test_parser_is_reused_across_calls(tmp_path, capsys):
     assert first == again
 
 
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+@pytest.mark.parametrize("source", [
+    *sorted(path.name for path in SCRIPTS.glob("*_argv.json")), "census", "search", "query-mix"])
+def test_flat_parse_matches_the_full_parser(capsys, source):
+    # an argv file, or 50 seed-11 decks of a workload: the flat parse gives the
+    # namespace and the exit code of the top-level parser with its subparsers
+    from ntbounds.cli import _parse, _parser
+    parser, commands = _parser()
+    if source.endswith(".json"):
+        argvs = json.loads((SCRIPTS / source).read_text())
+    else:
+        workloads = _perfbench_workloads()
+        argvs = [req.argv for index in range(50) for req in workloads.deck(source, 11, index)]
+    accepted = 0
+    for argv in argvs:
+        try:
+            want = vars(parser.parse_args(list(argv)))
+        except SystemExit as full:
+            with pytest.raises(SystemExit) as flat:
+                _parse(list(argv))
+            assert flat.value.code == full.code, argv
+            continue
+        args, handler = _parse(list(argv))
+        assert vars(args) == want, argv
+        assert handler is commands[want["command"]][1]
+        accepted += 1
+    capsys.readouterr()
+    assert accepted
+
+
+def test_a_subcommand_request_skips_the_top_level_parse(monkeypatch, capsys):
+    from ntbounds.cli import _parser
+
+    def unused(*args, **kwargs):
+        raise AssertionError("the top-level parser parsed a subcommand request")
+
+    monkeypatch.setattr(_parser()[0], "parse_known_args", unused)
+    census_argv = ["census", "--ring", "zi", "--N", "2", "--r", "1", "--max-degree", "5",
+                   "--torsion", "1"]
+    assert main(census_argv) == 0
+    assert json.loads(capsys.readouterr().out)["kind"] == "census"
+    # an option before the subcommand still goes through the top-level parser
+    with pytest.raises(AssertionError, match="top-level parser"):
+        main(["--precision", "128", *census_argv])
+
+
+def test_main_reads_sys_argv_by_default(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["ntbounds", "exponents", "--theorem", "rc1-anomalous",
+                                      "--case", "translate", "--N", "5", "--dim-v", "2"])
+    assert main() == 0
+    assert json.loads(capsys.readouterr().out)["kind"] == "exponents"
+
+
 @pytest.mark.parametrize("argv", [
     ["exponents", "--theorem", "census-structure", "--N", "3", "--r", "2", "--case", "foo"],
     ["exponents", "--theorem", "low-rank-height", "--N", "5", "--t", "1",

@@ -4,7 +4,7 @@ import itertools
 import random
 import sys
 from fractions import Fraction
-from math import comb
+from math import comb, isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -180,10 +180,11 @@ def test_ring_laws_match_complex_numbers(ring, u, v):
 
 @pytest.mark.parametrize("ring", [G, W], ids=["zi", "zw"])
 def test_elements_of_norm_at_most_lists_the_wide_box_in_its_order(ring):
-    # the candidate rows and the oracle read this order; the box
-    # |a|, |b| <= bound + 1 holds every element of norm <= bound on both rings
-    for bound in [*range(101), 300]:
-        s = bound + 1
+    # the candidate rows and the oracle read this order; norm >= 3/4 max(|a|, |b|)^2
+    # on both rings, so the box |a|, |b| <= isqrt(4 bound / 3) + 1 holds every
+    # element of norm <= bound
+    for bound in [*range(-3, 400), 1000, 4321, 10 ** 4]:
+        s = isqrt(4 * max(bound, 0) // 3) + 1
         want = [(a, b) for a in range(-s, s + 1) for b in range(-s, s + 1)
                 if ring.norm((a, b)) <= bound]
         assert ring.elements_of_norm_at_most(bound) == want, bound
@@ -650,11 +651,11 @@ def test_census_counts_rank_at_most_two_without_walking(monkeypatch, ring, n, r,
     assert bounds == ([] if r == n else [dmax])
 
 
-# The loops the counting price bounds: the CM box scan of
-# `elements_of_norm_at_most`, both loops of `_norm_counts`, the stack, last
-# entry and c-loop of `_rank_two_forms`, and the loops of the complement.
+# The loops the counting price bounds: the rows of a per CM one-coordinate
+# list, both loops of `_norm_counts`, the stack, last entry and c-loop of
+# `_rank_two_forms`, and the loops of the complement.
 _PRICED_LOOPS = {
-    rings.EndRing.elements_of_norm_at_most: ["if self.norm((a, b)) <= bound:"],
+    rings.EndRing.elements_of_norm_at_most: ["for r in (isqrt(4 * bound - k * a * a),)"],
     subgroups._norm_counts: ["if count:", "if s + ne > bound:"],
     subgroups._rank_two_forms: [
         "i, b, s = stack.pop()", "if s + z * z <= c_top:",
@@ -666,8 +667,8 @@ _PRICED_LOOPS = {
 
 
 def _loop_steps(monkeypatch, ring, n, r, dmax):
-    """Line events on the priced loops while `census` counts, by function,
-    the Z box (one list comprehension) counted by its length."""
+    """Line events on the priced loops while `census` counts, by function;
+    the one-coordinate lists count their elements too."""
     lines = {}
     for fn, texts in _PRICED_LOOPS.items():
         source, first = inspect.getsourcelines(fn)
@@ -686,8 +687,7 @@ def _loop_steps(monkeypatch, ring, n, r, dmax):
 
     def boxed(self, bound):
         out = box(self, bound)
-        if self.kind == "z":
-            steps["elements_of_norm_at_most"] += len(out)
+        steps["elements_of_norm_at_most"] += len(out)
         return out
 
     monkeypatch.setattr(EndRing, "elements_of_norm_at_most", boxed)
